@@ -20,6 +20,7 @@ import numpy as np
 from . import datagen, federation, separation
 from .datagen import MixtureSpec, PartitionSpec
 from .evaluation import cost_ratio_report, kmeans_cost, matched_accuracy
+from .federation import canonical_json
 from .local import DEFAULT_TOL, Clustering, local_cluster
 
 CONFIG_VERSION = 1
@@ -34,10 +35,6 @@ EXIT_IO = 4
 
 class ConfigError(Exception):
     """Bad config or malformed input file; maps to exit code 2."""
-
-
-def canonical_json(blob) -> str:
-    return json.dumps(blob, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(cfg: dict) -> str:
@@ -527,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute the configured experiment")
     add_common(run)
     run.add_argument("--c", type=float, help="separation constant override")
-    run.add_argument("--m0", type=float, help="size-ratio bound override")
     run.add_argument("--tol", type=float, help="Lloyd tolerance override")
     run.add_argument("--exclude-devices", help="comma list of device ids to drop")
     run.add_argument("--record", help="record upstream messages to this JSONL file")

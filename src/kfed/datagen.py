@@ -96,6 +96,19 @@ class PartitionSpec:
         return cls(**blob)
 
 
+def estimate_m0(counts: np.ndarray) -> float:
+    """Tightest size-ratio bound: max over nonempty shares of n_r / n^z_r.
+
+    ``counts`` is the (Z, k) table of per-device per-cluster row counts.
+    """
+    totals = counts.sum(axis=0).astype(float)
+    nonzero = counts > 0
+    if not nonzero.any():
+        raise ValueError("partition holds no rows")
+    ratios = np.where(nonzero, totals[None, :] / np.maximum(counts, 1), 0.0)
+    return float(ratios.max())
+
+
 @dataclass
 class DevicePartition:
     """Assignment of global row indices to devices."""
@@ -133,12 +146,9 @@ class DevicePartition:
     def annotate_from_labels(self, labels: np.ndarray, k: int) -> "DevicePartition":
         """Fill k, per-device cluster counts, and the size-ratio bound."""
         table = self.counts_by_cluster(labels, k)
-        totals = table.sum(axis=0)
-        nonzero = table > 0
-        ratios = np.where(nonzero, totals[None, :] / np.maximum(table, 1), 0.0)
         self.k = k
-        self.k_per_device = [int(c) for c in nonzero.sum(axis=1)]
-        self.m0 = float(ratios.max()) if nonzero.any() else None
+        self.k_per_device = [int(c) for c in (table > 0).sum(axis=1)]
+        self.m0 = estimate_m0(table) if table.any() else None
         return self
 
 

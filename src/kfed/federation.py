@@ -225,6 +225,10 @@ def assign_new_device(state: AggregationState | None,
     """
     if state is None:
         raise ValueError("no aggregation state")
+    if new_centers.centers.shape[1] != state.cluster_means.shape[1]:
+        raise ValueError(
+            f"device data has dimension {new_centers.centers.shape[1]}, "
+            f"aggregation state has {state.cluster_means.shape[1]}")
     accounting = accounting if accounting is not None else OpsAccounting()
     dist = np.linalg.norm(
         new_centers.centers[:, None, :] - state.cluster_means[None, :, :], axis=2)
@@ -300,18 +304,19 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
 # ---------------------------------------------------------------------------
 # wire-format record / replay
 
-def _canonical(blob: dict) -> str:
+def canonical_json(blob) -> str:
+    """Compact JSON with sorted keys: the byte form hashed and logged."""
     return json.dumps(blob, sort_keys=True, separators=(",", ":"))
 
 
 def record_run(path, run: KFedRun, k: int, start_device: int) -> Path:
     """Write the upstream messages and the aggregation outcome as JSONL."""
     path = Path(path)
-    lines = [_canonical({"schema": WIRE_SCHEMA_VERSION, "k": k,
-                         "start_device": int(start_device)})]
+    lines = [canonical_json({"schema": WIRE_SCHEMA_VERSION, "k": k,
+                             "start_device": int(start_device)})]
     for z in sorted(run.device_centers):
-        lines.append(_canonical(run.device_centers[z].to_wire()))
-    lines.append(_canonical({
+        lines.append(canonical_json(run.device_centers[z].to_wire()))
+    lines.append(canonical_json({
         "tau": [[list(pair) for pair in group] for group in run.induced.tau],
         "init_provenance": [list(pair) for pair in run.init.provenance],
     }))
@@ -333,7 +338,7 @@ def replay_run(path) -> dict:
     if header.get("schema") != WIRE_SCHEMA_VERSION:
         raise ValueError("unsupported wire schema")
     for line in raw_lines:
-        if _canonical(json.loads(line)) != line:
+        if canonical_json(json.loads(line)) != line:
             raise ValueError("message log is not in canonical form")
     uploads = [DeviceCenters.from_wire(json.loads(line))
                for line in raw_lines[1:-1]]

@@ -1,26 +1,18 @@
 """Dense matrix primitives: spectral norm, truncated projection, Frobenius norm.
 
-The eigensolver is block subspace iteration on the Gram matrix with fixed
-seeded start vectors and an in-house orthogonalizer, so repeated runs
-produce bit-identical projections regardless of the LAPACK build. Tests
-check it against independent full-decomposition oracles.
+Spectral quantities come from numpy's LAPACK: ``np.linalg.norm(m, 2)``
+for the operator norm and a symmetric eigendecomposition of the smaller
+Gram matrix for the top-k projection. Results are deterministic on one
+machine and one BLAS/LAPACK build: equal inputs give bit-identical
+outputs there, while another build may differ in the last digits. Tests
+check both primitives against independent full-decomposition oracles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import Stream
-
-# Start vectors come from this fixed stream so projections are
-# reproducible run to run.
-_START_SEED = 7919
-_ANGLE_TOL = 1e-10
-_MAX_ITERS = 10_000
-_DEPENDENT = 1e-12
 
 
 def validate_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -37,97 +29,15 @@ def validate_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectedMatrix:
-    """Rows of ``base`` projected onto its top-``rank`` singular subspace."""
+    """Rows of a matrix projected onto its top-``rank`` singular subspace."""
 
-    base: np.ndarray
     rank: int
     values: np.ndarray
 
 
-def _orthonormalize(block: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with a second pass for stability.
-
-    Columns that collapse to (numerical) dependence are replaced by unit
-    axes cycled deterministically, so the result is always a full
-    orthonormal basis of the requested width.
-    """
-    dim, width = block.shape
-    basis = np.array(block, dtype=float)
-    axis = 0
-    for j in range(width):
-        col = basis[:, j]
-        original = float(np.linalg.norm(col)) or 1.0
-        for _ in range(2):
-            if j:
-                col = col - basis[:, :j] @ (basis[:, :j].T @ col)
-        norm = float(np.linalg.norm(col))
-        while norm <= _DEPENDENT * original:
-            col = np.zeros(dim)
-            col[axis % dim] = 1.0
-            axis += 1
-            if j:
-                col = col - basis[:, :j] @ (basis[:, :j].T @ col)
-            norm = float(np.linalg.norm(col))
-            original = 1.0
-        basis[:, j] = col / norm
-    return basis
-
-
-def _dominant_subspace(gram: np.ndarray, width: int) -> np.ndarray:
-    """Orthonormal basis of the dominant eigenspace of a symmetric PSD matrix.
-
-    Block subspace iteration from seeded start vectors; stops when the
-    mass of the new basis outside the previous span (the sine of the
-    principal angle change) drops below _ANGLE_TOL, or at _MAX_ITERS.
-    """
-    dim = gram.shape[0]
-    width = min(width, dim)
-    stream = Stream(_START_SEED, dim, width)
-    basis = _orthonormalize(stream.normals((dim, width)))
-    if float(np.linalg.norm(gram)) == 0.0:
-        return basis
-    for _ in range(_MAX_ITERS):
-        refreshed = _orthonormalize(gram @ basis)
-        drift = refreshed - basis @ (basis.T @ refreshed)
-        basis = refreshed
-        if float(np.linalg.norm(drift)) < _ANGLE_TOL:
-            break
-    return basis
-
-
-def _jacobi_eigenvalues(sym: np.ndarray, sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix, descending (cyclic Jacobi)."""
-    h = np.array(sym, dtype=float)
-    m = h.shape[0]
-    scale = float(np.linalg.norm(h)) or 1.0
-    for _ in range(sweeps):
-        off = math.sqrt(max((h * h).sum() - (np.diag(h) ** 2).sum(), 0.0))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                if abs(h[p, q]) <= 1e-18 * scale:
-                    continue
-                tau = (h[q, q] - h[p, p]) / (2.0 * h[p, q])
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                h[[p, q], :] = rot.T @ h[[p, q], :]
-                h[:, [p, q]] = h[:, [p, q]] @ rot
-    return np.sort(np.diag(h))[::-1].copy()
-
-
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value (spectral norm) of ``m``."""
-    m = validate_matrix(m)
-    n, d = m.shape
-    gram = m @ m.T if n <= d else m.T @ m
-    # Block width 2 keeps the top Ritz value accurate when the two
-    # leading singular values are close.
-    basis = _dominant_subspace(gram, min(2, gram.shape[0]))
-    values = _jacobi_eigenvalues(basis.T @ gram @ basis)
-    return float(math.sqrt(max(values[0], 0.0)))
+    return float(np.linalg.norm(validate_matrix(m), 2))
 
 
 def frobenius_norm(m: np.ndarray) -> float:
@@ -141,18 +51,19 @@ def top_k_projection(m: np.ndarray, k: int) -> ProjectedMatrix:
 
     The result is the closest rank-k matrix to ``m`` in operator norm.
     Idempotent: re-projecting with the same k is a no-op up to round-off.
-    Exact ties at the subspace boundary are broken by iteration order;
-    the projection is unique whenever the boundary gap is.
+    Exact ties at the subspace boundary are broken by LAPACK's eigenvector
+    ordering; the projection is unique whenever the boundary gap is.
     """
     m = validate_matrix(m)
     n, d = m.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"projection rank k={k} outside [1, {min(n, d)}]")
     # Work on the smaller Gram matrix; both sides give the same projection.
+    gram = m.T @ m if d <= n else m @ m.T
+    # eigh returns eigenvalues in ascending order.
+    basis = np.linalg.eigh(gram)[1][:, -k:]
     if d <= n:
-        right = _dominant_subspace(m.T @ m, k)
-        proj = (m @ right) @ right.T
+        proj = (m @ basis) @ basis.T
     else:
-        left = _dominant_subspace(m @ m.T, k)
-        proj = left @ (left.T @ m)
-    return ProjectedMatrix(base=m, rank=k, values=proj)
+        proj = basis @ (basis.T @ m)
+    return ProjectedMatrix(rank=k, values=proj)

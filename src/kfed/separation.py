@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import DevicePartition
+from .datagen import DevicePartition, estimate_m0
 from .linalg import operator_norm
 from .local import Clustering
 
@@ -125,16 +125,6 @@ def _cluster_means(data: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
             raise ValueError("empty cluster in target")
         means[r] = data[rows].mean(axis=0)
     return means
-
-
-def estimate_m0(counts: np.ndarray) -> float:
-    """Tightest size-ratio bound: max over nonempty shares of n_r / n^z_r."""
-    totals = counts.sum(axis=0).astype(float)
-    nonzero = counts > 0
-    if not nonzero.any():
-        raise ValueError("partition holds no rows")
-    ratios = np.where(nonzero, totals[None, :] / np.maximum(counts, 1), 0.0)
-    return float(ratios.max())
 
 
 def separation_quantities(data: np.ndarray, clustering: Clustering,

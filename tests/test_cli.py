@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from kfed import cli
 from kfed.evaluation import matched_accuracy
@@ -227,6 +228,20 @@ def test_join_flow_and_checksum(tmp_path):
     assert not join_bad.exists()
 
 
+def test_join_rejects_dimension_mismatch(tmp_path):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "run"
+    cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    narrow = tmp_path / "narrow.csv"
+    np.savetxt(narrow, np.arange(8.0)[:, None], fmt="%.17g", delimiter=",")
+    join_out = tmp_path / "join"
+    code = cli.main(["join", "--state", str(out / "state_seed0.json"),
+                     "--data", str(narrow), "--k-z", "2",
+                     "--out", str(join_out)])
+    assert code == cli.EXIT_PIPELINE
+    assert not join_out.exists()
+
+
 def test_eval_command(tmp_path):
     pred = tmp_path / "pred.csv"
     truth = tmp_path / "truth.csv"
@@ -272,6 +287,13 @@ def test_exit_codes(tmp_path):
     blocker.write_text("x")
     assert cli.main(["run", "--config", str(cfg_path),
                      "--out", str(blocker)]) == cli.EXIT_IO
+
+
+def test_run_rejects_m0_flag(tmp_path):
+    cfg_path, _ = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(cfg_path), "--m0", "3"])
+    assert exc.value.code == 2
 
 
 def test_config_round_trip_hash(tmp_path):

@@ -321,8 +321,8 @@ def test_replay_detects_tampering(tmp_path):
     import json
     trailer = json.loads(lines[-1])
     trailer["tau"][0], trailer["tau"][1] = trailer["tau"][1], trailer["tau"][0]
-    from kfed.federation import _canonical
+    from kfed.federation import canonical_json
     forged = tmp_path / "forged.jsonl"
-    forged.write_text("\n".join(lines[:-1] + [_canonical(trailer)]) + "\n")
+    forged.write_text("\n".join(lines[:-1] + [canonical_json(trailer)]) + "\n")
     with pytest.raises(ValueError, match="diverges"):
         replay_run(forged)

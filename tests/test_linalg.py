@@ -6,6 +6,13 @@ from kfed.linalg import (frobenius_norm, operator_norm, top_k_projection,
 from oracles import jacobi_spectral_norm, svd_truncation
 
 
+def _with_spectrum(rng, n, d, values):
+    """Random n x d matrix with the given singular values."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, len(values))))
+    v, _ = np.linalg.qr(rng.normal(size=(d, len(values))))
+    return (u * np.asarray(values)) @ v.T
+
+
 def test_operator_norm_diagonal():
     assert operator_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0, rel=1e-8)
 
@@ -36,6 +43,11 @@ def test_operator_norm_matches_oracle_across_shapes():
         mat = np.random.default_rng(seed).normal(size=shape)
         assert operator_norm(mat) == pytest.approx(
             jacobi_spectral_norm(mat), rel=1e-8), f"shape {shape}"
+    # two equal top singular values
+    tied = _with_spectrum(np.random.default_rng(4), 7, 4, [5.0, 5.0, 1.0, 0.5])
+    assert operator_norm(tied) == pytest.approx(
+        jacobi_spectral_norm(tied), rel=1e-8)
+    assert operator_norm(tied) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_projection_rank_one_is_identity():
@@ -52,9 +64,19 @@ def test_projection_full_rank_is_identity():
 
 
 def test_projection_matches_svd_oracle():
-    mat = np.random.default_rng(21).normal(size=(4, 3))
-    proj = top_k_projection(mat, 2)
-    assert np.abs(proj.values - svd_truncation(mat, 2)).max() < 1e-8
+    rng = np.random.default_rng(22)
+    cases = [
+        (np.random.default_rng(21).normal(size=(4, 3)), 2),
+        # wide (d > n): the left Gram branch
+        (rng.normal(size=(20, 40)), 5),
+        # a low-separation device shape whose leading singular values sit
+        # within 2% of each other across the k boundary
+        (_with_spectrum(rng, 125, 50, np.linspace(10.0, 9.0, 50)), 16),
+    ]
+    for mat, k in cases:
+        proj = top_k_projection(mat, k)
+        assert np.abs(proj.values - svd_truncation(mat, k)).max() < 1e-8, \
+            f"shape {mat.shape}, k={k}"
 
 
 def test_projection_idempotent():
