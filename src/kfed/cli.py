@@ -4,7 +4,9 @@ Subcommands: generate, run, profile, join, eval. A JSON config describes
 the instance family and experiment; every output file embeds the config
 hash and seed so equal (config, seed) pairs reproduce byte-identical
 result rows. The KFED_THREADS environment variable caps the number of
-concurrent device solves.
+concurrent device solves. It only speeds a run up with BLAS pinned to one
+thread (for example OPENBLAS_NUM_THREADS=1); with BLAS's default threading
+the solver threads and BLAS's threads compete for the same cores.
 """
 
 from __future__ import annotations
@@ -223,22 +225,26 @@ def run_single_seed(cfg: dict, seed: int, c: float | None = None,
     return run, result, truth, partition, data
 
 
+def _c_sweep(cfg: dict, args) -> list:
+    """The separation constants an accuracy-style experiment runs."""
+    if cfg["experiment"] == "c_sweep" and cfg.get("c_values"):
+        return cfg["c_values"]
+    c_override = getattr(args, "c", None)
+    return [c_override if c_override is not None else cfg.get("c", 100.0)]
+
+
 def _experiment_rows(cfg: dict, seeds: list[int], args, out_dir: Path) -> tuple[list[dict], list[tuple[int, str]]]:
     """Per-seed pipeline rows for the accuracy-style experiments."""
     cfg_hash = config_hash(cfg)
     experiment = cfg["experiment"]
     exclude = _parse_excludes(getattr(args, "exclude_devices", None))
-    c_override = getattr(args, "c", None)
     tol = getattr(args, "tol", None)
+    record = getattr(args, "record", None)
     rows: list[dict] = []
     failures: list[tuple[int, str]] = []
-    c_values = cfg.get("c_values") if experiment == "c_sweep" else None
-    sweep = c_values if c_values else [c_override if c_override is not None
-                                       else cfg.get("c", 100.0)]
-    for c in sweep:
+    for c in _c_sweep(cfg, args):
         for seed in seeds:
             try:
-                record = getattr(args, "record", None)
                 run, result, truth, partition, data = run_single_seed(
                     cfg, seed, c=float(c), tol=tol, exclude_devices=exclude,
                     record_path=record)
@@ -406,8 +412,10 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
     seeds = _seeds_from(cfg, args)
+    if getattr(args, "record", None) and len(seeds) * len(_c_sweep(cfg, args)) > 1:
+        raise ConfigError("--record keeps one log, but this config runs several")
+    out = _out_dir(cfg, args)
     if getattr(args, "replay", None):
         audit = federation.replay_run(args.replay)
         print(json.dumps(audit))

@@ -272,12 +272,17 @@ def iid_partition(n: int, Z: int, seed: int) -> DevicePartition:
         raise ValueError("need at least one row per device")
     if Z < 1:
         raise ValueError("need at least one device")
-    attempt = 0
-    while True:
-        assign = Stream(seed, _DEVICE_STREAM, attempt).integers(n, Z)
-        if np.unique(assign).size == Z:
-            break
-        attempt += 1
+    assign = Stream(seed, _DEVICE_STREAM, 0).integers(n, Z)
+    counts = np.bincount(assign, minlength=Z)
+    empty = np.flatnonzero(counts == 0)
+    # Each device the draw left empty takes one row, in a seeded random
+    # order, from a device with rows to spare; n >= Z leaves enough.
+    donors = iter(np.argsort(Stream(seed, _DEVICE_STREAM, 1).uniforms(n))
+                  if empty.size else ())
+    for z in empty:
+        row = next(i for i in donors if counts[assign[i]] > 1)
+        counts[assign[row]] -= 1
+        assign[row] = z
     rows = [np.flatnonzero(assign == z) for z in range(Z)]
     return DevicePartition(device_rows=rows)
 

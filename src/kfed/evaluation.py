@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .local import Clustering
+from .local import Clustering, cluster_means
 
 
 @dataclass
@@ -47,10 +47,11 @@ def kmeans_cost(data: np.ndarray, clustering) -> float:
     labels = _labels_of(clustering)
     if labels.shape[0] != data.shape[0]:
         raise ValueError("labels do not cover the data rows")
+    present, labels = np.unique(labels, return_inverse=True)
+    means, _ = cluster_means(data, labels, present.size)
     total = 0.0
-    for r in np.unique(labels):
-        block = data[labels == r]
-        diff = block - block.mean(axis=0)
+    for r in range(present.size):  # cluster by cluster keeps the sum's bits
+        diff = data[labels == r] - means[r]
         total += float(np.einsum("nd,nd->", diff, diff))
     return total
 

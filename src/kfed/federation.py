@@ -21,7 +21,7 @@ import numpy as np
 
 from .datagen import DevicePartition
 from .linalg import validate_matrix
-from .local import DEFAULT_TOL, LocalResult, local_cluster
+from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
 
 WIRE_SCHEMA_VERSION = 1
 
@@ -153,7 +153,6 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
     if not all_centers or sum(dc.k_z for dc in all_centers) < k:
         raise ValueError("network has fewer than k device centers")
     stacked, provenance = _flatten(all_centers)
-    total = stacked.shape[0]
     if start_device is None:
         start_device = min(dc.device_id for dc in all_centers)
     chosen = [idx for idx, (z, _) in enumerate(provenance) if z == start_device]
@@ -161,16 +160,21 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
         raise ValueError(f"start device {start_device} submitted no centers")
     if len(chosen) > k:
         raise ValueError("start device has more centers than requested groups")
-    selected = np.zeros(total, dtype=bool)
-    selected[chosen] = True
+    # Gonzalez's update: each open upload keeps its distance to the nearest
+    # chosen center, refreshed only against the newest choice.
+    candidates = np.delete(np.arange(stacked.shape[0]), chosen)
+    nearest = np.full(candidates.size, np.inf)
+    new = list(chosen)
     while len(chosen) < k:
-        candidates = np.flatnonzero(~selected)
         dist = np.linalg.norm(
-            stacked[candidates][:, None, :] - stacked[chosen][None, :, :], axis=2)
-        accounting.tally(candidates.size * len(chosen))
-        best = candidates[int(dist.min(axis=1).argmax())]
-        selected[best] = True
-        chosen.append(int(best))
+            stacked[candidates][:, None, :] - stacked[new][None, :, :], axis=2)
+        accounting.tally(dist.size)
+        nearest = np.minimum(nearest, dist.min(axis=1))
+        pick = int(nearest.argmax())  # first maximum: lowest (device_id, index)
+        new = [int(candidates[pick])]
+        chosen += new
+        candidates = np.delete(candidates, pick)
+        nearest = np.delete(nearest, pick)
     return FarthestInit(points=stacked[chosen],
                         provenance=[provenance[i] for i in chosen])
 
@@ -194,23 +198,20 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     tau: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for flat_idx, group in enumerate(nearest):
         tau[group].append(provenance[flat_idx])
-    means = np.array([
-        stacked[nearest == r].mean(axis=0) if (nearest == r).any() else init.points[r]
-        for r in range(k)
-    ])
-    group_of = {prov: int(g) for prov, g in zip(provenance, nearest)}
+    means, sizes = cluster_means(stacked, nearest, k)
+    means = np.where(sizes[:, None] > 0, means, init.points)
     if partition is not None:
         n_total = partition.total_rows() if n_total is None else n_total
     assignment = np.full(n_total if n_total is not None else 0, -1, dtype=int)
     if partition is not None:
         rows_by_device = {z: rows for z, rows in enumerate(partition.device_rows)}
-        for dc in all_centers:
+        offset = 0
+        for dc in sorted(all_centers, key=lambda dc: dc.device_id):  # nearest's order
             rows = dc.rows if dc.rows is not None else rows_by_device.get(dc.device_id)
             if rows is None:
                 raise ValueError(f"no row indices known for device {dc.device_id}")
-            for local_idx in range(dc.k_z):
-                members = rows[dc.local_assignment == local_idx]
-                assignment[members] = group_of[(dc.device_id, local_idx)]
+            assignment[rows] = nearest[offset:offset + dc.k_z][dc.local_assignment]
+            offset += dc.k_z
     return InducedClustering(tau=tau, cluster_means=means,
                              assignment=assignment, k=k)
 
@@ -349,7 +350,9 @@ def replay_run(path) -> dict:
                                accounting=accounting)
     induced = one_round_lloyd(uploads, init, accounting=accounting)
     replayed_tau = [[list(pair) for pair in group] for group in induced.tau]
-    if replayed_tau != trailer["tau"]:
+    replayed_init = [list(pair) for pair in init.provenance]
+    if (replayed_tau != trailer.get("tau")
+            or replayed_init != trailer.get("init_provenance")):
         raise ValueError("replayed aggregation diverges from the recorded run")
     return {"k": header["k"], "devices": len(uploads), "tau": replayed_tau,
             "distance_count": accounting.pairwise_distance_count}

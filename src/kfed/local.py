@@ -43,18 +43,26 @@ class Clustering:
         ``empty_centers`` supplies fallback coordinates for labels that do
         not occur; without it an absent label is an error.
         """
-        data = np.asarray(data, dtype=float)
         labels = np.asarray(labels, dtype=int)
-        centers = np.empty((k, data.shape[1]))
-        for r in range(k):
-            rows = labels == r
-            if rows.any():
-                centers[r] = data[rows].mean(axis=0)
-            elif empty_centers is not None:
-                centers[r] = empty_centers[r]
-            else:
-                raise ValueError(f"cluster {r} has no members")
+        centers, sizes = cluster_means(np.asarray(data, dtype=float), labels, k)
+        if empty_centers is not None:
+            centers = np.where(sizes[:, None] > 0, centers, empty_centers)
+        elif not sizes.all():
+            raise ValueError(f"cluster {int(sizes.argmin())} has no members")
         return cls(assignment=labels, centers=centers, k=k)
+
+
+def cluster_means(data: np.ndarray, labels: np.ndarray, k: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster means and sizes of ``data`` rows under ``labels`` in [0, k).
+
+    Mean r is exactly ``data[labels == r].mean(axis=0)``; NaN if r is absent.
+    """
+    sizes = np.bincount(labels, minlength=k)
+    means = np.full((k, data.shape[1]), np.nan)
+    for r in np.flatnonzero(sizes):
+        means[r] = data[labels == r].mean(axis=0)
+    return means, sizes
 
 
 @dataclass
@@ -88,10 +96,6 @@ def _assignment_cost(data: np.ndarray, labels: np.ndarray,
     return float(np.einsum("nd,nd->", diff, diff))
 
 
-def _count_distinct_rows(data: np.ndarray) -> int:
-    return np.unique(data, axis=0).shape[0]
-
-
 def _lloyd(data: np.ndarray, centers: np.ndarray, tol: float,
            max_iter: int) -> tuple[Clustering, int, list[float]]:
     """Lloyd iterations; returns (clustering, iterations, per-iteration cost).
@@ -107,11 +111,8 @@ def _lloyd(data: np.ndarray, centers: np.ndarray, tol: float,
     iteration = 0
     for iteration in range(1, max_iter + 1):
         labels = _sq_distances(data, centers).argmin(axis=1)
-        updated = centers.copy()
-        for r in range(k):
-            rows = labels == r
-            if rows.any():
-                updated[r] = data[rows].mean(axis=0)
+        means, sizes = cluster_means(data, labels, k)
+        updated = np.where(sizes[:, None] > 0, means, centers)
         costs.append(_assignment_cost(data, labels, updated))
         shift = float(np.sqrt(((updated - centers) ** 2).sum(axis=1)).max())
         centers = updated
@@ -138,8 +139,9 @@ def _dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
     centers[0] = data[stream.integers(1, n)[0]]
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        # Positive total is guaranteed while fewer than the number of
-        # distinct rows have been chosen.
+        # All weights are zero once every distinct row has been chosen.
+        if not d2.any():
+            raise ValueError("insufficient distinct points")
         idx = stream.choice_weighted(d2)
         centers[j] = data[idx]
         d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
@@ -157,7 +159,7 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL,
     data = _rows(projected)
     if not isinstance(seed, tuple):
         seed = (int(seed),)
-    if data.shape[0] < k or _count_distinct_rows(data) < k:
+    if data.shape[0] < k:
         raise ValueError("insufficient distinct points")
     best_cost = np.inf
     best_centers: np.ndarray | None = None
@@ -165,7 +167,7 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL,
         stream = Stream(*seed, restart)
         seeded = _dsq_sample(data, k, stream)
         refined, _, costs = _lloyd(data, seeded, tol, DEFAULT_MAX_ITER)
-        if _count_distinct_rows(refined.centers) < k:
+        if np.unique(refined.centers, axis=0).shape[0] < k:
             continue  # degenerate restart; centers collapsed
         if costs[-1] < best_cost:
             best_cost = costs[-1]
@@ -187,7 +189,7 @@ def threshold_assign(projected, centers: np.ndarray
     data = _rows(projected)
     centers = np.asarray(centers, dtype=float)
     k = centers.shape[0]
-    if _count_distinct_rows(centers) < k:
+    if np.unique(centers, axis=0).shape[0] < k:
         raise ValueError("centers must be distinct")
     dist = np.sqrt(_sq_distances(data, centers))
     nearest = dist.argmin(axis=1)
@@ -197,11 +199,8 @@ def threshold_assign(projected, centers: np.ndarray
     rest[rows, nearest] = np.inf
     keep = 3.0 * d_near <= rest.min(axis=1)
     sets = [np.flatnonzero(keep & (nearest == r)) for r in range(k)]
-    out = np.array([
-        data[members].mean(axis=0) if members.size else centers[r]
-        for r, members in enumerate(sets)
-    ])
-    return sets, out
+    means, sizes = cluster_means(data[keep], nearest[keep], k)
+    return sets, np.where(sizes[:, None] > 0, means, centers)
 
 
 def local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TOL,
@@ -210,7 +209,7 @@ def local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TOL,
     data = validate_matrix(data, "device data")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if data.shape[0] < k or _count_distinct_rows(data) < k:
+    if data.shape[0] < k:
         raise ValueError("insufficient distinct points")
     k_eff = min(k, min(data.shape))
     projected = top_k_projection(data, k_eff)

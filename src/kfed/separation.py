@@ -23,7 +23,7 @@ import numpy as np
 
 from .datagen import DevicePartition, estimate_m0
 from .linalg import operator_norm
-from .local import Clustering
+from .local import Clustering, cluster_means
 
 DEFAULT_C = 100.0
 
@@ -108,35 +108,28 @@ def build_center_matrix(data: np.ndarray, clustering: Clustering) -> np.ndarray:
     labels = np.asarray(clustering.assignment, dtype=int)
     if labels.shape[0] != data.shape[0]:
         raise ValueError("clustering does not cover the data rows")
-    means = np.empty((clustering.k, data.shape[1]))
-    for r in range(clustering.k):
-        rows = labels == r
-        if not rows.any():
-            raise ValueError("empty cluster in target")
-        means[r] = data[rows].mean(axis=0)
+    means, sizes = cluster_means(data, labels, clustering.k)
+    if not sizes.all():
+        raise ValueError("empty cluster in target")
     return means[labels]
 
 
-def _cluster_means(data: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    means = np.empty((k, data.shape[1]))
-    for r in range(k):
-        rows = labels == r
-        if not rows.any():
-            raise ValueError("empty cluster in target")
-        means[r] = data[rows].mean(axis=0)
-    return means
+def _fit_target(data: np.ndarray, clustering: Clustering) -> tuple:
+    """(rows, labels, cluster means, sizes, residual spectral norm) of a target."""
+    data = np.asarray(data, dtype=float)
+    labels = np.asarray(clustering.assignment, dtype=int)
+    centers, sizes = cluster_means(data, labels, clustering.k)
+    if not sizes.all():
+        raise ValueError("empty cluster in target")
+    return data, labels, centers, sizes, operator_norm(data - centers[labels])
 
 
 def separation_quantities(data: np.ndarray, clustering: Clustering,
                           partition: DevicePartition, c: float = DEFAULT_C,
                           m0: float | None = None) -> SeparationReport:
     """Compute every separation scale and per-pair requirement check."""
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(clustering.assignment, dtype=int)
+    data, labels, centers, sizes, op = _fit_target(data, clustering)
     k = clustering.k
-    centers = _cluster_means(data, labels, k)
-    op = operator_norm(data - centers[labels])
-    sizes = np.bincount(labels, minlength=k)
 
     counts = partition.counts_by_cluster(labels, k)
     k_prime = int((counts > 0).sum(axis=1).max())
@@ -184,14 +177,10 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
     norm of the centered data. Pairs with coincident means are skipped
     with a warning since the line is undefined.
     """
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(clustering.assignment, dtype=int)
     k = clustering.k
     if k < 2:
         raise ValueError("proximity check needs at least two clusters")
-    centers = _cluster_means(data, labels, k)
-    op = operator_norm(data - centers[labels])
-    sizes = np.bincount(labels, minlength=k)
+    data, labels, centers, sizes, op = _fit_target(data, clustering)
 
     n = data.shape[0]
     worst = np.full(n, np.inf)
@@ -233,11 +222,8 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
     any labeling whatsoever, so a violation beyond ``slack`` indicates an
     implementation bug.
     """
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(clustering.assignment, dtype=int)
+    data, labels, centers, _, op = _fit_target(data, clustering)
     k = clustering.k
-    centers = _cluster_means(data, labels, k)
-    op = operator_norm(data - centers[labels])
 
     audit = LemmaAudit(mean_shift_checks=0, norm_change_checks=0)
     for z, rows in enumerate(partition.device_rows):
@@ -245,13 +231,11 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
             continue
         local_labels = labels[rows]
         local_data = data[rows]
-        present = np.unique(local_labels)
-        local_means = np.empty((k, data.shape[1]))
+        local_means, local_sizes = cluster_means(local_data, local_labels, k)
+        present = np.flatnonzero(local_sizes)
         for r in present:
-            members = local_data[local_labels == r]
-            local_means[r] = members.mean(axis=0)
             lhs = float(np.linalg.norm(local_means[r] - centers[r]))
-            rhs = op / math.sqrt(members.shape[0])
+            rhs = op / math.sqrt(local_sizes[r])
             audit.mean_shift_checks += 1
             audit.worst_mean_shift_slack = max(audit.worst_mean_shift_slack,
                                                lhs - rhs)

@@ -2,8 +2,9 @@
 
 Nothing here shares code with the package: the spectral oracle is a
 classical max-pivot Jacobi eigensolver on the full Gram matrix, the
-k-means oracle enumerates set partitions outright, and the matching
-oracle tries every permutation.
+k-means oracle enumerates set partitions outright, the matching oracle
+tries every permutation, and the max-min oracle recomputes every distance
+at every step.
 """
 
 from __future__ import annotations
@@ -112,3 +113,27 @@ def naive_kmeans_cost(data: np.ndarray, labels: np.ndarray) -> float:
             diff = data[i] - mean
             total += float(diff @ diff)
     return total
+
+
+def greedy_max_min(uploads, k: int, start_device: int) -> list[tuple[int, int]]:
+    """Greedy max-min seed selection, every distance recomputed each step.
+
+    ``uploads`` is a list of (device_id, centers). Starts from all of the
+    start device's centers and adds the point whose nearest chosen point
+    is farthest; ties go to the smallest (device_id, local index).
+    """
+    points = sorted(((int(z), i), [float(x) for x in row])
+                    for z, centers in uploads for i, row in enumerate(centers))
+    coords = dict(points)
+    chosen = [key for key, _ in points if key[0] == start_device]
+    while len(chosen) < k:
+        best, best_gap = None, -1.0
+        for key, p in points:
+            if key in chosen:
+                continue
+            gap = min(sum((a - b) ** 2 for a, b in zip(p, coords[c]))
+                      for c in chosen)
+            if gap > best_gap:
+                best, best_gap = key, gap
+        chosen.append(best)
+    return chosen

@@ -269,6 +269,20 @@ def test_record_and_replay_via_cli(tmp_path):
                      "--replay", str(log)]) == cli.EXIT_PIPELINE
 
 
+def test_record_rejects_several_runs(tmp_path):
+    cfg_path, _ = write_config(tmp_path, seeds=[0, 1, 2])
+    out = tmp_path / "rec"
+    log = tmp_path / "messages.jsonl"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--record", str(log)]) == cli.EXIT_CONFIG
+    assert not out.exists() and not log.exists()
+    cfg_path, _ = write_config(tmp_path, experiment="c_sweep",
+                               c_values=[50.0, 100.0])
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "0", "--record", str(log)]) == cli.EXIT_CONFIG
+    assert not out.exists() and not log.exists()
+
+
 def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

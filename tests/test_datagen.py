@@ -178,12 +178,15 @@ def test_iid_single_device():
 
 
 def test_iid_partition_deterministic_cover():
-    a = iid_partition(100, 4, seed=7)
-    b = iid_partition(100, 4, seed=7)
-    for rows_a, rows_b in zip(a.device_rows, b.device_rows):
-        assert np.array_equal(rows_a, rows_b)
-    a.validate(100)
-    assert sum(r.size for r in a.device_rows) == 100
+    # n = Z = 20 leaves some device empty on almost every uniform draw
+    for n, z, seed in [(100, 4, 7), (20, 20, 0), (20, 20, 1), (20, 20, 2)]:
+        a = iid_partition(n, z, seed=seed)
+        b = iid_partition(n, z, seed=seed)
+        for rows_a, rows_b in zip(a.device_rows, b.device_rows):
+            assert np.array_equal(rows_a, rows_b)
+        a.validate(n)
+        assert a.num_devices == z
+        assert all(rows.size > 0 for rows in a.device_rows)
 
 
 def test_iid_partition_sizes_chi_square():

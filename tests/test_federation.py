@@ -9,6 +9,7 @@ from kfed.federation import (AggregationState, DeviceCenters, OpsAccounting,
 from kfed.local import local_cluster
 from kfed.separation import separation_quantities
 from helpers import init_planted_clusters, planted_instance
+from oracles import greedy_max_min
 
 
 def _dc(device_id, centers, assignment=None):
@@ -43,12 +44,48 @@ def test_init_collinear_picks_farthest():
     uploads = [_dc(0, [[0.0]]), _dc(1, [[1.0]]), _dc(2, [[10.0]])]
     init = farthest_point_init(uploads, 2, start_device=0)
     assert sorted(float(p[0]) for p in init.points) == [0.0, 10.0]
+    # one distance per open upload per step: 2 from (0, 0), then 1 from (2, 0)
+    acc = OpsAccounting()
+    init = farthest_point_init(uploads, 3, start_device=0, accounting=acc)
+    assert init.provenance == [(0, 0), (2, 0), (1, 0)]
+    assert acc.pairwise_distance_count == 3
 
 
 def test_init_tie_breaks_lexicographically():
     uploads = [_dc(0, [[0.0]]), _dc(1, [[4.0]]), _dc(2, [[-4.0]])]
     init = farthest_point_init(uploads, 2, start_device=0)
     assert init.provenance == [(0, 0), (1, 0)]
+
+
+def test_init_matches_max_min_oracle():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        z_count = int(rng.integers(2, 7))
+        if trial % 3 == 0:    # small integer grid: many exact distance ties
+            uploads = [_dc(z, rng.integers(0, 3, size=(int(rng.integers(1, 4)), 2)))
+                       for z in range(z_count)]
+        elif trial % 3 == 1:  # every device uploads copies of one center set
+            base = rng.normal(size=(3, 4))
+            uploads = [_dc(z, base[rng.permutation(3)[:int(rng.integers(1, 4))]])
+                       for z in range(z_count)]
+        else:
+            uploads = [_dc(z, rng.normal(size=(int(rng.integers(1, 5)), 3)))
+                       for z in range(z_count)]
+        start = int(rng.integers(0, z_count))
+        s = uploads[start].k_z
+        total = sum(dc.k_z for dc in uploads)
+        for k in range(s, total + 1):
+            acc = OpsAccounting()
+            init = farthest_point_init(uploads, k, start_device=start,
+                                       accounting=acc)
+            expected = greedy_max_min([(dc.device_id, dc.centers) for dc in uploads],
+                                      k, start)
+            assert init.provenance == expected, (trial, k)
+            # the first step measures from all s start centers, later steps
+            # only from the newest seed
+            open_uploads = range(total - s, total - k, -1)
+            assert acc.pairwise_distance_count == sum(
+                n * (s if step == 0 else 1) for step, n in enumerate(open_uploads))
 
 
 def test_init_too_few_centers():
@@ -323,6 +360,13 @@ def test_replay_detects_tampering(tmp_path):
     trailer["tau"][0], trailer["tau"][1] = trailer["tau"][1], trailer["tau"][0]
     from kfed.federation import canonical_json
     forged = tmp_path / "forged.jsonl"
+    forged.write_text("\n".join(lines[:-1] + [canonical_json(trailer)]) + "\n")
+    with pytest.raises(ValueError, match="diverges"):
+        replay_run(forged)
+
+    # so is a falsified seed provenance that leaves the groups as recorded
+    trailer = json.loads(lines[-1])
+    trailer["init_provenance"].reverse()
     forged.write_text("\n".join(lines[:-1] + [canonical_json(trailer)]) + "\n")
     with pytest.raises(ValueError, match="diverges"):
         replay_run(forged)

@@ -3,8 +3,8 @@ import pytest
 
 from kfed.evaluation import kmeans_cost, matched_accuracy
 from kfed.linalg import operator_norm, top_k_projection
-from kfed.local import (Clustering, approx_seed, lloyd_iterate, local_cluster,
-                        threshold_assign)
+from kfed.local import (Clustering, approx_seed, cluster_means, lloyd_iterate,
+                        local_cluster, threshold_assign)
 from helpers import planted_instance
 from oracles import brute_force_kmeans
 
@@ -246,6 +246,18 @@ def test_local_center_accuracy_bound():
             true_mean = data[members].mean(axis=0)
             gap = np.linalg.norm(result.centers - true_mean, axis=1).min()
             assert gap <= (25.0 / c) * op / np.sqrt(members.size) + 1e-9
+
+
+def test_cluster_means_bit_identical_to_masked_mean():
+    rng = np.random.default_rng(40)
+    data = rng.normal(size=(300, 7)) * 1e3
+    labels = rng.integers(0, 5, size=300)
+    labels[labels == 3] = 4                     # label 3 absent
+    means, sizes = cluster_means(data, labels, 6)
+    assert sizes.tolist() == np.bincount(labels, minlength=6).tolist()
+    for r in (0, 1, 2, 4):
+        assert means[r].tobytes() == data[labels == r].mean(axis=0).tobytes()
+    assert np.isnan(means[[3, 5]]).all()
 
 
 def test_clustering_from_labels_requires_members():
