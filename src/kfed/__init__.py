@@ -7,8 +7,7 @@ from .evaluation import (EvalResult, cost_ratio_report, evaluate_clustering,
 from .federation import (AggregationState, DeviceCenters, InducedClustering,
                          KFedRun, OpsAccounting, assign_new_device,
                          farthest_point_init, one_round_lloyd, run_kfed)
-from .linalg import (ProjectedMatrix, frobenius_norm, operator_norm,
-                     top_k_projection)
+from .linalg import frobenius_norm, operator_norm, top_k_projection
 from .local import (Clustering, LocalResult, approx_seed, lloyd_iterate,
                     local_cluster, threshold_assign)
 from .separation import (LemmaAudit, SeparationReport, build_center_matrix,
@@ -17,7 +16,7 @@ from .separation import (LemmaAudit, SeparationReport, build_center_matrix,
 __all__ = [
     "AggregationState", "Clustering", "DeviceCenters", "DevicePartition",
     "EvalResult", "InducedClustering", "KFedRun", "LemmaAudit", "LocalResult",
-    "MixtureSpec", "OpsAccounting", "PartitionSpec", "ProjectedMatrix",
+    "MixtureSpec", "OpsAccounting", "PartitionSpec",
     "SeparationReport", "approx_seed", "assign_new_device",
     "build_center_matrix", "cost_ratio_report", "evaluate_clustering",
     "farthest_point_init", "frobenius_norm", "generate_mixture",

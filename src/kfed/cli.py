@@ -15,19 +15,21 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import datagen, federation, separation
 from .datagen import MixtureSpec, PartitionSpec
-from .evaluation import cost_ratio_report, kmeans_cost, matched_accuracy
+from .evaluation import (cost_ratio_report, evaluate_clustering, kmeans_cost,
+                         matched_accuracy)
 from .federation import canonical_json
+from .linalg import validate_matrix
 from .local import DEFAULT_TOL, Clustering, local_cluster
 
 CONFIG_VERSION = 1
-KNOWN_EXPERIMENTS = ("table1", "c_sweep", "cost_ratio", "separation_profile",
-                     "single_run")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,8 +41,12 @@ class ConfigError(Exception):
     """Bad config or malformed input file; maps to exit code 2."""
 
 
+def _sha256(blob) -> str:
+    return hashlib.sha256(canonical_json(blob).encode()).hexdigest()
+
+
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
+    return _sha256(cfg)
 
 
 def load_config(path) -> dict:
@@ -48,12 +54,18 @@ def load_config(path) -> dict:
         cfg = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
-    if cfg.get("experiment") not in KNOWN_EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {KNOWN_EXPERIMENTS}")
-    if "mixture" not in cfg or "k" not in cfg["mixture"] or "d" not in cfg["mixture"]:
+    names = tuple(EXPERIMENTS)  # a tuple: an unhashable value is just absent
+    if cfg.get("experiment") not in names:
+        raise ConfigError(f"experiment must be one of {names}")
+    mixture = cfg.get("mixture")
+    if not isinstance(mixture, dict) or "k" not in mixture or "d" not in mixture:
         raise ConfigError("config needs mixture.k and mixture.d")
+    if "c_values" in cfg and cfg["experiment"] != "c_sweep":
+        raise ConfigError("only the c_sweep experiment reads c_values")
     round_trip = json.loads(json.dumps(cfg))
     if round_trip != cfg:
         raise ConfigError("config does not round-trip through JSON")
@@ -67,10 +79,14 @@ def _seeds_from(cfg: dict, args) -> list[int]:
     if spec:
         try:
             lo, hi = spec.split("..")
-            return list(range(int(lo), int(hi) + 1))
+            seeds = list(range(int(lo), int(hi) + 1))
         except ValueError as err:
             raise ConfigError(f"--seeds expects N..M, got {spec!r}") from err
-    return [int(s) for s in cfg.get("seeds", [0])]
+    else:
+        seeds = [int(s) for s in cfg.get("seeds", [0])]
+    if not seeds:
+        raise ConfigError("no seeds to run")
+    return seeds
 
 
 def build_mixture_spec(cfg: dict, seed: int, c: float | None = None) -> MixtureSpec:
@@ -119,16 +135,14 @@ def make_instance(cfg: dict, seed: int, c: float | None = None):
 # output helpers
 
 _RESULTS_HEADER = "run_id,config_hash,seed,experiment,c,accuracy,kmeans_cost,distance_count"
+_RESULTS_ROW = ("{run_id},{config_hash},{seed},{experiment},{c!r},"
+                "{accuracy!r},{kmeans_cost!r},{distance_count}")
 
 
-def append_result_row(out_dir: Path, row: dict) -> None:
-    path = out_dir / "results.csv"
-    fresh = not path.exists()
-    with open(path, "a") as handle:
-        if fresh:
-            handle.write(_RESULTS_HEADER + "\n")
-        handle.write("{run_id},{config_hash},{seed},{experiment},{c!r},"
-                     "{accuracy!r},{kmeans_cost!r},{distance_count}\n".format(**row))
+def write_results(out_dir: Path, rows: list[dict]) -> None:
+    """Write results.csv afresh: the header, then one line per row."""
+    lines = [_RESULTS_HEADER] + [_RESULTS_ROW.format(**row) for row in rows]
+    (out_dir / "results.csv").write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: Path, blob: dict) -> None:
@@ -166,10 +180,6 @@ def write_line_svg(path: Path, xs: list[float], series: dict[str, list[float]],
     path.write_text("\n".join(parts) + "\n")
 
 
-def _fmt_pct(mean: float, std: float) -> str:
-    return f"{100.0 * mean:.2f} ± {100.0 * std:.2f}"
-
-
 # ---------------------------------------------------------------------------
 # run-state persistence for late joins
 
@@ -183,7 +193,7 @@ def save_state(path: Path, state: federation.AggregationState, cfg_hash: str,
         "d": state.cluster_means.shape[1],
         "tau_means": [[float(x) for x in row] for row in state.cluster_means],
     }
-    payload["checksum"] = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    payload["checksum"] = _sha256(payload)
     write_json(path, payload)
 
 
@@ -194,167 +204,160 @@ def load_state(path) -> tuple[federation.AggregationState, dict]:
         raise ConfigError("no aggregation state") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"state file is not valid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise ConfigError("state file is not a JSON object")
     recorded = payload.pop("checksum", None)
-    expected = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-    if recorded != expected:
+    if recorded != _sha256(payload):
         raise ConfigError("state file checksum mismatch")
-    state = federation.AggregationState(
-        cluster_means=np.asarray(payload["tau_means"], dtype=float),
-        k=int(payload["k"]))
-    return state, payload
+    try:
+        means = validate_matrix(payload.get("tau_means"), "state tau_means")
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"state file has no usable tau_means: {err}") from err
+    if (payload.get("k"), payload.get("d")) != means.shape:
+        raise ConfigError(f"state file k, d = {payload.get('k')}, {payload.get('d')} "
+                          f"disagree with its {means.shape} tau_means")
+    return federation.AggregationState(cluster_means=means), payload
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiments: one body per (c, seed) run, one finisher per experiment
 
-def run_single_seed(cfg: dict, seed: int, c: float | None = None,
-                    tol: float | None = None,
-                    exclude_devices: tuple[int, ...] = (),
-                    record_path=None):
-    """One full pipeline run; returns (run, eval result, truth, partition)."""
-    _, data, truth, partition = make_instance(cfg, seed, c=c)
-    run = federation.run_kfed(partition, data, seed,
-                              tol=tol if tol is not None else float(cfg.get("tol", DEFAULT_TOL)),
-                              exclude_devices=exclude_devices,
-                              record_path=record_path)
+@dataclass(frozen=True)
+class RunInputs:
+    """What every (c, seed) run of one ``kfed run`` shares, resolved once."""
+
+    cfg: dict
+    cfg_hash: str
+    out: Path
+    tol: float
+    exclude: tuple[int, ...]
+    record: str | None
+    several_c: bool  # state files then carry c in their names
+
+
+def _scored_run(inputs: RunInputs, c, seed: int) -> dict:
+    """One pipeline run scored against the planted clustering."""
+    cfg, cfg_hash = inputs.cfg, inputs.cfg_hash
+    _, data, truth, partition = make_instance(cfg, seed, c=float(c))
+    run = federation.run_kfed(partition, data, seed, tol=inputs.tol,
+                              exclude_devices=inputs.exclude,
+                              record_path=inputs.record)
     covered = run.induced.covered()
-    result = matched_accuracy(run.induced.assignment[covered],
-                              truth.assignment[covered])
-    result.kmeans_cost = kmeans_cost(data[covered],
-                                     run.induced.assignment[covered])
-    return run, result, truth, partition, data
+    result = evaluate_clustering(data[covered], run.induced.assignment[covered],
+                                 truth.assignment[covered])
+    state_name = (f"state_c{c}_seed{seed}.json" if inputs.several_c
+                  else f"state_seed{seed}.json")
+    save_state(inputs.out / state_name, run.state, cfg_hash, seed)
+    if cfg["experiment"] == "single_run":
+        counts = partition.counts_by_cluster(truth.assignment, truth.k)
+        participating = [z for z in range(partition.num_devices)
+                         if z not in inputs.exclude]
+        vanished = np.flatnonzero(counts[participating].sum(axis=0) == 0)
+        write_json(inputs.out / f"single_run_seed{seed}.json", {
+            "config_hash": cfg_hash, "seed": seed,
+            "accuracy": result.accuracy,
+            "excluded_devices": sorted(inputs.exclude),
+            "vanished_clusters": [int(r) for r in vanished],
+            "messages_sent": run.accounting.messages_sent,
+        })
+    return {
+        "run_id": f"{cfg_hash[:8]}-c{c}-s{seed}",
+        "config_hash": cfg_hash,
+        "seed": seed,
+        "experiment": cfg["experiment"],
+        "c": float(c),
+        "accuracy": result.accuracy,
+        "kmeans_cost": result.kmeans_cost,
+        "distance_count": run.accounting.pairwise_distance_count,
+    }
 
 
-def _c_sweep(cfg: dict, args) -> list:
-    """The separation constants an accuracy-style experiment runs."""
-    if cfg["experiment"] == "c_sweep" and cfg.get("c_values"):
-        return cfg["c_values"]
-    c_override = getattr(args, "c", None)
-    return [c_override if c_override is not None else cfg.get("c", 100.0)]
-
-
-def _experiment_rows(cfg: dict, seeds: list[int], args, out_dir: Path) -> tuple[list[dict], list[tuple[int, str]]]:
-    """Per-seed pipeline rows for the accuracy-style experiments."""
-    cfg_hash = config_hash(cfg)
-    experiment = cfg["experiment"]
-    exclude = _parse_excludes(getattr(args, "exclude_devices", None))
-    tol = getattr(args, "tol", None)
-    record = getattr(args, "record", None)
-    rows: list[dict] = []
-    failures: list[tuple[int, str]] = []
-    for c in _c_sweep(cfg, args):
-        for seed in seeds:
-            try:
-                run, result, truth, partition, data = run_single_seed(
-                    cfg, seed, c=float(c), tol=tol, exclude_devices=exclude,
-                    record_path=record)
-            except (ValueError, RuntimeError) as err:
-                failures.append((seed, str(err)))
-                continue
-            row = {
-                "run_id": f"{cfg_hash[:8]}-c{c}-s{seed}",
-                "config_hash": cfg_hash,
-                "seed": seed,
-                "experiment": experiment,
-                "c": float(c),
-                "accuracy": result.accuracy,
-                "kmeans_cost": result.kmeans_cost,
-                "distance_count": run.accounting.pairwise_distance_count,
-            }
-            rows.append(row)
-            append_result_row(out_dir, row)
-            save_state(out_dir / f"state_seed{seed}.json", run.state, cfg_hash, seed)
-            if experiment == "single_run":
-                counts = partition.counts_by_cluster(truth.assignment, truth.k)
-                participating = [z for z in range(partition.num_devices)
-                                 if z not in exclude]
-                vanished = np.flatnonzero(counts[participating].sum(axis=0) == 0)
-                write_json(out_dir / f"single_run_seed{seed}.json", {
-                    "config_hash": cfg_hash, "seed": seed,
-                    "accuracy": result.accuracy,
-                    "excluded_devices": sorted(exclude),
-                    "vanished_clusters": [int(r) for r in vanished],
-                    "messages_sent": run.accounting.messages_sent,
-                })
-    return rows, failures
-
-
-def _summarize(rows: list[dict], cfg: dict, out_dir: Path) -> dict:
-    cfg_hash = config_hash(cfg)
-    summary: dict = {"experiment": cfg["experiment"], "config_hash": cfg_hash,
-                     "rows": []}
+def _finish_scored(inputs: RunInputs, rows: list[dict]) -> None:
+    write_results(inputs.out, rows)
+    summary: dict = {"experiment": inputs.cfg["experiment"],
+                     "config_hash": inputs.cfg_hash, "rows": []}
     by_c: dict[float, list[float]] = {}
     for row in rows:
         by_c.setdefault(row["c"], []).append(row["accuracy"])
     for c in sorted(by_c):
-        accs = np.asarray(by_c[c])
+        mean, std = float(np.mean(by_c[c])), float(np.std(by_c[c]))
         summary["rows"].append({
-            "c": c, "seeds": len(accs),
-            "mean_accuracy": float(accs.mean()),
-            "std_accuracy": float(accs.std()),
-            "accuracy_pct": _fmt_pct(float(accs.mean()), float(accs.std())),
+            "c": c, "seeds": len(by_c[c]),
+            "mean_accuracy": mean, "std_accuracy": std,
+            "accuracy_pct": f"{100.0 * mean:.2f} ± {100.0 * std:.2f}",
         })
-    write_json(out_dir / "summary.json", summary)
-    if cfg["experiment"] == "c_sweep" and len(by_c) > 1:
+    write_json(inputs.out / "summary.json", summary)
+    if len(by_c) > 1:
         xs = sorted(by_c)
-        write_line_svg(out_dir / "c_sweep.svg", xs,
+        write_line_svg(inputs.out / "c_sweep.svg", xs,
                        {"mean accuracy": [float(np.mean(by_c[c])) for c in xs]},
                        "Accuracy vs separation constant", "c", "accuracy")
-    return summary
+    for entry in summary["rows"]:
+        print(f"c={entry['c']}: accuracy {entry['accuracy_pct']} "
+              f"over {entry['seeds']} seeds")
 
 
-def run_cost_ratio(cfg: dict, seeds: list[int], out_dir: Path) -> tuple[list[dict], list[tuple[int, str]]]:
+def _cost_ratio_run(inputs: RunInputs, c, seed: int) -> dict:
     """Structured-vs-IID comparison against the planted clustering's cost."""
-    cfg_hash = config_hash(cfg)
-    tol = float(cfg.get("tol", DEFAULT_TOL))
-    rows: list[dict] = []
-    failures: list[tuple[int, str]] = []
-    for seed in seeds:
-        try:
-            spec, data, truth, structured = make_instance(cfg, seed)
-            oracle_cost = kmeans_cost(data, truth)
-            run_s = federation.run_kfed(structured, data, seed, tol=tol)
-            structured_cost = kmeans_cost(data, run_s.induced.assignment)
-            z_iid = int(cfg.get("z_iid", structured.num_devices))
-            iid = datagen.iid_partition(spec.n, z_iid, seed)
-            iid.annotate_from_labels(truth.assignment, truth.k)
-            run_i = federation.run_kfed(iid, data, seed, tol=tol)
-            iid_cost = kmeans_cost(data, run_i.induced.assignment)
-        except (ValueError, RuntimeError) as err:
-            failures.append((seed, str(err)))
-            continue
-        ratio = cost_ratio_report(oracle_cost, structured_cost, iid_cost)
-        row = {
-            "run_id": f"{cfg_hash[:8]}-ratio-s{seed}",
-            "config_hash": cfg_hash, "seed": seed,
-            "experiment": "cost_ratio", "c": float(cfg.get("c", 100.0)),
-            "accuracy": ratio.ratio if ratio.ratio is not None else float("nan"),
-            "kmeans_cost": structured_cost,
-            "distance_count": run_s.accounting.pairwise_distance_count,
-        }
-        rows.append({**row, "oracle_cost": oracle_cost, "iid_cost": iid_cost,
-                     "ratio": ratio.ratio, "degenerate": ratio.degenerate,
-                     "note": ratio.note})
-        append_result_row(out_dir, row)
+    spec, data, truth, structured = make_instance(inputs.cfg, seed, c=float(c))
+    oracle_cost = kmeans_cost(data, truth)
+    run_s = federation.run_kfed(structured, data, seed, tol=inputs.tol)
+    structured_cost = kmeans_cost(data, run_s.induced.assignment)
+    z_iid = int(inputs.cfg.get("z_iid", structured.num_devices))
+    iid = datagen.iid_partition(spec.n, z_iid, seed)
+    iid.annotate_from_labels(truth.assignment, truth.k)
+    run_i = federation.run_kfed(iid, data, seed, tol=inputs.tol)
+    iid_cost = kmeans_cost(data, run_i.induced.assignment)
+    ratio = cost_ratio_report(oracle_cost, structured_cost, iid_cost)
+    return {
+        "run_id": f"{inputs.cfg_hash[:8]}-ratio-s{seed}",
+        "config_hash": inputs.cfg_hash, "seed": seed,
+        "experiment": "cost_ratio", "c": float(c),
+        "accuracy": ratio.ratio if ratio.ratio is not None else float("nan"),
+        "kmeans_cost": structured_cost,
+        "distance_count": run_s.accounting.pairwise_distance_count,
+        "oracle_cost": oracle_cost, "iid_cost": iid_cost,
+        "ratio": ratio.ratio, "degenerate": ratio.degenerate, "note": ratio.note,
+    }
+
+
+def _finish_cost_ratio(inputs: RunInputs, rows: list[dict]) -> None:
+    write_results(inputs.out, rows)
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
-    write_json(out_dir / "cost_ratio.json", {
-        "config_hash": cfg_hash,
+    write_json(inputs.out / "cost_ratio.json", {
+        "config_hash": inputs.cfg_hash,
         "rows": [{k: v for k, v in r.items() if k != "experiment"} for r in rows],
         "below_one": sum(1 for r in ratios if r < 1.0),
         "total": len(rows),
     })
-    return rows, failures
 
 
-def run_separation_profile(cfg: dict, seeds: list[int], out_dir: Path) -> list[dict]:
-    results = []
-    for seed in seeds:
-        _, data, truth, partition = make_instance(cfg, seed)
-        results.append(profile_instance(
-            data, truth, partition, float(cfg.get("c", separation.DEFAULT_C)),
-            cfg.get("m0"), out_dir, tag=f"seed{seed}",
-            cfg_hash=config_hash(cfg), seed=seed))
-    return results
+def _profile_run(inputs: RunInputs, c, seed: int) -> dict:
+    _, data, truth, partition = make_instance(inputs.cfg, seed, c=float(c))
+    return profile_instance(data, truth, partition, float(c), inputs.cfg.get("m0"),
+                            inputs.out, tag=f"seed{seed}",
+                            cfg_hash=inputs.cfg_hash, seed=seed)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """How ``kfed run`` drives one experiment."""
+
+    body: Callable[[RunInputs, float, int], dict]
+    finish: Callable[[RunInputs, list[dict]], None] | None
+    cannot_honor: tuple[str, ...] = ()  # run flags, by argparse dest
+
+
+_SCORED = Experiment(_scored_run, _finish_scored)
+EXPERIMENTS = {
+    "table1": _SCORED,
+    "c_sweep": _SCORED,
+    "single_run": _SCORED,
+    "cost_ratio": Experiment(_cost_ratio_run, _finish_cost_ratio,
+                             ("exclude_devices", "record")),
+    "separation_profile": Experiment(_profile_run, None,
+                                     ("tol", "exclude_devices", "record")),
+}
 
 
 def profile_instance(data, truth, partition, c, m0, out_dir: Path, tag: str,
@@ -390,8 +393,7 @@ def _parse_excludes(text: str | None) -> tuple[int, ...]:
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    out = getattr(args, "out", None) or cfg.get("out", "results")
-    path = Path(out)
+    path = Path(args.out or cfg.get("out", "results"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -412,25 +414,36 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    experiment = EXPERIMENTS[cfg["experiment"]]
+    for dest in experiment.cannot_honor:
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"{cfg['experiment']} cannot honor "
+                              f"--{dest.replace('_', '-')}")
+    c_values = cfg.get("c_values")
+    if c_values and args.c is not None:
+        raise ConfigError("--c conflicts with the config's c_values")
+    c_values = c_values or [args.c if args.c is not None else cfg.get("c", 100.0)]
     seeds = _seeds_from(cfg, args)
-    if getattr(args, "record", None) and len(seeds) * len(_c_sweep(cfg, args)) > 1:
+    if args.record and len(seeds) * len(c_values) > 1:
         raise ConfigError("--record keeps one log, but this config runs several")
-    out = _out_dir(cfg, args)
-    if getattr(args, "replay", None):
-        audit = federation.replay_run(args.replay)
-        print(json.dumps(audit))
+    exclude = _parse_excludes(args.exclude_devices)
+    if args.replay:
+        print(json.dumps(federation.replay_run(args.replay)))
         return EXIT_OK
-    if cfg["experiment"] == "cost_ratio":
-        rows, failures = run_cost_ratio(cfg, seeds, out)
-    elif cfg["experiment"] == "separation_profile":
-        run_separation_profile(cfg, seeds, out)
-        rows, failures = [], []
-    else:
-        rows, failures = _experiment_rows(cfg, seeds, args, out)
-        summary = _summarize(rows, cfg, out)
-        for entry in summary["rows"]:
-            print(f"c={entry['c']}: accuracy {entry['accuracy_pct']} "
-                  f"over {entry['seeds']} seeds")
+    inputs = RunInputs(
+        cfg=cfg, cfg_hash=config_hash(cfg), out=_out_dir(cfg, args),
+        tol=args.tol if args.tol is not None else float(cfg.get("tol", DEFAULT_TOL)),
+        exclude=exclude, record=args.record, several_c=len(c_values) > 1)
+    rows: list[dict] = []
+    failures: list[tuple[int, str]] = []
+    for c in c_values:
+        for seed in seeds:
+            try:
+                rows.append(experiment.body(inputs, c, seed))
+            except (ValueError, RuntimeError) as err:
+                failures.append((seed, str(err)))
+    if experiment.finish is not None:
+        experiment.finish(inputs, rows)
     for seed, message in failures:
         print(f"seed {seed} failed: {message}", file=sys.stderr)
     return EXIT_PIPELINE if failures else EXIT_OK
@@ -475,7 +488,7 @@ def cmd_join(args) -> int:
     out = Path(args.out or "join")
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "join_labels.csv", row_labels, fmt="%d")
-    append_result_row(out, {
+    write_results(out, [{
         "run_id": f"join-d{args.device_id}-s{args.seed}",
         "config_hash": payload.get("config_hash", ""),
         "seed": args.seed,
@@ -484,7 +497,7 @@ def cmd_join(args) -> int:
         "accuracy": float("nan"),
         "kmeans_cost": float("nan"),
         "distance_count": accounting.pairwise_distance_count,
-    })
+    }])
     write_json(out / "join.json", {
         "config_hash": payload.get("config_hash", ""),
         "state_seed": payload.get("seed"),

@@ -68,15 +68,6 @@ class MixtureSpec:
             "balanced": self.balanced,
         }
 
-    @classmethod
-    def from_json_dict(cls, blob: dict) -> "MixtureSpec":
-        blob = dict(blob)
-        if blob.get("weights") is not None:
-            blob["weights"] = np.asarray(blob["weights"], dtype=float)
-        if blob.get("means") is not None:
-            blob["means"] = np.asarray(blob["means"], dtype=float)
-        return cls(**blob)
-
 
 @dataclass
 class PartitionSpec:
@@ -90,10 +81,6 @@ class PartitionSpec:
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "m0": self.m0, "Z": self.Z,
                 "group_size": self.group_size}
-
-    @classmethod
-    def from_json_dict(cls, blob: dict) -> "PartitionSpec":
-        return cls(**blob)
 
 
 def estimate_m0(counts: np.ndarray) -> float:

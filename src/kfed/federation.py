@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,11 +80,21 @@ class DeviceCenters:
         }
 
     @classmethod
-    def from_wire(cls, blob: dict) -> "DeviceCenters":
-        centers = np.asarray(blob["centers"], dtype=float)
-        if centers.ndim != 2 or centers.shape[0] != blob["k_z"]:
+    def from_wire(cls, blob: dict,
+                  earlier: Sequence["DeviceCenters"] = ()) -> "DeviceCenters":
+        """Parse one upload; reject a device id or width that clashes with ``earlier``."""
+        try:
+            centers = validate_matrix(blob["centers"], "uploaded centers")
+            device_id, k_z = int(blob["device_id"]), blob["k_z"]
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"malformed center upload: {err!r}") from err
+        if centers.shape[0] != k_z:
             raise ValueError("malformed center upload")
-        return cls(device_id=int(blob["device_id"]), centers=centers,
+        if any(other.device_id == device_id for other in earlier):
+            raise ValueError(f"device {device_id} uploaded twice")
+        if any(other.centers.shape[1] != centers.shape[1] for other in earlier):
+            raise ValueError(f"device {device_id} uploaded centers of another width")
+        return cls(device_id=device_id, centers=centers,
                    local_assignment=np.empty(0, dtype=int))
 
 
@@ -113,7 +124,10 @@ class AggregationState:
     """What the server keeps after a run: the k retained group means."""
 
     cluster_means: np.ndarray
-    k: int
+
+    @property
+    def k(self) -> int:
+        return self.cluster_means.shape[0]
 
 
 @dataclass
@@ -128,8 +142,7 @@ class KFedRun:
 
     @property
     def state(self) -> AggregationState:
-        return AggregationState(cluster_means=self.induced.cluster_means,
-                                k=self.induced.k)
+        return AggregationState(cluster_means=self.induced.cluster_means)
 
 
 def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -336,14 +349,19 @@ def replay_run(path) -> dict:
     if len(raw_lines) < 3:
         raise ValueError("message log is truncated")
     header = json.loads(raw_lines[0])
-    if header.get("schema") != WIRE_SCHEMA_VERSION:
+    if not isinstance(header, dict) or header.get("schema") != WIRE_SCHEMA_VERSION:
         raise ValueError("unsupported wire schema")
+    if not all(isinstance(header.get(key), int) for key in ("k", "start_device")):
+        raise ValueError("message log header needs integer k and start_device")
     for line in raw_lines:
         if canonical_json(json.loads(line)) != line:
             raise ValueError("message log is not in canonical form")
-    uploads = [DeviceCenters.from_wire(json.loads(line))
-               for line in raw_lines[1:-1]]
+    uploads: list[DeviceCenters] = []
+    for line in raw_lines[1:-1]:
+        uploads.append(DeviceCenters.from_wire(json.loads(line), uploads))
     trailer = json.loads(raw_lines[-1])
+    if not isinstance(trailer, dict):
+        raise ValueError("message log trailer is not an object")
     accounting = OpsAccounting()
     init = farthest_point_init(uploads, header["k"],
                                start_device=header["start_device"],

@@ -10,8 +10,6 @@ check both primitives against independent full-decomposition oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -27,14 +25,6 @@ def validate_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class ProjectedMatrix:
-    """Rows of a matrix projected onto its top-``rank`` singular subspace."""
-
-    rank: int
-    values: np.ndarray
-
-
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value (spectral norm) of ``m``."""
     return float(np.linalg.norm(validate_matrix(m), 2))
@@ -46,7 +36,7 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, "fro"))
 
 
-def top_k_projection(m: np.ndarray, k: int) -> ProjectedMatrix:
+def top_k_projection(m: np.ndarray, k: int) -> np.ndarray:
     """Project each row of ``m`` onto the span of the top-k singular vectors.
 
     The result is the closest rank-k matrix to ``m`` in operator norm.
@@ -63,7 +53,5 @@ def top_k_projection(m: np.ndarray, k: int) -> ProjectedMatrix:
     # eigh returns eigenvalues in ascending order.
     basis = np.linalg.eigh(gram)[1][:, -k:]
     if d <= n:
-        proj = (m @ basis) @ basis.T
-    else:
-        proj = basis @ (basis.T @ m)
-    return ProjectedMatrix(rank=k, values=proj)
+        return (m @ basis) @ basis.T
+    return basis @ (basis.T @ m)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ProjectedMatrix, top_k_projection, validate_matrix
+from .linalg import top_k_projection, validate_matrix
 from .rng import Stream
 
 DEFAULT_TOL = 1e-7
@@ -77,12 +77,6 @@ class LocalResult:
     @property
     def centers(self) -> np.ndarray:
         return self.clusters.centers
-
-
-def _rows(data) -> np.ndarray:
-    if isinstance(data, ProjectedMatrix):
-        return data.values
-    return validate_matrix(data)
 
 
 def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -156,7 +150,7 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL,
     Comfortably within the 10x-of-optimal budget the pipeline assumes;
     tests enforce that factor against an exhaustive oracle at small sizes.
     """
-    data = _rows(projected)
+    data = validate_matrix(projected)
     if not isinstance(seed, tuple):
         seed = (int(seed),)
     if data.shape[0] < k:
@@ -186,7 +180,7 @@ def threshold_assign(projected, centers: np.ndarray
     a point near the midpoint of two centers lands in none. Empty sets
     fall back to the input center so all k centers stay alive.
     """
-    data = _rows(projected)
+    data = validate_matrix(projected)
     centers = np.asarray(centers, dtype=float)
     k = centers.shape[0]
     if np.unique(centers, axis=0).shape[0] < k:

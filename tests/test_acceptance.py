@@ -111,7 +111,7 @@ def test_criterion_05_projection_cost_inequality():
         k = 1 + int(stream.uniforms(1)[0] * min(5, n, d))
         data = stream.normals((n, d))
         low_rank = stream.normals((n, k)) @ stream.normals((k, d))
-        projected = top_k_projection(data, k).values
+        projected = top_k_projection(data, k)
         lhs = frobenius_norm(projected - low_rank) ** 2
         rhs = 8.0 * k * operator_norm(data - low_rank) ** 2
         if lhs > rhs * (1.0 + 1e-9):

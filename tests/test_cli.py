@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from kfed import cli
 from kfed.evaluation import matched_accuracy
+from kfed.federation import canonical_json
 from kfed.local import local_cluster
 
 
@@ -81,6 +83,9 @@ def test_run_result_rows_reproducible(tmp_path):
     cli.main(["run", "--config", str(cfg_path), "--out", str(out_a)])
     cli.main(["run", "--config", str(cfg_path), "--out", str(out_b)])
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+    # a rerun into the same directory replaces the rows instead of appending
+    cli.main(["run", "--config", str(cfg_path), "--out", str(out_a)])
+    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
 def test_run_single_device_matches_local_solver(tmp_path):
@@ -121,6 +126,11 @@ def test_run_c_sweep_rows_and_plot(tmp_path):
     assert [row["c"] for row in summary["rows"]] == [2.0, 100.0]
     assert summary["rows"][1]["mean_accuracy"] >= summary["rows"][0]["mean_accuracy"]
     assert (out / "c_sweep.svg").read_text().startswith("<svg")
+    # one state file per (c, seed): the c=2 state is not overwritten by c=100
+    assert not (out / "state_seed0.json").exists()
+    low = json.loads((out / "state_c2_seed0.json").read_text())
+    high = json.loads((out / "state_c100_seed0.json").read_text())
+    assert low["tau_means"] != high["tau_means"]
 
 
 def test_run_cost_ratio_outputs(tmp_path):
@@ -135,13 +145,95 @@ def test_run_cost_ratio_outputs(tmp_path):
     assert all("ratio" in row for row in blob["rows"])
 
 
+def test_run_cost_ratio_honors_c(tmp_path):
+    cfg_path, _ = write_config(
+        tmp_path, experiment="cost_ratio", c=4.0,
+        mixture={"k": 4, "d": 12, "per_cluster": 30, "mean_mode": "sigma"},
+        z_iid=4)
+    rows = {}
+    for c in [None, "8"]:
+        out = tmp_path / f"ratio_{c}"
+        flags = [] if c is None else ["--c", c]
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]
+                        + flags) == 0
+        rows[c] = json.loads((out / "cost_ratio.json").read_text())["rows"][0]
+        csv_c = (out / "results.csv").read_text().splitlines()[1].split(",")[4]
+        assert float(csv_c) == rows[c]["c"]
+    assert rows[None]["c"] == 4.0 and rows["8"]["c"] == 8.0
+    # The instance follows c. The planted clustering's cost depends only on
+    # the noise, but the IID run's cost depends on how far apart the means are.
+    assert rows[None]["iid_cost"] != rows["8"]["iid_cost"]
+
+
 def test_run_separation_profile(tmp_path):
     cfg_path, _ = write_config(tmp_path, experiment="separation_profile")
     out = tmp_path / "prof"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     blob = json.loads((out / "separation_seed0.json").read_text())
     assert blob["lemma_audit"]["passed"] is True
+    assert blob["c"] == 100.0
     assert (out / "separation_pairs_seed0.csv").read_text().startswith("r,s,status")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--c", "50"]) == 0
+    assert json.loads((out / "separation_seed0.json").read_text())["c"] == 50.0
+
+
+def test_separation_profile_failed_seed_does_not_stop_the_run(tmp_path, monkeypatch):
+    cfg_path, _ = write_config(tmp_path, experiment="separation_profile",
+                               seeds=[0, 1])
+    real = cli.profile_instance
+
+    def failing_seed0(*args, **kwargs):
+        if kwargs["tag"] == "seed0":
+            raise ValueError("empty cluster in target")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "profile_instance", failing_seed0)
+    out = tmp_path / "prof"
+    assert cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(out)]) == cli.EXIT_PIPELINE
+    assert not (out / "separation_seed0.json").exists()
+    assert (out / "separation_seed1.json").exists()
+
+
+# Every run flag an experiment cannot honor, as the EXPERIMENTS table and
+# the c_values rule reject it.
+REJECTED_FLAGS = [
+    ("cost_ratio", "--record"),
+    ("cost_ratio", "--exclude-devices"),
+    ("separation_profile", "--tol"),
+    ("separation_profile", "--exclude-devices"),
+    ("separation_profile", "--record"),
+    ("c_sweep", "--c"),
+]
+
+
+def test_rejected_flags_match_experiment_table():
+    table = {(name, "--" + dest.replace("_", "-"))
+             for name, experiment in cli.EXPERIMENTS.items()
+             for dest in experiment.cannot_honor}
+    assert table == set(REJECTED_FLAGS) - {("c_sweep", "--c")}
+
+
+@pytest.mark.parametrize("experiment,flag", REJECTED_FLAGS)
+def test_run_rejects_flag_experiment_cannot_honor(tmp_path, experiment, flag):
+    extra = {"c_values": [50.0, 100.0]} if experiment == "c_sweep" else {}
+    cfg_path, _ = write_config(tmp_path, experiment=experiment, **extra)
+    out = tmp_path / "out"
+    log = tmp_path / "messages.jsonl"
+    value = {"--record": str(log), "--exclude-devices": "0",
+             "--tol": "1e-6", "--c": "5"}[flag]
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "0", flag, value]) == cli.EXIT_CONFIG
+    assert not out.exists() and not log.exists()
+
+
+def test_c_values_only_for_c_sweep(tmp_path):
+    cfg_path, _ = write_config(tmp_path, experiment="table1", c_values=[2, 100])
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_profile_command_on_generated_files(tmp_path):
@@ -242,6 +334,77 @@ def test_join_rejects_dimension_mismatch(tmp_path):
     assert not join_out.exists()
 
 
+def _rechecksummed(state: dict) -> str:
+    state = {key: value for key, value in state.items() if key != "checksum"}
+    state["checksum"] = hashlib.sha256(canonical_json(state).encode()).hexdigest()
+    return json.dumps(state)
+
+
+@pytest.mark.parametrize("case", ["not_object", "no_tau_means", "wrong_k_d"])
+def test_join_rejects_malformed_state(tmp_path, case):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    state = json.loads((out / "state_seed0.json").read_text())
+    if case == "not_object":
+        text = json.dumps(state["tau_means"])
+    elif case == "no_tau_means":
+        del state["tau_means"]
+        text = _rechecksummed(state)
+    else:
+        state.update(k=7, d=99)
+        text = _rechecksummed(state)
+    bad = tmp_path / "bad_state.json"
+    bad.write_text(text)
+    device = tmp_path / "device.csv"
+    np.savetxt(device, np.random.default_rng(0).normal(size=(10, 12)),
+               fmt="%.17g", delimiter=",")
+    join_out = tmp_path / "join"
+    assert cli.main(["join", "--state", str(bad), "--data", str(device),
+                     "--k-z", "2", "--out", str(join_out)]) == cli.EXIT_CONFIG
+    assert not join_out.exists()
+
+
+def _edit_upload(lines, index, edit):
+    blob = json.loads(lines[index])
+    edit(blob)
+    lines[index] = canonical_json(blob)
+
+
+# defect -> (edit of the recorded lines, what the error names)
+REPLAY_DEFECTS = {
+    "header_without_k": (lambda lines: _edit_upload(
+        lines, 0, lambda b: b.pop("k")), "integer k"),
+    "upload_without_centers": (lambda lines: _edit_upload(
+        lines, 1, lambda b: b.pop("centers")), "malformed center upload"),
+    "non_finite_center": (lambda lines: _edit_upload(
+        lines, 1, lambda b: b["centers"][0].__setitem__(0, float("nan"))),
+        "non-finite"),
+    "width_mismatch": (lambda lines: _edit_upload(
+        lines, 2, lambda b: b.update(centers=[r[:-1] for r in b["centers"]])),
+        "another width"),
+    "repeated_device_id": (lambda lines: _edit_upload(
+        lines, 2, lambda b: b.update(device_id=json.loads(lines[1])["device_id"])),
+        "uploaded twice"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(REPLAY_DEFECTS))
+def test_replay_rejects_malformed_log(tmp_path, capsys, defect):
+    cfg_path, _ = write_config(tmp_path)
+    log = tmp_path / "messages.jsonl"
+    assert cli.main(["run", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "rec"), "--record", str(log)]) == 0
+    lines = log.read_text().splitlines()
+    edit, reason = REPLAY_DEFECTS[defect]
+    edit(lines)
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg_path), "--replay",
+                     str(log)]) == cli.EXIT_PIPELINE
+    assert reason in capsys.readouterr().err
+
+
 def test_eval_command(tmp_path):
     pred = tmp_path / "pred.csv"
     truth = tmp_path / "truth.csv"
@@ -296,6 +459,15 @@ def test_exit_codes(tmp_path):
     out = tmp_path / "fail"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--exclude-devices", "0,1,2,3"]) == cli.EXIT_PIPELINE
+
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert cli.main(["run", "--config", str(listed)]) == cli.EXIT_CONFIG
+
+    out = tmp_path / "empty"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seeds", "5..3"]) == cli.EXIT_CONFIG
+    assert not out.exists()
 
     blocker = tmp_path / "file_not_dir"
     blocker.write_text("x")

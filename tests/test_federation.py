@@ -141,13 +141,13 @@ def test_round_builds_induced_rows():
 # assign_new_device
 
 def test_assign_duplicate_device_matches():
-    state = AggregationState(cluster_means=np.array([[0.0], [10.0]]), k=2)
+    state = AggregationState(cluster_means=np.array([[0.0], [10.0]]))
     labels = assign_new_device(state, _dc(7, [[0.2], [9.5]]))
     assert labels.tolist() == [0, 1]
 
 
 def test_assign_counts_distances():
-    state = AggregationState(cluster_means=np.random.default_rng(1).normal(size=(5, 3)), k=5)
+    state = AggregationState(cluster_means=np.random.default_rng(1).normal(size=(5, 3)))
     acc = OpsAccounting()
     assign_new_device(state, _dc(9, np.zeros((1, 3))), acc)
     assert acc.pairwise_distance_count == 5

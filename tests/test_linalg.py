@@ -54,13 +54,13 @@ def test_projection_rank_one_is_identity():
     rng = np.random.default_rng(3)
     mat = np.outer(rng.normal(size=6), rng.normal(size=4))
     proj = top_k_projection(mat, 1)
-    assert np.abs(proj.values - mat).max() < 1e-10
+    assert np.abs(proj - mat).max() < 1e-10
 
 
 def test_projection_full_rank_is_identity():
     mat = np.random.default_rng(11).normal(size=(5, 3))
     proj = top_k_projection(mat, 3)
-    assert np.abs(proj.values - mat).max() < 1e-10
+    assert np.abs(proj - mat).max() < 1e-10
 
 
 def test_projection_matches_svd_oracle():
@@ -75,22 +75,22 @@ def test_projection_matches_svd_oracle():
     ]
     for mat, k in cases:
         proj = top_k_projection(mat, k)
-        assert np.abs(proj.values - svd_truncation(mat, k)).max() < 1e-8, \
+        assert np.abs(proj - svd_truncation(mat, k)).max() < 1e-8, \
             f"shape {mat.shape}, k={k}"
 
 
 def test_projection_idempotent():
     mat = np.random.default_rng(5).normal(size=(7, 5))
-    once = top_k_projection(mat, 2).values
-    twice = top_k_projection(once, 2).values
+    once = top_k_projection(mat, 2)
+    twice = top_k_projection(once, 2)
     assert np.abs(twice - once).max() < 1e-8
 
 
 def test_projection_numerical_rank():
     mat = np.random.default_rng(9).normal(size=(10, 6))
     proj = top_k_projection(mat, 3)
-    spectrum = np.linalg.svd(proj.values, compute_uv=False)
-    assert proj.values.shape == mat.shape
+    spectrum = np.linalg.svd(proj, compute_uv=False)
+    assert proj.shape == mat.shape
     assert spectrum[3:].max() <= 1e-8 * spectrum[0]
 
 
@@ -131,7 +131,7 @@ def test_eckart_young_spot_check():
     rng = np.random.default_rng(31)
     mat = rng.normal(size=(8, 6))
     k = 2
-    best = operator_norm(mat - top_k_projection(mat, k).values)
+    best = operator_norm(mat - top_k_projection(mat, k))
     for _ in range(100):
         rival = rng.normal(size=(8, k)) @ rng.normal(size=(k, 6))
         assert best <= operator_norm(mat - rival) + 1e-8
@@ -145,7 +145,7 @@ def test_projection_cost_inequality_quick():
         k = int(rng.integers(1, min(n, d) + 1))
         mat = rng.normal(size=(n, d))
         low_rank = rng.normal(size=(n, k)) @ rng.normal(size=(k, d))
-        projected = top_k_projection(mat, k).values
+        projected = top_k_projection(mat, k)
         lhs = frobenius_norm(projected - low_rank) ** 2
         rhs = 8.0 * k * operator_norm(mat - low_rank) ** 2
         assert lhs <= rhs * (1 + 1e-9)
