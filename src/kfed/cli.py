@@ -49,86 +49,25 @@ def config_hash(cfg: dict) -> str:
     return _sha256(cfg)
 
 
-def load_config(path) -> dict:
+def make_instance(cfg: dict, seed: int, c):
+    """Generate (spec, data, truth, partition) for one seed of a loaded config."""
+    mixture, partition = cfg["mixture"], cfg["partition"]
+    spec = MixtureSpec(
+        k=mixture["k"], d=mixture["d"], n=mixture["per_cluster"] * mixture["k"],
+        sigma_max=float(mixture["sigma_max"]), seed=seed, weights=mixture["weights"],
+        mean_mode=mixture["mean_mode"], c=float(c), m0=mixture["m0"])
     try:
-        cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if cfg.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"config version must be {CONFIG_VERSION}")
-    names = tuple(EXPERIMENTS)  # a tuple: an unhashable value is just absent
-    if cfg.get("experiment") not in names:
-        raise ConfigError(f"experiment must be one of {names}")
-    mixture = cfg.get("mixture")
-    if not isinstance(mixture, dict) or "k" not in mixture or "d" not in mixture:
-        raise ConfigError("config needs mixture.k and mixture.d")
-    if "c_values" in cfg and cfg["experiment"] != "c_sweep":
-        raise ConfigError("only the c_sweep experiment reads c_values")
-    round_trip = json.loads(json.dumps(cfg))
-    if round_trip != cfg:
-        raise ConfigError("config does not round-trip through JSON")
-    return cfg
-
-
-def _seeds_from(cfg: dict, args) -> list[int]:
-    if getattr(args, "seed", None) is not None:
-        return [args.seed]
-    spec = getattr(args, "seeds", None)
-    if spec:
-        try:
-            lo, hi = spec.split("..")
-            seeds = list(range(int(lo), int(hi) + 1))
-        except ValueError as err:
-            raise ConfigError(f"--seeds expects N..M, got {spec!r}") from err
-    else:
-        seeds = [int(s) for s in cfg.get("seeds", [0])]
-    if not seeds:
-        raise ConfigError("no seeds to run")
-    return seeds
-
-
-def build_mixture_spec(cfg: dict, seed: int, c: float | None = None) -> MixtureSpec:
-    m = cfg["mixture"]
-    k = int(m["k"])
-    n = int(m["n"]) if "n" in m else int(m.get("per_cluster", datagen.DEFAULT_PER_CLUSTER)) * k
-    try:
-        spec = MixtureSpec(
-            k=k, d=int(m["d"]), n=n,
-            sigma_max=float(m.get("sigma_max", 1.0)), seed=seed,
-            weights=None if m.get("weights") is None else np.asarray(m["weights"], float),
-            mean_mode=m.get("mean_mode", "auto"),
-            c=float(c if c is not None else cfg.get("c", 100.0)),
-            m0=float(cfg.get("m0", 5.0)),
-            balanced=bool(m.get("balanced", True)))
         spec.resolved_weights()
         datagen.resolve_means(spec)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return spec
-
-
-def build_partition_spec(cfg: dict) -> PartitionSpec:
-    p = cfg.get("partition", {"mode": "structured"})
-    return PartitionSpec(mode=p.get("mode", "structured"),
-                         m0=p.get("m0", int(cfg.get("m0", 5))),
-                         Z=p.get("Z"), group_size=p.get("group_size"))
-
-
-def make_instance(cfg: dict, seed: int, c: float | None = None):
-    """Generate (data, truth, partition) for one seed of the config."""
-    spec = build_mixture_spec(cfg, seed, c=c)
     data, truth = datagen.generate_mixture(spec)
-    pspec = build_partition_spec(cfg)
-    if pspec.mode == "structured":
-        partition = datagen.structured_partition(truth, pspec)
-    elif pspec.mode == "iid":
-        partition = datagen.iid_partition(spec.n, int(pspec.Z or 1), seed)
-        partition.annotate_from_labels(truth.assignment, truth.k)
+    if partition["mode"] == "structured":
+        devices = datagen.structured_partition(truth, PartitionSpec(**partition))
     else:
-        raise ConfigError(f"unknown partition mode {pspec.mode!r}")
-    return spec, data, truth, partition
+        devices = datagen.iid_partition(spec.n, partition["Z"], seed)
+        devices.annotate_from_labels(truth.assignment, truth.k)
+    return spec, data, truth, devices
 
 
 # ---------------------------------------------------------------------------
@@ -222,47 +161,35 @@ def load_state(path) -> tuple[federation.AggregationState, dict]:
 # ---------------------------------------------------------------------------
 # experiments: one body per (c, seed) run, one finisher per experiment
 
-@dataclass(frozen=True)
-class RunInputs:
-    """What every (c, seed) run of one ``kfed run`` shares, resolved once."""
+# Bodies and finishers take the loaded config with cmd_run's flags folded in:
+# out, tol, exclude_devices, record, and several_c (c in state file names).
 
-    cfg: dict
-    cfg_hash: str
-    out: Path
-    tol: float
-    exclude: tuple[int, ...]
-    record: str | None
-    several_c: bool  # state files then carry c in their names
-
-
-def _scored_run(inputs: RunInputs, c, seed: int) -> dict:
+def _scored_run(cfg: dict, c, seed: int) -> dict:
     """One pipeline run scored against the planted clustering."""
-    cfg, cfg_hash = inputs.cfg, inputs.cfg_hash
-    _, data, truth, partition = make_instance(cfg, seed, c=float(c))
-    run = federation.run_kfed(partition, data, seed, tol=inputs.tol,
-                              exclude_devices=inputs.exclude,
-                              record_path=inputs.record)
+    _, data, truth, partition = make_instance(cfg, seed, c)
+    exclude = cfg["exclude_devices"]
+    run = federation.run_kfed(partition, data, seed, tol=cfg["tol"],
+                              exclude_devices=exclude, record_path=cfg["record"])
     covered = run.induced.covered()
     result = evaluate_clustering(data[covered], run.induced.assignment[covered],
                                  truth.assignment[covered])
-    state_name = (f"state_c{c}_seed{seed}.json" if inputs.several_c
+    state_name = (f"state_c{c}_seed{seed}.json" if cfg["several_c"]
                   else f"state_seed{seed}.json")
-    save_state(inputs.out / state_name, run.state, cfg_hash, seed)
+    save_state(cfg["out"] / state_name, run.state, cfg["hash"], seed)
     if cfg["experiment"] == "single_run":
         counts = partition.counts_by_cluster(truth.assignment, truth.k)
-        participating = [z for z in range(partition.num_devices)
-                         if z not in inputs.exclude]
+        participating = [z for z in range(partition.num_devices) if z not in exclude]
         vanished = np.flatnonzero(counts[participating].sum(axis=0) == 0)
-        write_json(inputs.out / f"single_run_seed{seed}.json", {
-            "config_hash": cfg_hash, "seed": seed,
+        write_json(cfg["out"] / f"single_run_seed{seed}.json", {
+            "config_hash": cfg["hash"], "seed": seed,
             "accuracy": result.accuracy,
-            "excluded_devices": sorted(inputs.exclude),
+            "excluded_devices": sorted(exclude),
             "vanished_clusters": [int(r) for r in vanished],
             "messages_sent": run.accounting.messages_sent,
         })
     return {
-        "run_id": f"{cfg_hash[:8]}-c{c}-s{seed}",
-        "config_hash": cfg_hash,
+        "run_id": f"{cfg['hash'][:8]}-c{c}-s{seed}",
+        "config_hash": cfg["hash"],
         "seed": seed,
         "experiment": cfg["experiment"],
         "c": float(c),
@@ -272,10 +199,10 @@ def _scored_run(inputs: RunInputs, c, seed: int) -> dict:
     }
 
 
-def _finish_scored(inputs: RunInputs, rows: list[dict]) -> None:
-    write_results(inputs.out, rows)
-    summary: dict = {"experiment": inputs.cfg["experiment"],
-                     "config_hash": inputs.cfg_hash, "rows": []}
+def _finish_scored(cfg: dict, rows: list[dict]) -> None:
+    write_results(cfg["out"], rows)
+    summary: dict = {"experiment": cfg["experiment"],
+                     "config_hash": cfg["hash"], "rows": []}
     by_c: dict[float, list[float]] = {}
     for row in rows:
         by_c.setdefault(row["c"], []).append(row["accuracy"])
@@ -286,10 +213,10 @@ def _finish_scored(inputs: RunInputs, rows: list[dict]) -> None:
             "mean_accuracy": mean, "std_accuracy": std,
             "accuracy_pct": f"{100.0 * mean:.2f} ± {100.0 * std:.2f}",
         })
-    write_json(inputs.out / "summary.json", summary)
+    write_json(cfg["out"] / "summary.json", summary)
     if len(by_c) > 1:
         xs = sorted(by_c)
-        write_line_svg(inputs.out / "c_sweep.svg", xs,
+        write_line_svg(cfg["out"] / "c_sweep.svg", xs,
                        {"mean accuracy": [float(np.mean(by_c[c])) for c in xs]},
                        "Accuracy vs separation constant", "c", "accuracy")
     for entry in summary["rows"]:
@@ -297,21 +224,21 @@ def _finish_scored(inputs: RunInputs, rows: list[dict]) -> None:
               f"over {entry['seeds']} seeds")
 
 
-def _cost_ratio_run(inputs: RunInputs, c, seed: int) -> dict:
+def _cost_ratio_run(cfg: dict, c, seed: int) -> dict:
     """Structured-vs-IID comparison against the planted clustering's cost."""
-    spec, data, truth, structured = make_instance(inputs.cfg, seed, c=float(c))
+    spec, data, truth, structured = make_instance(cfg, seed, c)
     oracle_cost = kmeans_cost(data, truth)
-    run_s = federation.run_kfed(structured, data, seed, tol=inputs.tol)
+    run_s = federation.run_kfed(structured, data, seed, tol=cfg["tol"])
     structured_cost = kmeans_cost(data, run_s.induced.assignment)
-    z_iid = int(inputs.cfg.get("z_iid", structured.num_devices))
+    z_iid = structured.num_devices if cfg["z_iid"] is None else cfg["z_iid"]
     iid = datagen.iid_partition(spec.n, z_iid, seed)
     iid.annotate_from_labels(truth.assignment, truth.k)
-    run_i = federation.run_kfed(iid, data, seed, tol=inputs.tol)
+    run_i = federation.run_kfed(iid, data, seed, tol=cfg["tol"])
     iid_cost = kmeans_cost(data, run_i.induced.assignment)
     ratio = cost_ratio_report(oracle_cost, structured_cost, iid_cost)
     return {
-        "run_id": f"{inputs.cfg_hash[:8]}-ratio-s{seed}",
-        "config_hash": inputs.cfg_hash, "seed": seed,
+        "run_id": f"{cfg['hash'][:8]}-c{c}-ratio-s{seed}",
+        "config_hash": cfg["hash"], "seed": seed,
         "experiment": "cost_ratio", "c": float(c),
         "accuracy": ratio.ratio if ratio.ratio is not None else float("nan"),
         "kmeans_cost": structured_cost,
@@ -321,30 +248,30 @@ def _cost_ratio_run(inputs: RunInputs, c, seed: int) -> dict:
     }
 
 
-def _finish_cost_ratio(inputs: RunInputs, rows: list[dict]) -> None:
-    write_results(inputs.out, rows)
+def _finish_cost_ratio(cfg: dict, rows: list[dict]) -> None:
+    write_results(cfg["out"], rows)
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
-    write_json(inputs.out / "cost_ratio.json", {
-        "config_hash": inputs.cfg_hash,
+    write_json(cfg["out"] / "cost_ratio.json", {
+        "config_hash": cfg["hash"],
         "rows": [{k: v for k, v in r.items() if k != "experiment"} for r in rows],
         "below_one": sum(1 for r in ratios if r < 1.0),
         "total": len(rows),
     })
 
 
-def _profile_run(inputs: RunInputs, c, seed: int) -> dict:
-    _, data, truth, partition = make_instance(inputs.cfg, seed, c=float(c))
-    return profile_instance(data, truth, partition, float(c), inputs.cfg.get("m0"),
-                            inputs.out, tag=f"seed{seed}",
-                            cfg_hash=inputs.cfg_hash, seed=seed)
+def _profile_run(cfg: dict, c, seed: int) -> dict:
+    _, data, truth, partition = make_instance(cfg, seed, c)
+    return profile_instance(data, truth, partition, float(c), cfg["m0"],
+                            cfg["out"], tag=f"seed{seed}",
+                            cfg_hash=cfg["hash"], seed=seed)
 
 
 @dataclass(frozen=True)
 class Experiment:
     """How ``kfed run`` drives one experiment."""
 
-    body: Callable[[RunInputs, float, int], dict]
-    finish: Callable[[RunInputs, list[dict]], None] | None
+    body: Callable[[dict, float, int], dict]
+    finish: Callable[[dict, list[dict]], None] | None
     cannot_honor: tuple[str, ...] = ()  # run flags, by argparse dest
 
 
@@ -381,32 +308,125 @@ def profile_instance(data, truth, partition, c, m0, out_dir: Path, tag: str,
 
 
 # ---------------------------------------------------------------------------
+# the config: every key with its type and default, read once
+
+# Types: "int" (>= 0), "count" (an int >= 1), "number" (a finite JSON number,
+# kept as written: c prints as the config spells it), "str", "[int]" (a list)
+# or an "a|b" choice. Nested keys are written "mixture.k"; ... is required.
+_SCHEMA = {
+    "version": ("int", ...),
+    "experiment": ("|".join(EXPERIMENTS), ...),
+    "out": ("str", "results"),
+    "seeds": ("[int]", [0]),
+    "c": ("number", 100.0),
+    "c_values": ("[number]", None),           # c_sweep only
+    "m0": ("number", None),                   # None: the profile estimates it
+    "tol": ("number", DEFAULT_TOL),
+    "z_iid": ("count", None),                 # None: as many as structured
+    "mixture.k": ("count", ...),
+    "mixture.d": ("count", ...),
+    "mixture.per_cluster": ("count", 200),
+    "mixture.sigma_max": ("number", 1.0),
+    "mixture.weights": ("[number]", None),    # None: uniform
+    "mixture.mean_mode": ("auto|sigma", "auto"),
+    "partition.mode": ("structured|iid", "structured"),
+    "partition.m0": ("count", None),          # None: int(m0)
+    "partition.Z": ("count", None),           # iid only, and required there
+    "partition.group_size": ("count", None),  # None: round(sqrt(k))
+}
+_IS = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+       "count": lambda v: _IS["int"](v) and v > 0,
+       "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and abs(v) <= sys.float_info.max),  # not NaN or inf
+       "str": lambda v: isinstance(v, str)}
+
+
+def _valid(value, kind: str) -> bool:
+    if kind.startswith("["):
+        return isinstance(value, list) and all(_valid(v, kind[1:-1]) for v in value)
+    return value in kind.split("|") if "|" in kind else _IS[kind](value)
+
+
+def load_config(path) -> dict:
+    """Read a config file, check every key against ``_SCHEMA``, fill the defaults.
+
+    The result nests like the file and holds every schema key, plus
+    ``hash``: the hash of the file's JSON as written.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config is not valid JSON: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    given = {}  # (key,) or (section, key) -> value
+    for key, value in raw.items():
+        if key not in ("mixture", "partition"):
+            given[(key,)] = value
+        elif isinstance(value, dict):
+            given.update(((key, sub), item) for sub, item in value.items())
+        else:
+            raise ConfigError(f"config key {key} must be an object")
+    cfg: dict = {"hash": config_hash(raw), "mixture": {}, "partition": {}}
+    for key, (kind, default) in _SCHEMA.items():
+        path = tuple(key.split("."))
+        value = given.pop(path, default)
+        if value is ...:
+            raise ConfigError(f"config needs {key}")
+        if not (value is None and default is None or _valid(value, kind)):
+            raise ConfigError(f"config key {key} must be {kind}, got {value!r}")
+        (cfg[path[0]] if len(path) == 2 else cfg)[path[-1]] = value
+    if given:
+        raise ConfigError(f"unknown config key {'.'.join(next(iter(given)))}")
+    if cfg["version"] != CONFIG_VERSION:
+        raise ConfigError(f"config version must be {CONFIG_VERSION}")
+    if cfg["c_values"] is not None and cfg["experiment"] != "c_sweep":
+        raise ConfigError("only the c_sweep experiment reads c_values")
+    if cfg["partition"]["mode"] == "iid" and cfg["partition"]["Z"] is None:
+        raise ConfigError("an iid partition needs partition.Z")
+    # Without m0 the instance is built for m0 = 5 (placement and split).
+    cfg["mixture"]["m0"] = float(5 if cfg["m0"] is None else cfg["m0"])
+    if cfg["partition"]["m0"] is None:
+        cfg["partition"]["m0"] = int(cfg["mixture"]["m0"])
+    return cfg
+
+
+def _seeds_from(cfg: dict, args) -> list[int]:
+    if args.seed is not None:
+        return [args.seed]
+    seeds = cfg["seeds"] if args.seeds is None else args.seeds
+    if not seeds:
+        raise ConfigError("no seeds to run")
+    return seeds
+
+
+# ---------------------------------------------------------------------------
 # subcommand entry points
 
-def _parse_excludes(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as err:
-        raise ConfigError(f"--exclude-devices expects a comma list: {text!r}") from err
+def _seed_range(text: str) -> list[int]:
+    """``N..M`` -> seeds N to M inclusive (argparse reports a ValueError)."""
+    lo, hi = text.split("..")
+    return list(range(int(lo), int(hi) + 1))
+
+
+def _device_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    path = Path(args.out or cfg.get("out", "results"))
+    path = Path(args.out or cfg["out"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
+    seeds = _seeds_from(cfg, args)
     out = _out_dir(cfg, args)
-    cfg_hash = config_hash(cfg)
-    for seed in _seeds_from(cfg, args):
-        spec, data, truth, partition = make_instance(cfg, seed)
-        blob = {"config_hash": cfg_hash, "seed": seed,
-                "mixture": spec.to_json_dict(),
-                "partition": build_partition_spec(cfg).to_json_dict()}
+    for seed in seeds:
+        spec, data, truth, partition = make_instance(cfg, seed, cfg["c"])
+        blob = {"config_hash": cfg["hash"], "seed": seed,
+                "mixture": spec.to_json_dict(), "partition": cfg["partition"]}
         datagen.save_instance(out / f"seed_{seed}", data, truth, partition, blob)
         print(f"generated seed {seed} -> {out / f'seed_{seed}'}")
     return EXIT_OK
@@ -419,49 +439,51 @@ def cmd_run(args) -> int:
         if getattr(args, dest) is not None:
             raise ConfigError(f"{cfg['experiment']} cannot honor "
                               f"--{dest.replace('_', '-')}")
-    c_values = cfg.get("c_values")
-    if c_values and args.c is not None:
+    if cfg["c_values"] and args.c is not None:
         raise ConfigError("--c conflicts with the config's c_values")
-    c_values = c_values or [args.c if args.c is not None else cfg.get("c", 100.0)]
+    c_values = cfg["c_values"] or [args.c if args.c is not None else cfg["c"]]
     seeds = _seeds_from(cfg, args)
     if args.record and len(seeds) * len(c_values) > 1:
         raise ConfigError("--record keeps one log, but this config runs several")
-    exclude = _parse_excludes(args.exclude_devices)
     if args.replay:
         print(json.dumps(federation.replay_run(args.replay)))
         return EXIT_OK
-    inputs = RunInputs(
-        cfg=cfg, cfg_hash=config_hash(cfg), out=_out_dir(cfg, args),
-        tol=args.tol if args.tol is not None else float(cfg.get("tol", DEFAULT_TOL)),
-        exclude=exclude, record=args.record, several_c=len(c_values) > 1)
+    cfg.update(out=_out_dir(cfg, args),
+               tol=args.tol if args.tol is not None else float(cfg["tol"]),
+               exclude_devices=args.exclude_devices or (), record=args.record,
+               several_c=len(c_values) > 1)
     rows: list[dict] = []
     failures: list[tuple[int, str]] = []
     for c in c_values:
         for seed in seeds:
             try:
-                rows.append(experiment.body(inputs, c, seed))
+                rows.append(experiment.body(cfg, c, seed))
             except (ValueError, RuntimeError) as err:
                 failures.append((seed, str(err)))
     if experiment.finish is not None:
-        experiment.finish(inputs, rows)
+        experiment.finish(cfg, rows)
     for seed, message in failures:
         print(f"seed {seed} failed: {message}", file=sys.stderr)
     return EXIT_PIPELINE if failures else EXIT_OK
 
 
-def cmd_profile(args) -> int:
-    data = datagen.load_data_csv(args.data)
+def _read(load, path, *args):
+    """``load(path, *args)``; a malformed input file is a ConfigError naming it."""
     try:
-        labels = datagen.load_labels_csv(args.labels, k=args.k)
+        return load(path, *args)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"{path}: {err}") from err
+
+
+def cmd_profile(args) -> int:
+    data = _read(datagen.load_data_csv, args.data)
+    labels = _read(datagen.load_labels_csv, args.labels, args.k)
     if labels.shape[0] != data.shape[0]:
         raise ConfigError(
             f"labels rows ({labels.shape[0]}) do not match data rows ({data.shape[0]})")
     k = args.k if args.k is not None else int(labels.max()) + 1
     truth = Clustering.from_labels(data, labels, k)
-    partition = datagen.load_partition_json(args.partition)
-    partition.validate(data.shape[0])
+    partition = _read(datagen.load_partition_json, args.partition, data.shape[0])
     partition.annotate_from_labels(labels, k)
     out = Path(args.out or "profile")
     out.mkdir(parents=True, exist_ok=True)
@@ -476,9 +498,8 @@ def cmd_profile(args) -> int:
 
 def cmd_join(args) -> int:
     state, payload = load_state(args.state)
-    data = datagen.load_data_csv(args.data)
-    result = local_cluster(data, args.k_z, (args.seed, args.device_id),
-                           tol=args.tol if args.tol is not None else DEFAULT_TOL)
+    data = _read(datagen.load_data_csv, args.data)
+    result = local_cluster(data, args.k_z, (args.seed, args.device_id), tol=args.tol)
     accounting = federation.OpsAccounting()
     centers = federation.DeviceCenters(device_id=args.device_id,
                                        centers=result.centers,
@@ -512,11 +533,13 @@ def cmd_join(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = datagen.load_labels_csv(args.pred)
-    truth = datagen.load_labels_csv(args.truth)
+    pred = _read(datagen.load_labels_csv, args.pred)
+    truth = _read(datagen.load_labels_csv, args.truth)
+    if pred.shape != truth.shape:
+        raise ConfigError(f"{args.pred} and {args.truth} differ in length")
     result = matched_accuracy(pred, truth)
     if args.data:
-        result.kmeans_cost = kmeans_cost(datagen.load_data_csv(args.data), pred)
+        result.kmeans_cost = kmeans_cost(_read(datagen.load_data_csv, args.data), pred)
     blob = result.to_json_dict()
     if args.out:
         out = Path(args.out)
@@ -535,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="single seed override")
-        p.add_argument("--seeds", help="seed range N..M (inclusive)")
+        seeds = p.add_mutually_exclusive_group()
+        seeds.add_argument("--seed", type=int, help="single seed override")
+        seeds.add_argument("--seeds", type=_seed_range, help="seed range N..M (inclusive)")
 
     gen = sub.add_parser("generate", help="write instance files per seed")
     add_common(gen)
@@ -546,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(run)
     run.add_argument("--c", type=float, help="separation constant override")
     run.add_argument("--tol", type=float, help="Lloyd tolerance override")
-    run.add_argument("--exclude-devices", help="comma list of device ids to drop")
+    run.add_argument("--exclude-devices", type=_device_list,
+                     help="comma list of device ids to drop")
     run.add_argument("--record", help="record upstream messages to this JSONL file")
     run.add_argument("--replay", help="audit a recorded message log instead of running")
     run.set_defaults(func=cmd_run)
@@ -567,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--k-z", dest="k_z", type=int, required=True)
     join.add_argument("--device-id", type=int, default=0)
     join.add_argument("--seed", type=int, default=0)
-    join.add_argument("--tol", type=float)
+    join.add_argument("--tol", type=float, default=DEFAULT_TOL)
     join.add_argument("--out")
     join.set_defaults(func=cmd_join)
 

@@ -22,12 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import validate_matrix
 from .local import Clustering
 from .rng import Stream
 
-DEFAULT_PER_CLUSTER = 200
-
-_LABEL_STREAM = 11
 _NOISE_STREAM = 23
 _DEVICE_STREAM = 37
 
@@ -46,7 +44,6 @@ class MixtureSpec:
     mean_mode: str = "auto"                 # auto | sigma | explicit
     c: float = 100.0
     m0: float = 5.0
-    balanced: bool = True                   # exact per-component counts
 
     def resolved_weights(self) -> np.ndarray:
         if self.weights is None:
@@ -65,7 +62,6 @@ class MixtureSpec:
             "weights": None if self.weights is None else list(map(float, self.weights)),
             "means": None if self.means is None else [list(map(float, row)) for row in self.means],
             "mean_mode": self.mean_mode, "c": self.c, "m0": self.m0,
-            "balanced": self.balanced,
         }
 
 
@@ -77,10 +73,6 @@ class PartitionSpec:
     m0: int | None = None         # structured: devices per component group
     Z: int | None = None          # iid: device count
     group_size: int | None = None # structured: components per group
-
-    def to_json_dict(self) -> dict:
-        return {"mode": self.mode, "m0": self.m0, "Z": self.Z,
-                "group_size": self.group_size}
 
 
 def estimate_m0(counts: np.ndarray) -> float:
@@ -109,10 +101,7 @@ class DevicePartition:
     def num_devices(self) -> int:
         return len(self.device_rows)
 
-    def total_rows(self) -> int:
-        return int(sum(rows.size for rows in self.device_rows))
-
-    def validate(self, n: int) -> None:
+    def validate(self, n: int) -> "DevicePartition":
         seen = np.concatenate([np.asarray(r, dtype=int) for r in self.device_rows]) \
             if self.device_rows else np.empty(0, dtype=int)
         if seen.size != n or np.unique(seen).size != n or seen.min(initial=0) < 0 \
@@ -121,6 +110,7 @@ class DevicePartition:
         if self.k is not None and self.k_per_device is not None:
             if max(self.k_per_device) > self.k:
                 raise ValueError("a device requests more clusters than exist globally")
+        return self
 
     def counts_by_cluster(self, labels: np.ndarray, k: int) -> np.ndarray:
         """(Z, k) table of per-device per-cluster row counts."""
@@ -198,21 +188,16 @@ def generate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Clustering]:
         raise ValueError("sigma_max must be nonnegative")
     weights = spec.resolved_weights()
     means = resolve_means(spec)
-    if spec.balanced:
-        counts = _balanced_counts(weights, spec.n)
-        if counts.min() < 1:
-            raise ValueError("too few samples")
-        labels = np.repeat(np.arange(spec.k), counts)
-    else:
-        draws = Stream(spec.seed, _LABEL_STREAM).uniforms(spec.n)
-        labels = np.searchsorted(np.cumsum(weights), draws, side="right")
-        labels = np.minimum(labels, spec.k - 1)
+    counts = _balanced_counts(weights, spec.n)
+    if counts.min() < 1:
+        raise ValueError("too few samples")
+    labels = np.repeat(np.arange(spec.k), counts)
     data = np.empty((spec.n, spec.d))
     for r in range(spec.k):
         rows = np.flatnonzero(labels == r)
         noise = Stream(spec.seed, _NOISE_STREAM, r).normals((rows.size, spec.d))
         data[rows] = means[r] + spec.sigma_max * noise
-    truth = Clustering.from_labels(data, labels, spec.k, empty_centers=means)
+    truth = Clustering.from_labels(data, labels, spec.k)
     return data, truth
 
 
@@ -297,20 +282,24 @@ def save_instance(out_dir, data: np.ndarray, truth: Clustering,
 
 
 def load_data_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return data
+    return validate_matrix(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2),
+                           "data file")
 
 
 def load_labels_csv(path, k: int | None = None) -> np.ndarray:
     labels = np.loadtxt(path, dtype=int, ndmin=1)
-    if k is not None and labels.size and labels.max() >= k:
-        bad = int(np.flatnonzero(labels >= k)[0])
-        raise ValueError(f"labels file row {bad} names unseen cluster {labels[bad]}")
+    upper = np.inf if k is None else k
+    bad = np.flatnonzero((labels < 0) | (labels >= upper))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} names cluster {labels[bad[0]]}, outside [0, {upper})")
     return labels
 
 
-def load_partition_json(path) -> DevicePartition:
+def load_partition_json(path, n: int) -> DevicePartition:
+    """Read a device -> rows map that must cover rows 0..n-1 once each."""
     mapping = json.loads(Path(path).read_text())
+    if not isinstance(mapping, dict):
+        raise ValueError("partition file must map device ids to row lists")
     rows = [np.asarray(mapping[key], dtype=int)
             for key in sorted(mapping, key=int)]
-    return DevicePartition(device_rows=rows)
+    return DevicePartition(device_rows=rows).validate(n)

@@ -193,14 +193,14 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
 
 
 def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
-                    partition: DevicePartition | None = None,
                     n_total: int | None = None,
                     accounting: OpsAccounting | None = None) -> InducedClustering:
     """Single nearest-center assignment of every upload to the seed set.
 
-    No re-centering loop follows; the seed groups are final. When the
-    device partition is supplied the per-row induced clustering is built:
-    a row joins the group its local cluster's center was assigned to.
+    No re-centering loop follows; the seed groups are final. Given the
+    network's row count ``n_total``, the per-row induced clustering is
+    built from each upload's ``rows``: a row joins the group its local
+    cluster's center was assigned to.
     """
     accounting = accounting if accounting is not None else OpsAccounting()
     stacked, provenance = _flatten(all_centers)
@@ -213,17 +213,13 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
         tau[group].append(provenance[flat_idx])
     means, sizes = cluster_means(stacked, nearest, k)
     means = np.where(sizes[:, None] > 0, means, init.points)
-    if partition is not None:
-        n_total = partition.total_rows() if n_total is None else n_total
     assignment = np.full(n_total if n_total is not None else 0, -1, dtype=int)
-    if partition is not None:
-        rows_by_device = {z: rows for z, rows in enumerate(partition.device_rows)}
+    if n_total is not None:
         offset = 0
         for dc in sorted(all_centers, key=lambda dc: dc.device_id):  # nearest's order
-            rows = dc.rows if dc.rows is not None else rows_by_device.get(dc.device_id)
-            if rows is None:
+            if dc.rows is None:
                 raise ValueError(f"no row indices known for device {dc.device_id}")
-            assignment[rows] = nearest[offset:offset + dc.k_z][dc.local_assignment]
+            assignment[dc.rows] = nearest[offset:offset + dc.k_z][dc.local_assignment]
             offset += dc.k_z
     return InducedClustering(tau=tau, cluster_means=means,
                              assignment=assignment, k=k)
@@ -259,8 +255,7 @@ def _worker_count(threads: int | None) -> int:
 
 def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
              tol: float = DEFAULT_TOL, exclude_devices: tuple[int, ...] = (),
-             start_device: int | None = None, threads: int | None = None,
-             record_path=None) -> KFedRun:
+             threads: int | None = None, record_path=None) -> KFedRun:
     """Full pipeline: local solves on every device, then one-shot aggregation."""
     data = validate_matrix(data, "data")
     n = data.shape[0]
@@ -298,10 +293,8 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
                                8 * dc.k_z * data.shape[1])
 
     uploads = [device_centers[z] for z in participants]
-    init = farthest_point_init(uploads, k, start_device=start_device,
-                               accounting=accounting)
-    induced = one_round_lloyd(uploads, init, partition=partition,
-                              n_total=n, accounting=accounting)
+    init = farthest_point_init(uploads, k, accounting=accounting)
+    induced = one_round_lloyd(uploads, init, n_total=n, accounting=accounting)
     for z in participants:
         accounting.log_message("down", z, "labels", 8 * device_centers[z].k_z)
 
@@ -309,9 +302,7 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
                   device_centers=device_centers,
                   local_results={z: solved[z] for z in participants})
     if record_path is not None:
-        record_run(record_path, run, k=k,
-                   start_device=start_device if start_device is not None
-                   else min(participants))
+        record_run(record_path, run, k=k, start_device=min(participants))
     return run
 
 

@@ -36,18 +36,14 @@ class Clustering:
         return np.flatnonzero(self.assignment == r)
 
     @classmethod
-    def from_labels(cls, data: np.ndarray, labels: np.ndarray, k: int,
-                    empty_centers: np.ndarray | None = None) -> "Clustering":
+    def from_labels(cls, data: np.ndarray, labels: np.ndarray, k: int) -> "Clustering":
         """Build a clustering from a label vector, centers = cluster means.
 
-        ``empty_centers`` supplies fallback coordinates for labels that do
-        not occur; without it an absent label is an error.
+        A label in [0, k) that does not occur is an error.
         """
         labels = np.asarray(labels, dtype=int)
         centers, sizes = cluster_means(np.asarray(data, dtype=float), labels, k)
-        if empty_centers is not None:
-            centers = np.where(sizes[:, None] > 0, centers, empty_centers)
-        elif not sizes.all():
+        if not sizes.all():
             raise ValueError(f"cluster {int(sizes.argmin())} has no members")
         return cls(assignment=labels, centers=centers, k=k)
 
@@ -142,8 +138,7 @@ def _dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
     return centers
 
 
-def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL,
-                restarts: int = _SEED_RESTARTS) -> np.ndarray:
+def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Estimate k centers on the projected rows.
 
     k-means++ seeding refined by Lloyd, best cost over seeded restarts.
@@ -157,7 +152,7 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL,
         raise ValueError("insufficient distinct points")
     best_cost = np.inf
     best_centers: np.ndarray | None = None
-    for restart in range(restarts):
+    for restart in range(_SEED_RESTARTS):
         stream = Stream(*seed, restart)
         seeded = _dsq_sample(data, k, stream)
         refined, _, costs = _lloyd(data, seeded, tol, DEFAULT_MAX_ITER)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,8 +94,8 @@ def test_run_single_device_matches_local_solver(tmp_path):
         tmp_path, partition={"mode": "structured", "m0": 1, "group_size": 4})
     out = tmp_path / "one"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    from kfed.cli import make_instance
-    _, data, truth, partition = make_instance(cfg, 0)
+    _, data, truth, partition = cli.make_instance(cli.load_config(cfg_path), 0,
+                                                  cfg["c"])
     assert partition.num_devices == 1
     local = local_cluster(data, 4, (0, 0))
     rows = (out / "results.csv").read_text().splitlines()
@@ -160,6 +161,9 @@ def test_run_cost_ratio_honors_c(tmp_path):
         csv_c = (out / "results.csv").read_text().splitlines()[1].split(",")[4]
         assert float(csv_c) == rows[c]["c"]
     assert rows[None]["c"] == 4.0 and rows["8"]["c"] == 8.0
+    # the run id carries c, so the two runs' rows can be told apart
+    assert rows[None]["run_id"].endswith("-c4.0-ratio-s0")
+    assert rows["8"]["run_id"].endswith("-c8.0-ratio-s0")
     # The instance follows c. The planted clustering's cost depends only on
     # the noise, but the IID run's cost depends on how far apart the means are.
     assert rows[None]["iid_cost"] != rows["8"]["iid_cost"]
@@ -290,8 +294,8 @@ def test_join_flow_and_checksum(tmp_path):
     cfg_path, cfg = write_config(tmp_path)
     out = tmp_path / "run"
     cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
-    from kfed.cli import make_instance
-    _, data, truth, partition = make_instance(cfg, 0)
+    _, data, truth, partition = cli.make_instance(cli.load_config(cfg_path), 0,
+                                                  cfg["c"])
     device0 = tmp_path / "device0.csv"
     np.savetxt(device0, data[partition.device_rows[0]], fmt="%.17g", delimiter=",")
     join_out = tmp_path / "join"
@@ -475,6 +479,124 @@ def test_exit_codes(tmp_path):
                      "--out", str(blocker)]) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_seed_and_seeds_are_exclusive(tmp_path, command):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg_path), "--out", str(out),
+                  "--seed", "0", "--seeds", "1..2"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a")])
+def test_malformed_run_flag_exits_2(tmp_path, flag, value):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(cfg_path), "--out", str(out), flag, value])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def _set_key(cfg: dict, key: str, value) -> None:
+    *section, name = key.split(".")
+    (cfg.setdefault(section[0], {}) if section else cfg)[name] = value
+
+
+# defect -> (config key to set, value, key the error names, other overrides)
+CONFIG_DEFECTS = {
+    "unknown_key": ("colour", "red", "colour", {}),
+    "typo": ("mixture.sigmax", 3, "mixture.sigmax", {}),
+    "deleted_n": ("mixture.n", 96, "mixture.n", {}),
+    "deleted_balanced": ("mixture.balanced", False, "mixture.balanced", {}),
+    "k_not_integer": ("mixture.k", "4x", "mixture.k", {}),
+    "k_bool": ("mixture.k", True, "mixture.k", {}),
+    "k_zero": ("mixture.k", 0, "mixture.k", {}),
+    "iid_zero_devices": ("partition", {"mode": "iid", "Z": 0}, "partition.Z", {}),
+    "partition_m0_string": ("partition.m0", "two", "partition.m0", {}),
+    "tol_string": ("tol", "x", "tol", {}),
+    "z_iid_string": ("z_iid", "a", "z_iid", {"experiment": "cost_ratio"}),
+    "seeds_element": ("seeds", [0, "a"], "seeds", {}),
+    "c_values_element": ("c_values", [2, "a"], "c_values",
+                         {"experiment": "c_sweep"}),
+    "weights_element": ("mixture.weights", [0.25, 0.25, 0.25, "x"],
+                        "mixture.weights", {}),
+    "c_nan": ("c", float("nan"), "c", {}),
+    "mode_unknown": ("partition.mode", "bogus", "partition.mode", {}),
+    "iid_without_Z": ("partition", {"mode": "iid"}, "partition.Z", {}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CONFIG_DEFECTS))
+def test_malformed_config_exits_2_before_writing(tmp_path, capsys, defect):
+    key, value, named, overrides = CONFIG_DEFECTS[defect]
+    cfg_path, cfg = write_config(tmp_path, **overrides)
+    _set_key(cfg, key, value)
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ["run", "generate"]:
+        out = tmp_path / command
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+
+def test_readme_config_matches_schema(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "readme.json"
+    cfg_path.write_text(example)
+    cfg = cli.load_config(cfg_path)
+    assert cfg["experiment"] == "table1" and cfg["mixture"]["k"] == 16
+    for key in cli._SCHEMA:
+        assert f"| `{key}` |" in readme, key
+
+
+def _profile_files(tmp_path):
+    cfg_path, _ = write_config(tmp_path)
+    cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "inst")])
+    seed_dir = tmp_path / "inst" / "seed_0"
+    return {name: seed_dir / f"{name}.{ext}" for name, ext in
+            [("data", "csv"), ("labels", "csv"), ("partition", "json")]}
+
+
+# defect -> (generated file to edit, the edit); eval reads the labels as truth
+INPUT_DEFECTS = {
+    "profile_negative_label": ("labels", lambda t: t.replace("0\n", "-1\n", 1)),
+    "profile_partition_key_not_integer": (
+        "partition", lambda t: t.replace('"0"', '"x"', 1)),
+    "profile_partition_misses_rows": ("partition", lambda t: json.dumps(
+        {z: rows[1:] for z, rows in json.loads(t).items()})),
+    "profile_nan_data": ("data", lambda t: "nan" + t[t.index(","):]),
+    "eval_lengths_differ": ("labels", lambda t: t + "0\n"),
+    "eval_negative_label": ("labels", lambda t: "-1\n" + t.split("\n", 1)[1]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(INPUT_DEFECTS))
+def test_malformed_input_file_exits_2(tmp_path, capsys, defect):
+    files = _profile_files(tmp_path)
+    pred = tmp_path / "pred.csv"
+    pred.write_text(files["labels"].read_text())
+    name, edit = INPUT_DEFECTS[defect]
+    bad = files[name]
+    bad.write_text(edit(bad.read_text()))
+    if defect.startswith("eval"):
+        argv = ["eval", "--pred", str(pred), "--truth", str(bad)]
+    else:
+        argv = ["profile", "--data", str(files["data"]),
+                "--labels", str(files["labels"]),
+                "--partition", str(files["partition"]),
+                "--out", str(tmp_path / "prof")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "prof").exists()
+
+
 def test_run_rejects_m0_flag(tmp_path):
     cfg_path, _ = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -484,5 +606,4 @@ def test_run_rejects_m0_flag(tmp_path):
 
 def test_config_round_trip_hash(tmp_path):
     cfg_path, cfg = write_config(tmp_path)
-    loaded = cli.load_config(cfg_path)
-    assert cli.config_hash(loaded) == cli.config_hash(cfg)
+    assert cli.load_config(cfg_path)["hash"] == cli.config_hash(cfg)

@@ -66,11 +66,10 @@ def test_balanced_counts_exact():
     assert sizes.max() - sizes.min() <= 1
 
 
-def test_weighted_sampling_roughly_proportional():
-    spec = _spec(n=4000, weights=np.array([0.7, 0.1, 0.1, 0.1]), balanced=False)
+def test_weighted_counts_exact():
+    spec = _spec(n=4000, weights=np.array([0.7, 0.1, 0.1, 0.1]))
     _, truth = generate_mixture(spec)
-    share = truth.sizes()[0] / 4000
-    assert 0.65 < share < 0.75
+    assert truth.sizes().tolist() == [2800, 400, 400, 400]
 
 
 def test_weight_validation():
@@ -222,7 +221,7 @@ def test_save_and_load_round_trip(tmp_path):
     assert np.allclose(loaded, data, atol=0)        # %.17g round-trips exactly
     labels = load_labels_csv(paths["labels"])
     assert np.array_equal(labels, truth.assignment)
-    reloaded = load_partition_json(paths["partition"])
+    reloaded = load_partition_json(paths["partition"], data.shape[0])
     for rows_a, rows_b in zip(reloaded.device_rows, part.device_rows):
         assert np.array_equal(rows_a, rows_b)
     assert json.loads(paths["spec"].read_text())["idtag"] == 1

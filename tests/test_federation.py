@@ -123,7 +123,6 @@ def test_round_builds_induced_rows():
     data = np.concatenate([low, high])
     rows = [np.arange(0, 10), np.arange(10, 20),
             np.arange(20, 30), np.arange(30, 40)]
-    partition = DevicePartition(device_rows=rows, k=2, k_per_device=[1, 1, 1, 1])
     uploads = []
     for z, r in enumerate(rows):
         uploads.append(DeviceCenters(device_id=z,
@@ -131,7 +130,7 @@ def test_round_builds_induced_rows():
                                      local_assignment=np.zeros(10, dtype=int),
                                      rows=r))
     init = farthest_point_init(uploads, 2)
-    induced = one_round_lloyd(uploads, init, partition=partition, n_total=40)
+    induced = one_round_lloyd(uploads, init, n_total=40)
     truth = np.repeat([0, 1], 20)
     assert matched_accuracy(induced.assignment, truth).accuracy == 1.0
     assert induced.covered().all()
