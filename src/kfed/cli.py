@@ -56,11 +56,6 @@ def make_instance(cfg: dict, seed: int, c):
         k=mixture["k"], d=mixture["d"], n=mixture["per_cluster"] * mixture["k"],
         sigma_max=float(mixture["sigma_max"]), seed=seed, weights=mixture["weights"],
         mean_mode=mixture["mean_mode"], c=float(c), m0=mixture["m0"])
-    try:
-        spec.resolved_weights()
-        datagen.resolve_means(spec)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
     data, truth = datagen.generate_mixture(spec)
     if partition["mode"] == "structured":
         devices = datagen.structured_partition(truth, PartitionSpec(**partition))
@@ -311,8 +306,9 @@ def profile_instance(data, truth, partition, c, m0, out_dir: Path, tag: str,
 # the config: every key with its type and default, read once
 
 # Types: "int" (>= 0), "count" (an int >= 1), "number" (a finite JSON number,
-# kept as written: c prints as the config spells it), "str", "[int]" (a list)
-# or an "a|b" choice. Nested keys are written "mixture.k"; ... is required.
+# kept as written: c prints as the config spells it), "number>=0", "str",
+# "[int]" (a list) or an "a|b" choice. Nested keys are written "mixture.k";
+# ... is required.
 _SCHEMA = {
     "version": ("int", ...),
     "experiment": ("|".join(EXPERIMENTS), ...),
@@ -326,7 +322,7 @@ _SCHEMA = {
     "mixture.k": ("count", ...),
     "mixture.d": ("count", ...),
     "mixture.per_cluster": ("count", 200),
-    "mixture.sigma_max": ("number", 1.0),
+    "mixture.sigma_max": ("number>=0", 1.0),
     "mixture.weights": ("[number]", None),    # None: uniform
     "mixture.mean_mode": ("auto|sigma", "auto"),
     "partition.mode": ("structured|iid", "structured"),
@@ -338,6 +334,7 @@ _IS = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 
        "count": lambda v: _IS["int"](v) and v > 0,
        "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
                             and abs(v) <= sys.float_info.max),  # not NaN or inf
+       "number>=0": lambda v: _IS["number"](v) and v >= 0,
        "str": lambda v: isinstance(v, str)}
 
 
@@ -384,6 +381,14 @@ def load_config(path) -> dict:
         raise ConfigError("only the c_sweep experiment reads c_values")
     if cfg["partition"]["mode"] == "iid" and cfg["partition"]["Z"] is None:
         raise ConfigError("an iid partition needs partition.Z")
+    mixture = cfg["mixture"]
+    try:
+        datagen.resolve_weights(mixture["weights"], mixture["k"])
+    except ValueError as err:
+        raise ConfigError(f"config key mixture.weights: {err}") from err
+    if mixture["k"] > mixture["d"]:
+        raise ConfigError("mean placement puts each mean on its own axis, so "
+                          "mixture.k must be at most mixture.d")
     # Without m0 the instance is built for m0 = 5 (placement and split).
     cfg["mixture"]["m0"] = float(5 if cfg["m0"] is None else cfg["m0"])
     if cfg["partition"]["m0"] is None:
@@ -539,7 +544,11 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"{args.pred} and {args.truth} differ in length")
     result = matched_accuracy(pred, truth)
     if args.data:
-        result.kmeans_cost = kmeans_cost(_read(datagen.load_data_csv, args.data), pred)
+        data = _read(datagen.load_data_csv, args.data)
+        if data.shape[0] != pred.shape[0]:
+            raise ConfigError(f"{args.data} has {data.shape[0]} rows, but the "
+                              f"labels have {pred.shape[0]}")
+        result.kmeans_cost = kmeans_cost(data, pred)
     blob = result.to_json_dict()
     if args.out:
         out = Path(args.out)

@@ -45,16 +45,6 @@ class MixtureSpec:
     c: float = 100.0
     m0: float = 5.0
 
-    def resolved_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.full(self.k, 1.0 / self.k)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.k,) or np.any(w <= 0):
-            raise ValueError("weights must be k positive numbers")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        return w
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k, "d": self.d, "n": self.n,
@@ -63,6 +53,18 @@ class MixtureSpec:
             "means": None if self.means is None else [list(map(float, row)) for row in self.means],
             "mean_mode": self.mean_mode, "c": self.c, "m0": self.m0,
         }
+
+
+def resolve_weights(weights, k: int) -> np.ndarray:
+    """Component weights: ``weights`` checked, or uniform when None."""
+    if weights is None:
+        return np.full(k, 1.0 / k)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (k,) or np.any(w <= 0):
+        raise ValueError("weights must be k positive numbers")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must sum to 1")
+    return w
 
 
 @dataclass
@@ -146,7 +148,7 @@ def auto_separation_distance(spec: MixtureSpec) -> float:
     taken as ceil(sqrt(k)) (the heterogeneous deployments these instances
     feed). The factor 2 on top targets roughly twice the threshold.
     """
-    w_min = float(spec.resolved_weights().min())
+    w_min = float(resolve_weights(spec.weights, spec.k).min())
     requested = spec.c * math.sqrt(spec.k * spec.m0) * spec.sigma_max / math.sqrt(w_min)
     device_clusters = math.ceil(math.sqrt(spec.k))
     op_bound = spec.sigma_max * (math.sqrt(spec.n) + math.sqrt(spec.d))
@@ -186,7 +188,7 @@ def generate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Clustering]:
         raise ValueError("too few samples")
     if spec.sigma_max < 0:
         raise ValueError("sigma_max must be nonnegative")
-    weights = spec.resolved_weights()
+    weights = resolve_weights(spec.weights, spec.k)
     means = resolve_means(spec)
     counts = _balanced_counts(weights, spec.n)
     if counts.min() < 1:

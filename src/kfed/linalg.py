@@ -2,10 +2,11 @@
 
 Spectral quantities come from numpy's LAPACK: ``np.linalg.norm(m, 2)``
 for the operator norm and a symmetric eigendecomposition of the smaller
-Gram matrix for the top-k projection. Results are deterministic on one
-machine and one BLAS/LAPACK build: equal inputs give bit-identical
-outputs there, while another build may differ in the last digits. Tests
-check both primitives against independent full-decomposition oracles.
+Gram matrix for the top-k subspace coordinates and projection. Results
+are deterministic on one machine and one BLAS/LAPACK build: equal inputs
+give bit-identical outputs there, while another build may differ in the
+last digits. Tests check both primitives against independent
+full-decomposition oracles.
 """
 
 from __future__ import annotations
@@ -36,22 +37,36 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, "fro"))
 
 
-def top_k_projection(m: np.ndarray, k: int) -> np.ndarray:
-    """Project each row of ``m`` onto the span of the top-k singular vectors.
+def top_k_projection(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``m`` in the top-k singular subspace: (coords, lift).
 
-    The result is the closest rank-k matrix to ``m`` in operator norm.
-    Idempotent: re-projecting with the same k is a no-op up to round-off.
+    ``coords`` (n x k) holds each row's coordinates in an orthonormal basis
+    of the span of the top-k right singular vectors, and ``lift`` (k x d)
+    maps coordinates back to d-space, so ``coords @ lift`` is the rank-k
+    projection of ``m``: the closest rank-k matrix to it in operator norm.
+    Distances between rows of ``coords`` equal those between projected rows,
+    so clustering can run in k dimensions instead of d.
+
+    One symmetric eigendecomposition of the smaller Gram matrix gives both.
+    With the right Gram MᵀM = VΛVᵀ, ``coords = M V`` and ``lift = Vᵀ``. With
+    the left Gram MMᵀ = UΛUᵀ, ``coords = U √Λ`` and ``lift = Λ^-½ Uᵀ M``.
+    A direction whose singular value is at or below the rank tolerance
+    (numpy's ``matrix_rank`` cutoff) carries no data: its coordinates and
+    lift row are zero, so a rank-deficient ``m`` never divides by zero.
     Exact ties at the subspace boundary are broken by LAPACK's eigenvector
-    ordering; the projection is unique whenever the boundary gap is.
+    ordering; the subspace is unique whenever the boundary gap is.
     """
     m = validate_matrix(m)
     n, d = m.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"projection rank k={k} outside [1, {min(n, d)}]")
-    # Work on the smaller Gram matrix; both sides give the same projection.
-    gram = m.T @ m if d <= n else m @ m.T
-    # eigh returns eigenvalues in ascending order.
-    basis = np.linalg.eigh(gram)[1][:, -k:]
     if d <= n:
-        return (m @ basis) @ basis.T
-    return basis @ (basis.T @ m)
+        # eigh returns eigenvalues in ascending order.
+        basis = np.linalg.eigh(m.T @ m)[1][:, -k:]
+        return m @ basis, basis.T
+    values, basis = np.linalg.eigh(m @ m.T)
+    basis = basis[:, -k:]
+    sigma = np.sqrt(np.clip(values[-k:], 0.0, None))
+    sigma[sigma <= sigma[-1] * max(n, d) * np.finfo(float).eps] = 0.0
+    inverse = np.divide(1.0, sigma, out=np.zeros(k), where=sigma > 0.0)
+    return basis * sigma, inverse[:, None] * (basis.T @ m)

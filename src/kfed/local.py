@@ -5,6 +5,12 @@ singular subspace, seed k centers on the projected rows, keep only points
 that are at least three times closer to their nearest center than to every
 other center, average those sets, then run plain Lloyd iterations on the
 original (unprojected) rows until the centers stop moving.
+
+Seeding and thresholding work on the rows' k-dimensional coordinates in an
+orthonormal basis of that subspace, not on the projected rows in d-space.
+Distances agree in exact arithmetic, so the result is the same while the
+cost no longer grows with d. The averaged centers are lifted back to
+d-space once, to start the final Lloyd.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ def _dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
 
 
 def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Estimate k centers on the projected rows.
+    """Estimate k centers on the projected rows (or their subspace coordinates).
 
     k-means++ seeding refined by Lloyd, best cost over seeded restarts.
     Comfortably within the 10x-of-optimal budget the pipeline assumes;
@@ -194,17 +200,21 @@ def threshold_assign(projected, centers: np.ndarray
 
 def local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> LocalResult:
-    """Full device solve: project, seed, threshold, then Lloyd on raw rows."""
+    """Full device solve: project, seed, threshold, then Lloyd on raw rows.
+
+    Seeding and thresholding run in the top-k subspace coordinates; the
+    thresholded centers are lifted to d-space to start Lloyd.
+    """
     data = validate_matrix(data, "device data")
     if k < 1:
         raise ValueError("k must be at least 1")
     if data.shape[0] < k:
         raise ValueError("insufficient distinct points")
     k_eff = min(k, min(data.shape))
-    projected = top_k_projection(data, k_eff)
-    seeded = approx_seed(projected, k, seed, tol=tol)
-    sets, theta = threshold_assign(projected, seeded)
-    clustering, iterations, costs = _lloyd(data, theta, tol, max_iter)
+    coords, lift = top_k_projection(data, k_eff)
+    seeded = approx_seed(coords, k, seed, tol=tol)
+    sets, theta = threshold_assign(coords, seeded)
+    clustering, iterations, costs = _lloyd(data, theta @ lift, tol, max_iter)
     unassigned = data.shape[0] - sum(s.size for s in sets)
     return LocalResult(clusters=clustering,
                        unassigned_after_threshold=unassigned,

@@ -6,6 +6,7 @@ import numpy as np
 
 from kfed.datagen import (DevicePartition, MixtureSpec, PartitionSpec,
                           generate_mixture, structured_partition)
+from kfed.linalg import top_k_projection
 from kfed.local import Clustering
 
 
@@ -42,3 +43,9 @@ def init_planted_clusters(run, partition: DevicePartition,
         values, counts = np.unique(truth.assignment[members], return_counts=True)
         out.append(int(values[counts.argmax()]))
     return out
+
+
+def projection(mat: np.ndarray, k: int) -> np.ndarray:
+    """Rank-k projection of ``mat``'s rows, back in d-space."""
+    coords, lift = top_k_projection(mat, k)
+    return coords @ lift

@@ -4,7 +4,10 @@ Nothing here shares code with the package: the spectral oracle is a
 classical max-pivot Jacobi eigensolver on the full Gram matrix, the
 k-means oracle enumerates set partitions outright, the matching oracle
 tries every permutation, and the max-min oracle recomputes every distance
-at every step.
+at every step. The one exception is the d-space device solve, which
+composes the package's own seeding, thresholding and Lloyd steps on
+projected d-space rows: it is the reference the subspace-coordinate device
+solve must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from kfed.local import (DEFAULT_MAX_ITER, DEFAULT_TOL, Clustering, approx_seed,
+                        lloyd_iterate, threshold_assign)
 
 
 def jacobi_eigenvalues(sym: np.ndarray, max_rotations: int = 100_000) -> np.ndarray:
@@ -137,3 +143,28 @@ def greedy_max_min(uploads, k: int, start_device: int) -> list[tuple[int, int]]:
                 best, best_gap = key, gap
         chosen.append(best)
     return chosen
+
+
+def dspace_local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TOL,
+                         max_iter: int = DEFAULT_MAX_ITER
+                         ) -> tuple[Clustering, int]:
+    """Device solve that seeds and thresholds the projected rows in d-space.
+
+    Projects through an eigendecomposition of the smaller Gram matrix,
+    exactly as the package did before it moved seeding and thresholding to
+    subspace coordinates. Returns (clustering, rows unassigned after
+    thresholding).
+    """
+    data = np.asarray(data, dtype=float)
+    n, d = data.shape
+    rank = min(k, n, d)
+    gram = data.T @ data if d <= n else data @ data.T
+    basis = np.linalg.eigh(gram)[1][:, -rank:]
+    if d <= n:
+        projected = (data @ basis) @ basis.T
+    else:
+        projected = basis @ (basis.T @ data)
+    seeded = approx_seed(projected, k, seed, tol=tol)
+    sets, theta = threshold_assign(projected, seeded)
+    clustering = lloyd_iterate(data, theta, tol, max_iter)
+    return clustering, n - sum(s.size for s in sets)

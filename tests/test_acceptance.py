@@ -15,11 +15,12 @@ from kfed import cli
 from kfed.datagen import iid_partition
 from kfed.evaluation import (cost_ratio_report, kmeans_cost, matched_accuracy)
 from kfed.federation import run_kfed
-from kfed.linalg import frobenius_norm, operator_norm, top_k_projection
+from kfed.linalg import frobenius_norm, operator_norm
 from kfed.local import Clustering, approx_seed, lloyd_iterate
 from kfed.rng import Stream
 from kfed.separation import lemma_audit, proximity_check, separation_quantities
-from helpers import device_truth, init_planted_clusters, planted_instance
+from helpers import (device_truth, init_planted_clusters, planted_instance,
+                     projection)
 from oracles import brute_force_kmeans
 
 SEEDS = list(range(10))
@@ -111,7 +112,7 @@ def test_criterion_05_projection_cost_inequality():
         k = 1 + int(stream.uniforms(1)[0] * min(5, n, d))
         data = stream.normals((n, d))
         low_rank = stream.normals((n, k)) @ stream.normals((k, d))
-        projected = top_k_projection(data, k)
+        projected = projection(data, k)
         lhs = frobenius_norm(projected - low_rank) ** 2
         rhs = 8.0 * k * operator_norm(data - low_rank) ** 2
         if lhs > rhs * (1.0 + 1e-9):
@@ -227,7 +228,7 @@ def test_criterion_10_ten_x_of_bruteforce():
         k = min(k, n)
         data = stream.normals((n, d)) * 2.0
         rank = min(k, n, d)
-        seeds = approx_seed(top_k_projection(data, rank), k, seed=(8000, trial))
+        seeds = approx_seed(projection(data, rank), k, seed=(8000, trial))
         final = lloyd_iterate(data, seeds)
         cost = kmeans_cost(data, final)
         optimal, _ = brute_force_kmeans(data, k)

@@ -526,6 +526,13 @@ CONFIG_DEFECTS = {
     "c_nan": ("c", float("nan"), "c", {}),
     "mode_unknown": ("partition.mode", "bogus", "partition.mode", {}),
     "iid_without_Z": ("partition", {"mode": "iid"}, "partition.Z", {}),
+    "weights_length": ("mixture.weights", [0.5, 0.5], "mixture.weights", {}),
+    "weights_sign": ("mixture.weights", [0.5, 0.5, 0.25, -0.25],
+                     "mixture.weights", {}),
+    "weights_sum": ("mixture.weights", [0.25, 0.25, 0.25, 0.2],
+                    "mixture.weights", {}),
+    "k_above_d": ("mixture.k", 13, "mixture.k", {}),
+    "sigma_max_negative": ("mixture.sigma_max", -1.0, "mixture.sigma_max", {}),
 }
 
 
@@ -573,6 +580,7 @@ INPUT_DEFECTS = {
     "profile_nan_data": ("data", lambda t: "nan" + t[t.index(","):]),
     "eval_lengths_differ": ("labels", lambda t: t + "0\n"),
     "eval_negative_label": ("labels", lambda t: "-1\n" + t.split("\n", 1)[1]),
+    "eval_data_rows_differ": ("data", lambda t: t.split("\n", 1)[1]),
 }
 
 
@@ -585,12 +593,13 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, defect):
     bad = files[name]
     bad.write_text(edit(bad.read_text()))
     if defect.startswith("eval"):
-        argv = ["eval", "--pred", str(pred), "--truth", str(bad)]
+        argv = ["eval", "--pred", str(pred), "--truth", str(files["labels"]),
+                "--data", str(files["data"])]
     else:
         argv = ["profile", "--data", str(files["data"]),
                 "--labels", str(files["labels"]),
-                "--partition", str(files["partition"]),
-                "--out", str(tmp_path / "prof")]
+                "--partition", str(files["partition"])]
+    argv += ["--out", str(tmp_path / "prof")]
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert str(bad) in capsys.readouterr().err

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from kfed.linalg import (frobenius_norm, operator_norm, top_k_projection,
                          validate_matrix)
+from helpers import projection
 from oracles import jacobi_spectral_norm, svd_truncation
 
 
@@ -53,13 +56,13 @@ def test_operator_norm_matches_oracle_across_shapes():
 def test_projection_rank_one_is_identity():
     rng = np.random.default_rng(3)
     mat = np.outer(rng.normal(size=6), rng.normal(size=4))
-    proj = top_k_projection(mat, 1)
+    proj = projection(mat, 1)
     assert np.abs(proj - mat).max() < 1e-10
 
 
 def test_projection_full_rank_is_identity():
     mat = np.random.default_rng(11).normal(size=(5, 3))
-    proj = top_k_projection(mat, 3)
+    proj = projection(mat, 3)
     assert np.abs(proj - mat).max() < 1e-10
 
 
@@ -74,24 +77,48 @@ def test_projection_matches_svd_oracle():
         (_with_spectrum(rng, 125, 50, np.linspace(10.0, 9.0, 50)), 16),
     ]
     for mat, k in cases:
-        proj = top_k_projection(mat, k)
+        proj = projection(mat, k)
         assert np.abs(proj - svd_truncation(mat, k)).max() < 1e-8, \
             f"shape {mat.shape}, k={k}"
 
 
 def test_projection_idempotent():
     mat = np.random.default_rng(5).normal(size=(7, 5))
-    once = top_k_projection(mat, 2)
-    twice = top_k_projection(once, 2)
+    once = projection(mat, 2)
+    twice = projection(once, 2)
     assert np.abs(twice - once).max() < 1e-8
 
 
 def test_projection_numerical_rank():
     mat = np.random.default_rng(9).normal(size=(10, 6))
-    proj = top_k_projection(mat, 3)
+    proj = projection(mat, 3)
     spectrum = np.linalg.svd(proj, compute_uv=False)
     assert proj.shape == mat.shape
     assert spectrum[3:].max() <= 1e-8 * spectrum[0]
+
+
+@pytest.mark.parametrize("shape", [(30, 8), (8, 30)],
+                         ids=["right_gram", "left_gram"])
+def test_projection_coordinates_keep_distances(shape):
+    mat = np.random.default_rng(13).normal(size=shape)
+    coords, lift = top_k_projection(mat, 4)
+    assert coords.shape == (shape[0], 4) and lift.shape == (4, shape[1])
+    # the lift's rows are an orthonormal basis of the subspace
+    assert np.abs(lift @ lift.T - np.eye(4)).max() < 1e-10
+    truncated = svd_truncation(mat, 4)
+    for i in range(shape[0]):
+        assert np.allclose(np.linalg.norm(coords - coords[i], axis=1),
+                           np.linalg.norm(truncated - truncated[i], axis=1),
+                           rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5)])
+def test_projection_of_zero_matrix(shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coords, lift = top_k_projection(np.zeros(shape), 2)
+    assert not coords.any()
+    assert np.isfinite(lift).all()
 
 
 @pytest.mark.parametrize("k", [0, 4])
@@ -131,7 +158,7 @@ def test_eckart_young_spot_check():
     rng = np.random.default_rng(31)
     mat = rng.normal(size=(8, 6))
     k = 2
-    best = operator_norm(mat - top_k_projection(mat, k))
+    best = operator_norm(mat - projection(mat, k))
     for _ in range(100):
         rival = rng.normal(size=(8, k)) @ rng.normal(size=(k, 6))
         assert best <= operator_norm(mat - rival) + 1e-8
@@ -145,7 +172,7 @@ def test_projection_cost_inequality_quick():
         k = int(rng.integers(1, min(n, d) + 1))
         mat = rng.normal(size=(n, d))
         low_rank = rng.normal(size=(n, k)) @ rng.normal(size=(k, d))
-        projected = top_k_projection(mat, k)
+        projected = projection(mat, k)
         lhs = frobenius_norm(projected - low_rank) ** 2
         rhs = 8.0 * k * operator_norm(mat - low_rank) ** 2
         assert lhs <= rhs * (1 + 1e-9)

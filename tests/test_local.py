@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from kfed.evaluation import kmeans_cost, matched_accuracy
-from kfed.linalg import operator_norm, top_k_projection
+from kfed.linalg import operator_norm
 from kfed.local import (Clustering, approx_seed, cluster_means, lloyd_iterate,
                         local_cluster, threshold_assign)
-from helpers import planted_instance
-from oracles import brute_force_kmeans
+from helpers import planted_instance, projection
+from oracles import brute_force_kmeans, dspace_local_cluster
 
 
 def _as_center_set(centers):
@@ -19,7 +21,7 @@ def _as_center_set(centers):
 def test_approx_seed_recovers_exact_copies():
     base = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     data = np.repeat(base, 3, axis=0)
-    centers = approx_seed(top_k_projection(data, 2), 3, seed=1)
+    centers = approx_seed(projection(data, 2), 3, seed=1)
     assert _as_center_set(centers) == _as_center_set(base)
 
 
@@ -27,7 +29,7 @@ def test_approx_seed_within_ten_x_of_bruteforce():
     rng = np.random.default_rng(8)
     data = np.concatenate([rng.normal(size=(4, 2)),
                            rng.normal(size=(4, 2)) + [8.0, 0.0]])
-    centers = approx_seed(top_k_projection(data, 2), 2, seed=3)
+    centers = approx_seed(projection(data, 2), 2, seed=3)
     # cost of assigning the rows to the returned centers, no refinement
     seed_cost = float(((data[:, None, :] - centers[None]) ** 2)
                       .sum(axis=2).min(axis=1).sum())
@@ -246,6 +248,77 @@ def test_local_center_accuracy_bound():
             true_mean = data[members].mean(axis=0)
             gap = np.linalg.norm(result.centers - true_mean, axis=1).min()
             assert gap <= (25.0 / c) * op / np.sqrt(members.size) + 1e-9
+
+
+# (planted_instance arguments, devices per instance): each device's rows and
+# its cluster count go to local_cluster; d > rows projects through the left
+# Gram, d <= rows through the right.
+SUBSPACE_SHAPES = {
+    "right_separated": (dict(k=9, d=24, per_cluster=45, m0=3, group_size=3), 2),
+    "right_lowsep": (dict(k=16, d=50, per_cluster=150, m0=5, group_size=4,
+                          c=4.0, mean_mode="sigma"), 2),
+    "left_separated": (dict(k=16, d=100, per_cluster=40, m0=2, group_size=4), 2),
+    "left_lowsep": (dict(k=8, d=60, per_cluster=20, m0=2, group_size=4,
+                         c=4.0, mean_mode="sigma"), 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SUBSPACE_SHAPES))
+def test_local_cluster_matches_dspace_reference(shape):
+    # Seeding and thresholding in subspace coordinates reproduce the d-space
+    # path bit for bit: same assignment, same centers, same unassigned rows.
+    kwargs, devices = SUBSPACE_SHAPES[shape]
+    sides = set()
+    for seed in range(2):
+        _, data, _, partition = planted_instance(seed + 70, **kwargs)
+        for z in range(devices):
+            rows = data[partition.device_rows[z]]
+            k = partition.k_per_device[z]
+            sides.add("left" if rows.shape[1] > rows.shape[0] else "right")
+            result = local_cluster(rows, k, (seed, z))
+            reference, unassigned = dspace_local_cluster(rows, k, (seed, z))
+            assert result.clusters.assignment.tobytes() == \
+                reference.assignment.tobytes()
+            assert result.centers.tobytes() == reference.centers.tobytes()
+            assert result.unassigned_after_threshold == unassigned
+    assert sides == {shape.split("_")[0]}
+
+
+def _snap_small_eigenvalues(eigh):
+    """``eigh`` whose round-off eigenvalues are exactly zero."""
+    def snapped(gram):
+        values, vectors = eigh(gram)
+        return np.where(values <= 1e-9 * values.max(), 0.0, values), vectors
+    return snapped
+
+
+# (rows, k): rank 1 with d > rows (left Gram, two null directions among the
+# top 3), and rank 2 with d <= rows (right Gram, one null direction).
+RANK_DEFICIENT = {
+    "collinear_left": (np.outer(np.arange(1.0, 7.0),
+                                np.linspace(-1.0, 2.0, 10)), 3),
+    "plane_right": (np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0],
+                              [5.0, 5.0], [6.0, 4.0]])
+                    @ np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 3.0, 1.0]]), 3),
+}
+
+
+@pytest.mark.parametrize("snap", [False, True], ids=["lapack", "exact_zero"])
+@pytest.mark.parametrize("case", sorted(RANK_DEFICIENT))
+def test_local_cluster_rank_deficient_device(case, snap, monkeypatch):
+    data, k = RANK_DEFICIENT[case]
+    if snap:
+        monkeypatch.setattr(np.linalg, "eigh",
+                            _snap_small_eigenvalues(np.linalg.eigh))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = local_cluster(data, k, seed=4)
+    assert np.isfinite(result.centers).all()
+    labels = result.clusters.assignment
+    assert labels.shape == (data.shape[0],)
+    assert np.array_equal(np.unique(labels), np.arange(k))
+    optimal, _ = brute_force_kmeans(data, k)
+    assert kmeans_cost(data, result.clusters) <= 10.0 * optimal + 1e-9
 
 
 def test_cluster_means_bit_identical_to_masked_mean():
