@@ -5,8 +5,10 @@ the instance family and experiment; every output file embeds the config
 hash and seed so equal (config, seed) pairs reproduce byte-identical
 result rows. The KFED_THREADS environment variable caps the number of
 concurrent device solves. It only speeds a run up with BLAS pinned to one
-thread (for example OPENBLAS_NUM_THREADS=1); with BLAS's default threading
-the solver threads and BLAS's threads compete for the same cores.
+thread (for example OPENBLAS_NUM_THREADS=1): on 2 cores a d=300/k=64
+run_kfed took a median 0.39-0.43 s at KFED_THREADS=2 against 0.45-0.50 s
+serially. With BLAS's default threading the solver threads and BLAS's
+threads compete for the same cores, and two solver threads were slower.
 """
 
 from __future__ import annotations
@@ -347,8 +349,10 @@ def _valid(value, kind: str) -> bool:
 def load_config(path) -> dict:
     """Read a config file, check every key against ``_SCHEMA``, fill the defaults.
 
-    The result nests like the file and holds every schema key, plus
-    ``hash``: the hash of the file's JSON as written.
+    Cross-key checks follow: a component without rows, or a partition the
+    instance cannot hold, fails here rather than once per seed. The result
+    nests like the file and holds every schema key, plus ``hash``: the
+    hash of the file's JSON as written.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -381,18 +385,31 @@ def load_config(path) -> dict:
         raise ConfigError("only the c_sweep experiment reads c_values")
     if cfg["partition"]["mode"] == "iid" and cfg["partition"]["Z"] is None:
         raise ConfigError("an iid partition needs partition.Z")
-    mixture = cfg["mixture"]
+    mixture, partition = cfg["mixture"], cfg["partition"]
     try:
-        datagen.resolve_weights(mixture["weights"], mixture["k"])
+        weights = datagen.resolve_weights(mixture["weights"], mixture["k"])
     except ValueError as err:
         raise ConfigError(f"config key mixture.weights: {err}") from err
     if mixture["k"] > mixture["d"]:
         raise ConfigError("mean placement puts each mean on its own axis, so "
                           "mixture.k must be at most mixture.d")
     # Without m0 the instance is built for m0 = 5 (placement and split).
-    cfg["mixture"]["m0"] = float(5 if cfg["m0"] is None else cfg["m0"])
-    if cfg["partition"]["m0"] is None:
-        cfg["partition"]["m0"] = int(cfg["mixture"]["m0"])
+    mixture["m0"] = float(5 if cfg["m0"] is None else cfg["m0"])
+    if partition["m0"] is None:
+        partition["m0"] = int(mixture["m0"])
+    n = mixture["per_cluster"] * mixture["k"]
+    smallest = int(datagen.balanced_counts(weights, n).min())
+    if smallest < 1:
+        raise ConfigError(f"config key mixture.weights leaves a component "
+                          f"without rows at per_cluster * k = {n}")
+    if partition["mode"] == "structured" and not 1 <= partition["m0"] <= smallest:
+        raise ConfigError(f"config key partition.m0 = {partition['m0']} must be "
+                          f"between 1 and the smallest component size, {smallest}")
+    if partition["mode"] == "iid" and partition["Z"] > n:
+        raise ConfigError(f"config key partition.Z = {partition['Z']} exceeds "
+                          f"the {n} rows")
+    if cfg["experiment"] == "cost_ratio" and (cfg["z_iid"] or 0) > n:
+        raise ConfigError(f"config key z_iid = {cfg['z_iid']} exceeds the {n} rows")
     return cfg
 
 

@@ -172,7 +172,7 @@ def resolve_means(spec: MixtureSpec) -> np.ndarray:
     raise ValueError(f"unknown mean mode {spec.mean_mode!r}")
 
 
-def _balanced_counts(weights: np.ndarray, n: int) -> np.ndarray:
+def balanced_counts(weights: np.ndarray, n: int) -> np.ndarray:
     """Largest-remainder apportionment of n rows to the components."""
     raw = weights * n
     counts = np.floor(raw).astype(int)
@@ -190,7 +190,7 @@ def generate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Clustering]:
         raise ValueError("sigma_max must be nonnegative")
     weights = resolve_weights(spec.weights, spec.k)
     means = resolve_means(spec)
-    counts = _balanced_counts(weights, spec.n)
+    counts = balanced_counts(weights, spec.n)
     if counts.min() < 1:
         raise ValueError("too few samples")
     labels = np.repeat(np.arange(spec.k), counts)

@@ -6,6 +6,10 @@ single nearest-center assignment round over all uploaded centers, and the
 resulting center groups induce a clustering of every row in the network.
 Late-arriving devices are labeled against the retained group means
 without contacting anyone else.
+
+Every distance goes through ``linalg.pairwise_distances``, one seed or
+group mean at a time, so the aggregator's working memory is
+O(uploads x d), not O(uploads x k x d).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import DevicePartition
-from .linalg import validate_matrix
+from .linalg import pairwise_distances, validate_matrix
 from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
 
 WIRE_SCHEMA_VERSION = 1
@@ -179,8 +183,7 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
     nearest = np.full(candidates.size, np.inf)
     new = list(chosen)
     while len(chosen) < k:
-        dist = np.linalg.norm(
-            stacked[candidates][:, None, :] - stacked[new][None, :, :], axis=2)
+        dist = pairwise_distances(stacked[candidates], stacked[new])
         accounting.tally(dist.size)
         nearest = np.minimum(nearest, dist.min(axis=1))
         pick = int(nearest.argmax())  # first maximum: lowest (device_id, index)
@@ -205,9 +208,9 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     accounting = accounting if accounting is not None else OpsAccounting()
     stacked, provenance = _flatten(all_centers)
     k = init.points.shape[0]
-    dist = np.linalg.norm(stacked[:, None, :] - init.points[None, :, :], axis=2)
+    # ties resolve to the lowest group index
+    nearest = pairwise_distances(stacked, init.points).argmin(axis=1)
     accounting.tally(stacked.shape[0] * k)
-    nearest = dist.argmin(axis=1)  # ties resolve to the lowest group index
     tau: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for flat_idx, group in enumerate(nearest):
         tau[group].append(provenance[flat_idx])
@@ -240,10 +243,8 @@ def assign_new_device(state: AggregationState | None,
             f"device data has dimension {new_centers.centers.shape[1]}, "
             f"aggregation state has {state.cluster_means.shape[1]}")
     accounting = accounting if accounting is not None else OpsAccounting()
-    dist = np.linalg.norm(
-        new_centers.centers[:, None, :] - state.cluster_means[None, :, :], axis=2)
     accounting.tally(new_centers.k_z * state.k)
-    return dist.argmin(axis=1)
+    return pairwise_distances(new_centers.centers, state.cluster_means).argmin(axis=1)
 
 
 def _worker_count(threads: int | None) -> int:

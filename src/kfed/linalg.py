@@ -1,4 +1,5 @@
-"""Dense matrix primitives: spectral norm, truncated projection, Frobenius norm.
+"""Dense matrix primitives: spectral norm, truncated projection, Frobenius
+norm, and row-to-row Euclidean distances.
 
 Spectral quantities come from numpy's LAPACK: ``np.linalg.norm(m, 2)``
 for the operator norm and a symmetric eigendecomposition of the smaller
@@ -35,6 +36,22 @@ def frobenius_norm(m: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     m = validate_matrix(m)
     return float(np.linalg.norm(m, "fro"))
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and ``b``: (len(a), len(b)).
+
+    Column j is ``np.linalg.norm(a - b[j], axis=1)``, bit-identical to the
+    broadcast ``np.linalg.norm(a[:, None] - b[None], axis=2)``, but one
+    column at a time, so the temporaries are len(a) x d rather than
+    len(a) x len(b) x d. The exact differences keep the last bits, and so
+    the nearest-center tie-breaks, that the ‖a‖²+‖b‖²−2a·b expansion
+    would change.
+    """
+    dist = np.empty((a.shape[0], b.shape[0]))
+    for j, row in enumerate(b):
+        dist[:, j] = np.linalg.norm(a - row, axis=1)
+    return dist
 
 
 def top_k_projection(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

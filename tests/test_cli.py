@@ -533,6 +533,14 @@ CONFIG_DEFECTS = {
                     "mixture.weights", {}),
     "k_above_d": ("mixture.k", 13, "mixture.k", {}),
     "sigma_max_negative": ("mixture.sigma_max", -1.0, "mixture.sigma_max", {}),
+    "weights_empty_component": ("mixture.weights", [0.998, 0.001, 0.001],
+                                "mixture.weights",
+                                {"mixture": {"k": 3, "d": 12, "per_cluster": 10}}),
+    "m0_above_component": ("partition.m0", 5, "partition.m0",
+                           {"mixture": {"k": 4, "d": 12, "per_cluster": 3}}),
+    "iid_Z_above_n": ("partition", {"mode": "iid", "Z": 20}, "partition.Z",
+                      {"mixture": {"k": 4, "d": 12, "per_cluster": 3}}),
+    "z_iid_above_n": ("z_iid", 200, "z_iid", {"experiment": "cost_ratio"}),
 }
 
 

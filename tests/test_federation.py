@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,27 @@ def test_round_builds_induced_rows():
     truth = np.repeat([0, 1], 20)
     assert matched_accuracy(induced.assignment, truth).accuracy == 1.0
     assert induced.covered().all()
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes of Python and numpy allocations while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_aggregator_memory_linear_in_uploads():
+    # 40 devices x 8 centers at d=300 against k=64 seeds: an (uploads, k, d)
+    # difference block would be 64 times the size of the uploads.
+    rng = np.random.default_rng(5)
+    uploads = [_dc(z, rng.normal(size=(8, 300))) for z in range(40)]
+    stacked = np.concatenate([dc.centers for dc in uploads])
+    init = farthest_point_init(uploads, 64)
+    assert _traced_peak(farthest_point_init, uploads, 64) < 8 * stacked.nbytes
+    assert _traced_peak(one_round_lloyd, uploads, init) < 8 * stacked.nbytes
 
 
 # ---------------------------------------------------------------------------

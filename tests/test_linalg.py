@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kfed.linalg import (frobenius_norm, operator_norm, top_k_projection,
-                         validate_matrix)
+from kfed.linalg import (frobenius_norm, operator_norm, pairwise_distances,
+                         top_k_projection, validate_matrix)
 from helpers import projection
 from oracles import jacobi_spectral_norm, svd_truncation
 
@@ -126,6 +126,23 @@ def test_projection_rank_out_of_range(k):
     mat = np.ones((5, 3))
     with pytest.raises(ValueError, match="rank"):
         top_k_projection(mat, k)
+
+
+def test_pairwise_distances_match_broadcast_norm():
+    rng = np.random.default_rng(7)
+    grid = rng.integers(0, 3, size=(30, 2)).astype(float)  # exact ties
+    repeated = np.repeat(rng.normal(size=(4, 6)), 3, axis=0)
+    cases = [
+        (rng.normal(size=(50, 9)), rng.normal(size=(12, 9))),
+        (grid, grid[:7]),
+        (repeated, repeated[::2]),
+        (rng.normal(size=(1, 40)), rng.normal(size=(8, 40))),
+        (rng.normal(size=(25, 40)), rng.normal(size=(1, 40))),
+        (rng.normal(size=(17, 1)), rng.normal(size=(5, 1))),
+    ]
+    for a, b in cases:
+        expected = np.linalg.norm(a[:, None] - b[None], axis=2)
+        np.testing.assert_array_equal(pairwise_distances(a, b), expected)
 
 
 def test_frobenius_examples():
