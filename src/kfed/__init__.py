@@ -4,22 +4,22 @@ from .datagen import (DevicePartition, MixtureSpec, PartitionSpec,
                       generate_mixture, iid_partition, structured_partition)
 from .evaluation import (EvalResult, cost_ratio_report, evaluate_clustering,
                          kmeans_cost, matched_accuracy)
-from .federation import (AggregationState, DeviceCenters, InducedClustering,
-                         KFedRun, OpsAccounting, assign_new_device,
-                         farthest_point_init, one_round_lloyd, run_kfed)
-from .linalg import frobenius_norm, operator_norm, top_k_projection
+from .federation import (DeviceCenters, InducedClustering, KFedRun,
+                         OpsAccounting, assign_new_device, farthest_point_init,
+                         one_round_lloyd, run_kfed)
+from .linalg import operator_norm, top_k_projection
 from .local import (Clustering, LocalResult, approx_seed, lloyd_iterate,
                     local_cluster, threshold_assign)
 from .separation import (LemmaAudit, SeparationReport, build_center_matrix,
                          lemma_audit, proximity_check, separation_quantities)
 
 __all__ = [
-    "AggregationState", "Clustering", "DeviceCenters", "DevicePartition",
+    "Clustering", "DeviceCenters", "DevicePartition",
     "EvalResult", "InducedClustering", "KFedRun", "LemmaAudit", "LocalResult",
     "MixtureSpec", "OpsAccounting", "PartitionSpec",
     "SeparationReport", "approx_seed", "assign_new_device",
     "build_center_matrix", "cost_ratio_report", "evaluate_clustering",
-    "farthest_point_init", "frobenius_norm", "generate_mixture",
+    "farthest_point_init", "generate_mixture",
     "iid_partition", "kmeans_cost", "lemma_audit", "lloyd_iterate",
     "local_cluster", "matched_accuracy", "one_round_lloyd", "operator_norm",
     "proximity_check", "run_kfed", "separation_quantities",

@@ -119,21 +119,23 @@ def write_line_svg(path: Path, xs: list[float], series: dict[str, list[float]],
 # ---------------------------------------------------------------------------
 # run-state persistence for late joins
 
-def save_state(path: Path, state: federation.AggregationState, cfg_hash: str,
+def save_state(path: Path, cluster_means: np.ndarray, cfg_hash: str,
                seed: int) -> None:
+    """Write the k retained group means, the one thing a late join needs."""
     payload = {
         "version": CONFIG_VERSION,
         "config_hash": cfg_hash,
         "seed": seed,
-        "k": state.k,
-        "d": state.cluster_means.shape[1],
-        "tau_means": [[float(x) for x in row] for row in state.cluster_means],
+        "k": cluster_means.shape[0],
+        "d": cluster_means.shape[1],
+        "tau_means": [[float(x) for x in row] for row in cluster_means],
     }
     payload["checksum"] = _sha256(payload)
     write_json(path, payload)
 
 
-def load_state(path) -> tuple[federation.AggregationState, dict]:
+def load_state(path) -> tuple[np.ndarray, dict]:
+    """The (k, d) group means and the payload of a ``save_state`` file."""
     try:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError as err:
@@ -152,7 +154,7 @@ def load_state(path) -> tuple[federation.AggregationState, dict]:
     if (payload.get("k"), payload.get("d")) != means.shape:
         raise ConfigError(f"state file k, d = {payload.get('k')}, {payload.get('d')} "
                           f"disagree with its {means.shape} tau_means")
-    return federation.AggregationState(cluster_means=means), payload
+    return means, payload
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,8 @@ def _scored_run(cfg: dict, c, seed: int) -> dict:
                                  truth.assignment[covered])
     state_name = (f"state_c{c}_seed{seed}.json" if cfg["several_c"]
                   else f"state_seed{seed}.json")
-    save_state(cfg["out"] / state_name, run.state, cfg["hash"], seed)
+    save_state(cfg["out"] / state_name, run.induced.cluster_means, cfg["hash"],
+               seed)
     if cfg["experiment"] == "single_run":
         counts = partition.counts_by_cluster(truth.assignment, truth.k)
         participating = [z for z in range(partition.num_devices) if z not in exclude]
@@ -318,8 +321,8 @@ _SCHEMA = {
     "seeds": ("[int]", [0]),
     "c": ("number", 100.0),
     "c_values": ("[number]", None),           # c_sweep only
-    "m0": ("number", None),                   # None: the profile estimates it
-    "tol": ("number", DEFAULT_TOL),
+    "m0": ("number>=0", None),                # None: the profile estimates it
+    "tol": ("number>=0", DEFAULT_TOL),
     "z_iid": ("count", None),                 # None: as many as structured
     "mixture.k": ("count", ...),
     "mixture.d": ("count", ...),
@@ -431,6 +434,14 @@ def _seed_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi) + 1))
 
 
+def _tolerance(text: str) -> float:
+    """A Lloyd tolerance flag: a finite number >= 0, or argparse exits 2."""
+    value = float(text)
+    if not _IS["number>=0"](value):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _device_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
@@ -470,6 +481,10 @@ def cmd_run(args) -> int:
     if args.replay:
         print(json.dumps(federation.replay_run(args.replay)))
         return EXIT_OK
+    try:
+        federation.worker_count()
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     cfg.update(out=_out_dir(cfg, args),
                tol=args.tol if args.tol is not None else float(cfg["tol"]),
                exclude_devices=args.exclude_devices or (), record=args.record,
@@ -519,14 +534,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_join(args) -> int:
-    state, payload = load_state(args.state)
+    means, payload = load_state(args.state)
     data = _read(datagen.load_data_csv, args.data)
     result = local_cluster(data, args.k_z, (args.seed, args.device_id), tol=args.tol)
     accounting = federation.OpsAccounting()
     centers = federation.DeviceCenters(device_id=args.device_id,
                                        centers=result.centers,
                                        local_assignment=result.clusters.assignment)
-    labels_per_center = federation.assign_new_device(state, centers, accounting)
+    labels_per_center = federation.assign_new_device(means, centers, accounting)
     row_labels = labels_per_center[result.clusters.assignment]
     out = Path(args.out or "join")
     out.mkdir(parents=True, exist_ok=True)
@@ -595,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute the configured experiment")
     add_common(run)
     run.add_argument("--c", type=float, help="separation constant override")
-    run.add_argument("--tol", type=float, help="Lloyd tolerance override")
+    run.add_argument("--tol", type=_tolerance, help="Lloyd tolerance override")
     run.add_argument("--exclude-devices", type=_device_list,
                      help="comma list of device ids to drop")
     run.add_argument("--record", help="record upstream messages to this JSONL file")
@@ -618,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--k-z", dest="k_z", type=int, required=True)
     join.add_argument("--device-id", type=int, default=0)
     join.add_argument("--seed", type=int, default=0)
-    join.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    join.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     join.add_argument("--out")
     join.set_defaults(func=cmd_join)
 

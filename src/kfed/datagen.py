@@ -97,7 +97,6 @@ class DevicePartition:
     device_rows: list[np.ndarray]
     k: int | None = None
     k_per_device: list[int] | None = None
-    m0: float | None = None
 
     @property
     def num_devices(self) -> int:
@@ -123,11 +122,10 @@ class DevicePartition:
         return table
 
     def annotate_from_labels(self, labels: np.ndarray, k: int) -> "DevicePartition":
-        """Fill k, per-device cluster counts, and the size-ratio bound."""
+        """Fill k and the per-device cluster counts."""
         table = self.counts_by_cluster(labels, k)
         self.k = k
         self.k_per_device = [int(c) for c in (table > 0).sum(axis=1)]
-        self.m0 = estimate_m0(table) if table.any() else None
         return self
 
 
@@ -232,12 +230,8 @@ def structured_partition(truth: Clustering, spec: PartitionSpec) -> DevicePartit
             for j, chunk in enumerate(chunks):
                 device_rows[g * m0 + j].append(chunk)
     rows = [np.sort(np.concatenate(parts)) for parts in device_rows]
-    partition = DevicePartition(device_rows=rows, k=k)
-    partition.annotate_from_labels(truth.assignment, k)
-    # Uneven splits can push the true size ratio a hair past the requested
-    # m0; keep whichever is the valid bound.
-    partition.m0 = float(max(m0, partition.m0 or m0))
-    return partition
+    return DevicePartition(device_rows=rows).annotate_from_labels(
+        truth.assignment, k)
 
 
 def iid_partition(n: int, Z: int, seed: int) -> DevicePartition:

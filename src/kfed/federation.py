@@ -117,21 +117,9 @@ class InducedClustering:
     tau: list[list[tuple[int, int]]]  # per group: (device_id, local index) pairs
     cluster_means: np.ndarray         # (k, d) means of each group's centers
     assignment: np.ndarray            # (n,) global labels; -1 = no participating owner
-    k: int
 
     def covered(self) -> np.ndarray:
         return self.assignment >= 0
-
-
-@dataclass
-class AggregationState:
-    """What the server keeps after a run: the k retained group means."""
-
-    cluster_means: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.cluster_means.shape[0]
 
 
 @dataclass
@@ -143,10 +131,6 @@ class KFedRun:
     init: FarthestInit
     device_centers: dict[int, DeviceCenters]
     local_results: dict[int, LocalResult]
-
-    @property
-    def state(self) -> AggregationState:
-        return AggregationState(cluster_means=self.induced.cluster_means)
 
 
 def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -224,39 +208,38 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
                 raise ValueError(f"no row indices known for device {dc.device_id}")
             assignment[dc.rows] = nearest[offset:offset + dc.k_z][dc.local_assignment]
             offset += dc.k_z
-    return InducedClustering(tau=tau, cluster_means=means,
-                             assignment=assignment, k=k)
+    return InducedClustering(tau=tau, cluster_means=means, assignment=assignment)
 
 
-def assign_new_device(state: AggregationState | None,
-                      new_centers: DeviceCenters,
+def assign_new_device(cluster_means: np.ndarray, new_centers: DeviceCenters,
                       accounting: OpsAccounting | None = None) -> np.ndarray:
-    """Label a late device's centers against the retained group means.
+    """Label a late device's centers against the retained (k, d) group means.
 
     Costs exactly k_z * k distance computations and touches no other
     device.
     """
-    if state is None:
-        raise ValueError("no aggregation state")
-    if new_centers.centers.shape[1] != state.cluster_means.shape[1]:
+    cluster_means = validate_matrix(cluster_means, "group means")
+    if new_centers.centers.shape[1] != cluster_means.shape[1]:
         raise ValueError(
             f"device data has dimension {new_centers.centers.shape[1]}, "
-            f"aggregation state has {state.cluster_means.shape[1]}")
+            f"aggregation state has {cluster_means.shape[1]}")
     accounting = accounting if accounting is not None else OpsAccounting()
-    accounting.tally(new_centers.k_z * state.k)
-    return pairwise_distances(new_centers.centers, state.cluster_means).argmin(axis=1)
+    accounting.tally(new_centers.k_z * cluster_means.shape[0])
+    return pairwise_distances(new_centers.centers, cluster_means).argmin(axis=1)
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
+def worker_count() -> int:
+    """Concurrent device solves: ``KFED_THREADS``, or 1 when it is unset."""
     env = os.environ.get("KFED_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
+    try:
+        return max(1, int(env)) if env else 1
+    except ValueError as err:
+        raise ValueError(f"KFED_THREADS must be an integer, got {env!r}") from err
 
 
 def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
              tol: float = DEFAULT_TOL, exclude_devices: tuple[int, ...] = (),
-             threads: int | None = None, record_path=None) -> KFedRun:
+             record_path=None) -> KFedRun:
     """Full pipeline: local solves on every device, then one-shot aggregation."""
     data = validate_matrix(data, "data")
     n = data.shape[0]
@@ -275,7 +258,7 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
                                (seed, z), tol=tol)
         return z, result
 
-    workers = _worker_count(threads)
+    workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             solved = dict(pool.map(solve, participants))

@@ -1,5 +1,5 @@
-"""Dense matrix primitives: spectral norm, truncated projection, Frobenius
-norm, and row-to-row Euclidean distances.
+"""Dense matrix primitives: spectral norm, truncated projection, and
+row-to-row Euclidean distances.
 
 Spectral quantities come from numpy's LAPACK: ``np.linalg.norm(m, 2)``
 for the operator norm and a symmetric eigendecomposition of the smaller
@@ -30,12 +30,6 @@ def validate_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value (spectral norm) of ``m``."""
     return float(np.linalg.norm(validate_matrix(m), 2))
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    m = validate_matrix(m)
-    return float(np.linalg.norm(m, "fro"))
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ d-space once, to start the final Lloyd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class LocalResult:
     clusters: Clustering
     unassigned_after_threshold: int
     lloyd_iterations: int
-    cost_history: list[float] = field(default_factory=list)
 
     @property
     def centers(self) -> np.ndarray:
@@ -102,8 +101,8 @@ def _assignment_cost(data: np.ndarray, labels: np.ndarray,
 
 
 def _lloyd(data: np.ndarray, centers: np.ndarray, tol: float,
-           max_iter: int) -> tuple[Clustering, int, list[float]]:
-    """Lloyd iterations; returns (clustering, iterations, per-iteration cost).
+           max_iter: int) -> tuple[Clustering, int]:
+    """Lloyd iterations; returns (clustering, iterations).
 
     Nearest-center ties go to the lowest cluster index. A cluster that
     loses all members keeps its previous center. The returned centers are
@@ -111,19 +110,17 @@ def _lloyd(data: np.ndarray, centers: np.ndarray, tol: float,
     """
     centers = np.array(centers, dtype=float)
     k = centers.shape[0]
-    costs: list[float] = []
     labels = np.zeros(data.shape[0], dtype=int)
     iteration = 0
     for iteration in range(1, max_iter + 1):
         labels = _sq_distances(data, centers).argmin(axis=1)
         means, sizes = cluster_means(data, labels, k)
         updated = np.where(sizes[:, None] > 0, means, centers)
-        costs.append(_assignment_cost(data, labels, updated))
         shift = float(np.sqrt(((updated - centers) ** 2).sum(axis=1)).max())
         centers = updated
         if shift < tol:
             break
-    return Clustering(assignment=labels, centers=centers, k=k), iteration, costs
+    return Clustering(assignment=labels, centers=centers, k=k), iteration
 
 
 def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,
@@ -133,7 +130,7 @@ def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TO
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("need at least one initial center")
-    clustering, _, _ = _lloyd(data, centers, tol, max_iter)
+    clustering, _ = _lloyd(data, centers, tol, max_iter)
     return clustering
 
 
@@ -170,11 +167,12 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     for restart in range(_SEED_RESTARTS):
         stream = Stream(*seed, restart)
         seeded = _dsq_sample(data, k, stream)
-        refined, _, costs = _lloyd(data, seeded, tol, DEFAULT_MAX_ITER)
+        refined, _ = _lloyd(data, seeded, tol, DEFAULT_MAX_ITER)
         if np.unique(refined.centers, axis=0).shape[0] < k:
             continue  # degenerate restart; centers collapsed
-        if costs[-1] < best_cost:
-            best_cost = costs[-1]
+        cost = _assignment_cost(data, refined.assignment, refined.centers)
+        if cost < best_cost:
+            best_cost = cost
             best_centers = refined.centers
     if best_centers is None:
         raise ValueError("seeding collapsed on every restart")
@@ -207,8 +205,8 @@ def threshold_assign(projected, centers: np.ndarray
     return sets, np.where(sizes[:, None] > 0, means, centers)
 
 
-def local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> LocalResult:
+def local_cluster(data: np.ndarray, k: int, seed,
+                  tol: float = DEFAULT_TOL) -> LocalResult:
     """Full device solve: project, seed, threshold, then Lloyd on raw rows.
 
     Seeding and thresholding run in the top-k subspace coordinates; the
@@ -223,9 +221,8 @@ def local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TOL,
     coords, lift = top_k_projection(data, k_eff)
     seeded = approx_seed(coords, k, seed, tol=tol)
     sets, theta = threshold_assign(coords, seeded)
-    clustering, iterations, costs = _lloyd(data, theta @ lift, tol, max_iter)
+    clustering, iterations = _lloyd(data, theta @ lift, tol, DEFAULT_MAX_ITER)
     unassigned = data.shape[0] - sum(s.size for s in sets)
     return LocalResult(clusters=clustering,
                        unassigned_after_threshold=unassigned,
-                       lloyd_iterations=iterations,
-                       cost_history=costs)
+                       lloyd_iterations=iterations)

@@ -15,7 +15,7 @@ from kfed import cli
 from kfed.datagen import iid_partition
 from kfed.evaluation import (cost_ratio_report, kmeans_cost, matched_accuracy)
 from kfed.federation import run_kfed
-from kfed.linalg import frobenius_norm, operator_norm
+from kfed.linalg import operator_norm
 from kfed.local import Clustering, approx_seed, lloyd_iterate
 from kfed.rng import Stream
 from kfed.separation import lemma_audit, proximity_check, separation_quantities
@@ -113,7 +113,7 @@ def test_criterion_05_projection_cost_inequality():
         data = stream.normals((n, d))
         low_rank = stream.normals((n, k)) @ stream.normals((k, d))
         projected = projection(data, k)
-        lhs = frobenius_norm(projected - low_rank) ** 2
+        lhs = np.linalg.norm(projected - low_rank, "fro") ** 2
         rhs = 8.0 * k * operator_norm(data - low_rank) ** 2
         if lhs > rhs * (1.0 + 1e-9):
             failures += 1
@@ -126,8 +126,7 @@ def test_criterion_06_initialization_correctness():
     budget_breaches = 0
     for seed in range(100):
         _, data, truth, partition = planted_instance(seed + 300)
-        report = separation_quantities(data, truth, partition, c=100.0,
-                                       m0=partition.m0)
+        report = separation_quantities(data, truth, partition, c=100.0)
         off_diag = ~np.eye(truth.k, dtype=bool)
         assert report.active_ok[report.pair_active].all()
         assert report.inactive_ok[off_diag & ~report.pair_active].all()
@@ -170,7 +169,8 @@ def test_criterion_08_late_join_consistency(tmp_path):
         reduced = run_kfed(partition, data, seed=seed + 900,
                            exclude_devices=(last,))
         state_path = tmp_path / f"state_{seed}.json"
-        cli.save_state(state_path, reduced.state, "acceptance", seed + 900)
+        cli.save_state(state_path, reduced.induced.cluster_means, "acceptance",
+                       seed + 900)
         data_path = tmp_path / f"device_{seed}.csv"
         np.savetxt(data_path, data[partition.device_rows[last]],
                    fmt="%.17g", delimiter=",")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -490,7 +491,8 @@ def test_seed_and_seeds_are_exclusive(tmp_path, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a")])
+@pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a"),
+                                        ("--tol", "-1")])
 def test_malformed_run_flag_exits_2(tmp_path, flag, value):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "out"
@@ -517,6 +519,8 @@ CONFIG_DEFECTS = {
     "iid_zero_devices": ("partition", {"mode": "iid", "Z": 0}, "partition.Z", {}),
     "partition_m0_string": ("partition.m0", "two", "partition.m0", {}),
     "tol_string": ("tol", "x", "tol", {}),
+    "tol_negative": ("tol", -1, "tol", {}),
+    "m0_negative": ("m0", -1.0, "m0", {"partition": {"mode": "iid", "Z": 4}}),
     "z_iid_string": ("z_iid", "a", "z_iid", {"experiment": "cost_ratio"}),
     "seeds_element": ("seeds", [0, "a"], "seeds", {}),
     "c_values_element": ("c_values", [2, "a"], "c_values",
@@ -557,6 +561,49 @@ def test_malformed_config_exits_2_before_writing(tmp_path, capsys, defect):
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+
+def test_malformed_kfed_threads_exits_2_before_writing(tmp_path, capsys,
+                                                       monkeypatch):
+    cfg_path, _ = write_config(tmp_path)
+    monkeypatch.setenv("KFED_THREADS", "abc")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert "KFED_THREADS" in capsys.readouterr().err
+
+
+def test_config_grid_builds_or_exits_2(tmp_path):
+    # Every config load_config accepts builds for seed 0 at each of its c
+    # values; a sample of the rejected ones exits 2 with nothing written.
+    accepted, rejected = 0, []
+    grid = itertools.product((1, 4), (3, 12), (1, 6), (None, -1.0, 0, 0.5, 2),
+                             ({"mode": "structured"}, {"mode": "iid", "Z": 3}),
+                             ("auto", "sigma"), (0.0, 1.0))
+    for i, (k, d, per_cluster, m0, partition, mean_mode, sigma) in enumerate(grid):
+        cfg = {"version": 1, "experiment": "c_sweep", "c_values": [-1, 0, 4.5, 100],
+               "mixture": {"k": k, "d": d, "per_cluster": per_cluster,
+                           "sigma_max": sigma, "mean_mode": mean_mode},
+               "partition": partition}
+        if m0 is not None:
+            cfg["m0"] = m0
+        cfg_path = tmp_path / f"grid{i}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        try:
+            loaded = cli.load_config(cfg_path)
+        except cli.ConfigError:
+            rejected.append(cfg_path)
+            continue
+        accepted += 1
+        for c in loaded["c_values"]:
+            cli.make_instance(loaded, 0, c)
+    assert accepted and rejected
+    for cfg_path in rejected[::max(1, len(rejected) // 8)]:
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 def test_readme_config_matches_schema(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 from kfed.datagen import (MixtureSpec, PartitionSpec, auto_separation_distance,
-                          generate_mixture, iid_partition, load_data_csv,
-                          load_labels_csv, load_partition_json, save_instance,
-                          structured_partition)
+                          estimate_m0, generate_mixture, iid_partition,
+                          load_data_csv, load_labels_csv, load_partition_json,
+                          save_instance, structured_partition)
 from kfed.evaluation import kmeans_cost
 from kfed.separation import separation_quantities
 
@@ -206,7 +206,7 @@ def test_annotate_from_labels():
     part.annotate_from_labels(labels, 3)
     assert part.k == 3
     assert all(1 <= kz <= 3 for kz in part.k_per_device)
-    assert part.m0 >= 1.0
+    assert estimate_m0(part.counts_by_cluster(labels, 3)) >= 1.0
 
 
 # ---------------------------------------------------------------------------

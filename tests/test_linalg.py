@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kfed.linalg import (frobenius_norm, operator_norm, pairwise_distances,
+from kfed.linalg import (operator_norm, pairwise_distances,
                          top_k_projection, validate_matrix)
 from helpers import projection
 from oracles import jacobi_spectral_norm, svd_truncation
@@ -145,17 +145,11 @@ def test_pairwise_distances_match_broadcast_norm():
         np.testing.assert_array_equal(pairwise_distances(a, b), expected)
 
 
-def test_frobenius_examples():
-    assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0)
-    assert frobenius_norm(np.zeros((4, 2))) == 0.0
-    assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))
-
-
 def test_norm_ordering():
     for seed in range(30):
         mat = np.random.default_rng(seed).normal(size=(6, 4))
         op = operator_norm(mat)
-        fro = frobenius_norm(mat)
+        fro = np.linalg.norm(mat, "fro")
         rank = np.linalg.matrix_rank(mat)
         assert op <= fro + 1e-10
         assert fro <= np.sqrt(rank) * op + 1e-10
@@ -190,7 +184,7 @@ def test_projection_cost_inequality_quick():
         mat = rng.normal(size=(n, d))
         low_rank = rng.normal(size=(n, k)) @ rng.normal(size=(k, d))
         projected = projection(mat, k)
-        lhs = frobenius_norm(projected - low_rank) ** 2
+        lhs = np.linalg.norm(projected - low_rank, "fro") ** 2
         rhs = 8.0 * k * operator_norm(mat - low_rank) ** 2
         assert lhs <= rhs * (1 + 1e-9)
 

@@ -78,7 +78,7 @@ def test_pair_status_depends_only_on_partition():
 
 def test_planted_instance_meets_requirements():
     _, data, truth, part = planted_instance(4)
-    report = separation_quantities(data, truth, part, c=100.0, m0=part.m0)
+    report = separation_quantities(data, truth, part, c=100.0)
     off_diag = ~np.eye(truth.k, dtype=bool)
     active = report.pair_active
     assert report.k_prime == 3
