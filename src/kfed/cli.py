@@ -434,12 +434,18 @@ def _seed_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi) + 1))
 
 
-def _tolerance(text: str) -> float:
-    """A Lloyd tolerance flag: a finite number >= 0, or argparse exits 2."""
-    value = float(text)
-    if not _IS["number>=0"](value):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
+def _flag(kind: str):
+    """An argparse type holding a flag to its config key's rule ``_IS[kind]``:
+    a value the rule rejects makes argparse exit 2 before any write."""
+    convert = int if kind in ("int", "count") else float
+
+    def parse(text: str):
+        value = convert(text)
+        if not _IS[kind](value):
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text}")
+        return value
+    parse.__name__ = kind  # argparse names it in "invalid <kind> value"
+    return parse
 
 
 def _device_list(text: str) -> tuple[int, ...]:
@@ -609,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the configured experiment")
     add_common(run)
-    run.add_argument("--c", type=float, help="separation constant override")
-    run.add_argument("--tol", type=_tolerance, help="Lloyd tolerance override")
+    run.add_argument("--c", type=_flag("number"), help="separation constant override")
+    run.add_argument("--tol", type=_flag("number>=0"), help="Lloyd tolerance override")
     run.add_argument("--exclude-devices", type=_device_list,
                      help="comma list of device ids to drop")
     run.add_argument("--record", help="record upstream messages to this JSONL file")
@@ -622,18 +628,18 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--labels", required=True)
     prof.add_argument("--partition", required=True)
     prof.add_argument("--k", type=int, help="expected cluster count for label validation")
-    prof.add_argument("--c", type=float)
-    prof.add_argument("--m0", type=float)
+    prof.add_argument("--c", type=_flag("number"))
+    prof.add_argument("--m0", type=_flag("number>=0"))
     prof.add_argument("--out")
     prof.set_defaults(func=cmd_profile)
 
     join = sub.add_parser("join", help="label a late device against saved state")
     join.add_argument("--state", required=True, help="state JSON from a previous run")
     join.add_argument("--data", required=True, help="new device data CSV")
-    join.add_argument("--k-z", dest="k_z", type=int, required=True)
+    join.add_argument("--k-z", dest="k_z", type=_flag("count"), required=True)
     join.add_argument("--device-id", type=int, default=0)
     join.add_argument("--seed", type=int, default=0)
-    join.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    join.add_argument("--tol", type=_flag("number>=0"), default=DEFAULT_TOL)
     join.add_argument("--out")
     join.set_defaults(func=cmd_join)
 

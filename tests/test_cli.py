@@ -339,6 +339,22 @@ def test_join_rejects_dimension_mismatch(tmp_path):
     assert not join_out.exists()
 
 
+@pytest.mark.parametrize("k_z", ["0", "-1"])
+def test_join_k_z_below_one_exits_2(tmp_path, k_z):
+    cfg_path, cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    _, data, _, partition = cli.make_instance(cli.load_config(cfg_path), 0, cfg["c"])
+    device0 = tmp_path / "device0.csv"
+    np.savetxt(device0, data[partition.device_rows[0]], fmt="%.17g", delimiter=",")
+    join_out = tmp_path / "join"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["join", "--state", str(out / "state_seed0.json"),
+                  "--data", str(device0), "--k-z", k_z, "--out", str(join_out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not join_out.exists()
+
+
 def _rechecksummed(state: dict) -> str:
     state = {key: value for key, value in state.items() if key != "checksum"}
     state["checksum"] = hashlib.sha256(canonical_json(state).encode()).hexdigest()
@@ -492,7 +508,8 @@ def test_seed_and_seeds_are_exclusive(tmp_path, command):
 
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a"),
-                                        ("--tol", "-1")])
+                                        ("--tol", "-1"), ("--c", "nan"),
+                                        ("--c", "inf")])
 def test_malformed_run_flag_exits_2(tmp_path, flag, value):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "out"
@@ -659,6 +676,21 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, defect):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert str(bad) in capsys.readouterr().err
     assert not (tmp_path / "prof").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--m0", "-1"), ("--m0", "nan"),
+                                        ("--m0", "inf"), ("--c", "nan"),
+                                        ("--c", "inf")])
+def test_malformed_profile_flag_exits_2(tmp_path, flag, value):
+    files = _profile_files(tmp_path)
+    out = tmp_path / "prof"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile", "--data", str(files["data"]),
+                  "--labels", str(files["labels"]),
+                  "--partition", str(files["partition"]),
+                  "--out", str(out), flag, value])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_run_rejects_m0_flag(tmp_path):

@@ -53,6 +53,27 @@ def test_operator_norm_matches_oracle_across_shapes():
     assert operator_norm(tied) == pytest.approx(5.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300])
+def test_operator_norm_matches_svd_at_extreme_scales(scale):
+    # An unscaled Gram squares these entries past the float range: to inf
+    # at 1e200, to 0 at 1e-200.
+    rng = np.random.default_rng(int(np.log10(scale)) + 400)
+    mixed = rng.normal(size=(30, 6))
+    mixed[:, 2] *= 1e-200
+    cases = [rng.normal(size=shape) for shape in [(40, 7), (7, 40), (1, 9), (9, 1)]]
+    for mat in cases + [mixed]:
+        mat = mat * scale
+        assert operator_norm(mat) == pytest.approx(
+            np.linalg.norm(mat, 2), rel=1e-13, abs=0.0), f"shape {mat.shape}"
+
+
+def test_operator_norm_beyond_float_range_is_inf():
+    mat = np.full((3, 3), 1.7e308)  # norm 5.1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operator_norm(mat) == np.linalg.norm(mat, 2) == np.inf
+
+
 def test_projection_rank_one_is_identity():
     rng = np.random.default_rng(3)
     mat = np.outer(rng.normal(size=6), rng.normal(size=4))

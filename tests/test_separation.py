@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kfed import separation
 from kfed.datagen import DevicePartition, iid_partition
 from kfed.local import Clustering
 from kfed.separation import (build_center_matrix, estimate_m0, lemma_audit,
@@ -226,3 +227,32 @@ def test_audit_fuzz_unconditional():
         part = iid_partition(n, 1 + seed % 4, seed=seed)
         audit = lemma_audit(data, clustering, part)
         assert audit.passed, audit.violations
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics against the SVD spectral norm
+
+def _diagnostics(data, truth, partition):
+    report = separation_quantities(data, truth, partition)
+    proximity = proximity_check(data, truth)
+    audit = lemma_audit(data, truth, partition)
+    return report, proximity, audit
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_diagnostics_match_svd_operator_norm(monkeypatch, seed):
+    # the acceptance-01 shape: 3200 x 100 global residual, 20 devices
+    _, data, truth, partition = planted_instance(
+        seed, k=16, d=100, per_cluster=200, m0=5, group_size=4)
+    report, proximity, audit = _diagnostics(data, truth, partition)
+    monkeypatch.setattr(separation, "operator_norm",
+                        lambda m: float(np.linalg.norm(m, 2)))
+    svd_report, svd_proximity, svd_audit = _diagnostics(data, truth, partition)
+    assert report.op_norm == pytest.approx(svd_report.op_norm, rel=1e-13)
+    for name in ("pair_active", "active_ok", "inactive_ok"):
+        np.testing.assert_array_equal(getattr(report, name),
+                                      getattr(svd_report, name), err_msg=name)
+    np.testing.assert_array_equal(proximity.bad_indices, svd_proximity.bad_indices)
+    assert (audit.mean_shift_checks, audit.norm_change_checks, audit.violations) == \
+        (svd_audit.mean_shift_checks, svd_audit.norm_change_checks,
+         svd_audit.violations)
