@@ -10,16 +10,16 @@ from .federation import (DeviceCenters, InducedClustering, KFedRun,
 from .linalg import operator_norm, top_k_projection
 from .local import (Clustering, LocalResult, approx_seed, lloyd_iterate,
                     local_cluster, threshold_assign)
-from .separation import (LemmaAudit, SeparationReport, build_center_matrix,
-                         lemma_audit, proximity_check, separation_quantities)
+from .separation import (LemmaAudit, SeparationReport, lemma_audit,
+                         proximity_check, separation_quantities)
 
 __all__ = [
     "Clustering", "DeviceCenters", "DevicePartition",
     "EvalResult", "InducedClustering", "KFedRun", "LemmaAudit", "LocalResult",
     "MixtureSpec", "OpsAccounting", "PartitionSpec",
     "SeparationReport", "approx_seed", "assign_new_device",
-    "build_center_matrix", "cost_ratio_report", "evaluate_clustering",
-    "farthest_point_init", "generate_mixture",
+    "cost_ratio_report", "evaluate_clustering", "farthest_point_init",
+    "generate_mixture",
     "iid_partition", "kmeans_cost", "lemma_audit", "lloyd_iterate",
     "local_cluster", "matched_accuracy", "one_round_lloyd", "operator_norm",
     "proximity_check", "run_kfed", "separation_quantities",

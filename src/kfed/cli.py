@@ -429,9 +429,9 @@ def _seeds_from(cfg: dict, args) -> list[int]:
 # subcommand entry points
 
 def _seed_range(text: str) -> list[int]:
-    """``N..M`` -> seeds N to M inclusive (argparse reports a ValueError)."""
-    lo, hi = text.split("..")
-    return list(range(int(lo), int(hi) + 1))
+    """``N..M`` -> seeds N to M inclusive; each bound follows the seeds' rule."""
+    lo, hi = map(_flag("int"), text.split(".."))
+    return list(range(lo, hi + 1))
 
 
 def _flag(kind: str):
@@ -525,7 +525,10 @@ def cmd_profile(args) -> int:
         raise ConfigError(
             f"labels rows ({labels.shape[0]}) do not match data rows ({data.shape[0]})")
     k = args.k if args.k is not None else int(labels.max()) + 1
-    truth = Clustering.from_labels(data, labels, k)
+    try:
+        truth = Clustering.from_labels(data, labels, k)
+    except ValueError as err:  # a cluster in [0, k) without rows
+        raise ConfigError(f"{args.labels}: {err}") from err
     partition = _read(datagen.load_partition_json, args.partition, data.shape[0])
     partition.annotate_from_labels(labels, k)
     out = Path(args.out or "profile")
@@ -542,6 +545,9 @@ def cmd_profile(args) -> int:
 def cmd_join(args) -> int:
     means, payload = load_state(args.state)
     data = _read(datagen.load_data_csv, args.data)
+    if args.k_z > data.shape[0]:
+        raise ConfigError(f"{args.data}: --k-z {args.k_z} exceeds its "
+                          f"{data.shape[0]} rows")
     result = local_cluster(data, args.k_z, (args.seed, args.device_id), tol=args.tol)
     accounting = federation.OpsAccounting()
     centers = federation.DeviceCenters(device_id=args.device_id,
@@ -606,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory")
         seeds = p.add_mutually_exclusive_group()
-        seeds.add_argument("--seed", type=int, help="single seed override")
+        seeds.add_argument("--seed", type=_flag("int"), help="single seed override")
         seeds.add_argument("--seeds", type=_seed_range, help="seed range N..M (inclusive)")
 
     gen = sub.add_parser("generate", help="write instance files per seed")
@@ -637,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--state", required=True, help="state JSON from a previous run")
     join.add_argument("--data", required=True, help="new device data CSV")
     join.add_argument("--k-z", dest="k_z", type=_flag("count"), required=True)
-    join.add_argument("--device-id", type=int, default=0)
-    join.add_argument("--seed", type=int, default=0)
+    join.add_argument("--device-id", type=_flag("int"), default=0)
+    join.add_argument("--seed", type=_flag("int"), default=0)
     join.add_argument("--tol", type=_flag("number>=0"), default=DEFAULT_TOL)
     join.add_argument("--out")
     join.set_defaults(func=cmd_join)

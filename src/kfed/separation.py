@@ -102,20 +102,8 @@ class LemmaAudit:
         return not self.violations
 
 
-def build_center_matrix(data: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """Row i of the result is the mean of row i's cluster."""
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(clustering.assignment, dtype=int)
-    if labels.shape[0] != data.shape[0]:
-        raise ValueError("clustering does not cover the data rows")
-    means, sizes = cluster_means(data, labels, clustering.k)
-    if not sizes.all():
-        raise ValueError("empty cluster in target")
-    return means[labels]
-
-
 def _fit_target(data: np.ndarray, clustering: Clustering) -> tuple:
-    """(rows, labels, cluster means, sizes, residual spectral norm) of a target."""
+    """(data, labels, cluster means, sizes, residual spectral norm) of a target."""
     data = np.asarray(data, dtype=float)
     labels = np.asarray(clustering.assignment, dtype=int)
     centers, sizes = cluster_means(data, labels, clustering.k)
@@ -132,7 +120,8 @@ def separation_quantities(data: np.ndarray, clustering: Clustering,
     k = clustering.k
 
     counts = partition.counts_by_cluster(labels, k)
-    k_prime = int((counts > 0).sum(axis=1).max())
+    present = counts > 0                # (devices, k)
+    k_prime = int(present.sum(axis=1).max())
     if m0 is None:
         m0 = estimate_m0(counts)
     device_sizes = counts.sum(axis=1)
@@ -144,8 +133,7 @@ def separation_quantities(data: np.ndarray, clustering: Clustering,
 
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.einsum("rsd,rsd->rs", diff, diff))
-    active = (counts[:, :, None] > 0) & (counts[:, None, :] > 0)
-    pair_active = active.any(axis=0)
+    pair_active = present.T @ present   # some device holds both clusters
     np.fill_diagonal(pair_active, False)
 
     need_active = 2.0 * c * math.sqrt(m0) * (delta[:, None] + delta[None, :])
@@ -182,30 +170,27 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
         raise ValueError("proximity check needs at least two clusters")
     data, labels, centers, sizes, op = _fit_target(data, clustering)
 
-    n = data.shape[0]
-    worst = np.full(n, np.inf)
+    scale = 1.0 / np.sqrt(sizes)
+    worst = np.full(data.shape[0], np.inf)
     skipped: list[tuple[int, int]] = []
     for s in range(k):
         rows = np.flatnonzero(labels == s)
-        if rows.size == 0:
-            continue
+        block = data[rows] - centers[s]
+        worst_s = np.full(rows.size, np.inf)
         for r in range(k):
-            if r == s:
-                continue
             axis = centers[r] - centers[s]
             gap = float(np.linalg.norm(axis))
-            if gap == 0.0:
-                if (min(r, s), max(r, s)) not in skipped:
-                    skipped.append((min(r, s), max(r, s)))
+            if r == s or gap == 0.0:    # no line through the two means
+                if r > s:
+                    skipped.append((s, r))
                     warnings.warn(
                         f"clusters {r} and {s} have coincident means; "
                         "proximity pair skipped", RuntimeWarning)
                 continue
-            unit = axis / gap
-            coord = (data[rows] - centers[s]) @ unit
+            coord = block @ (axis / gap)
             margin = np.abs(coord - gap) - np.abs(coord)
-            threshold = (1.0 / math.sqrt(sizes[r]) + 1.0 / math.sqrt(sizes[s])) * op
-            worst[rows] = np.minimum(worst[rows], margin - threshold)
+            np.minimum(worst_s, margin - (scale[r] + scale[s]) * op, out=worst_s)
+        worst[rows] = worst_s
     bad = np.flatnonzero(worst < 0)
     return ProximityReport(bad_count=int(bad.size), bad_indices=bad,
                            margins=worst, skipped_pairs=skipped)

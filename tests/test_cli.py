@@ -339,20 +339,45 @@ def test_join_rejects_dimension_mismatch(tmp_path):
     assert not join_out.exists()
 
 
-@pytest.mark.parametrize("k_z", ["0", "-1"])
-def test_join_k_z_below_one_exits_2(tmp_path, k_z):
+def _join_argv(tmp_path) -> list[str]:
+    """``join`` on device 0's rows against a one-seed run's state."""
     cfg_path, cfg = write_config(tmp_path)
     out = tmp_path / "run"
     cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
     _, data, _, partition = cli.make_instance(cli.load_config(cfg_path), 0, cfg["c"])
     device0 = tmp_path / "device0.csv"
     np.savetxt(device0, data[partition.device_rows[0]], fmt="%.17g", delimiter=",")
-    join_out = tmp_path / "join"
+    return ["join", "--state", str(out / "state_seed0.json"),
+            "--data", str(device0), "--out", str(tmp_path / "join")]
+
+
+@pytest.mark.parametrize("k_z", ["0", "-1"])
+def test_join_k_z_below_one_exits_2(tmp_path, k_z):
+    argv = _join_argv(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["join", "--state", str(out / "state_seed0.json"),
-                  "--data", str(device0), "--k-z", k_z, "--out", str(join_out)])
+        cli.main(argv + ["--k-z", k_z])
     assert exc.value.code == cli.EXIT_CONFIG
-    assert not join_out.exists()
+    assert not (tmp_path / "join").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--device-id"])
+def test_join_negative_id_exits_2(tmp_path, flag):
+    argv = _join_argv(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--k-z", "2", flag, "-1"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not (tmp_path / "join").exists()
+
+
+def test_join_k_z_above_rows_exits_2(tmp_path, capsys):
+    argv = _join_argv(tmp_path)
+    data = argv[argv.index("--data") + 1]
+    rows = np.loadtxt(data, delimiter=",").shape[0]
+    capsys.readouterr()
+    assert cli.main(argv + ["--k-z", str(rows + 1)]) == cli.EXIT_CONFIG
+    assert data in capsys.readouterr().err
+    assert not (tmp_path / "join").exists()
+    assert cli.main(argv + ["--k-z", str(rows)]) == cli.EXIT_OK
 
 
 def _rechecksummed(state: dict) -> str:
@@ -509,12 +534,25 @@ def test_seed_and_seeds_are_exclusive(tmp_path, command):
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a"),
                                         ("--tol", "-1"), ("--c", "nan"),
-                                        ("--c", "inf")])
+                                        ("--c", "inf"), ("--seed", "-1"),
+                                        ("--seeds", "-1..0"), ("--seeds", "0..-1"),
+                                        ("--seeds", "0..x")])
 def test_malformed_run_flag_exits_2(tmp_path, flag, value):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--config", str(cfg_path), "--out", str(out), flag, value])
+        cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                  f"{flag}={value}"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_generate_negative_seed_exits_2(tmp_path):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--config", str(cfg_path), "--out", str(out),
+                  "--seed", "-2"])
     assert exc.value.code == cli.EXIT_CONFIG
     assert not out.exists()
 
@@ -650,6 +688,8 @@ INPUT_DEFECTS = {
     "profile_partition_misses_rows": ("partition", lambda t: json.dumps(
         {z: rows[1:] for z, rows in json.loads(t).items()})),
     "profile_nan_data": ("data", lambda t: "nan" + t[t.index(","):]),
+    "profile_label_gap": ("labels", lambda t: "\n".join(
+        "2" if label == "1" else label for label in t.split("\n"))),
     "eval_lengths_differ": ("labels", lambda t: t + "0\n"),
     "eval_negative_label": ("labels", lambda t: "-1\n" + t.split("\n", 1)[1]),
     "eval_data_rows_differ": ("data", lambda t: t.split("\n", 1)[1]),
@@ -676,6 +716,18 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, defect):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert str(bad) in capsys.readouterr().err
     assert not (tmp_path / "prof").exists()
+
+
+def test_profile_k_above_labels_exits_2(tmp_path, capsys):
+    files = _profile_files(tmp_path)
+    out = tmp_path / "prof"
+    capsys.readouterr()
+    assert cli.main(["profile", "--data", str(files["data"]),
+                     "--labels", str(files["labels"]),
+                     "--partition", str(files["partition"]),
+                     "--out", str(out), "--k", "5"]) == cli.EXIT_CONFIG
+    assert f"{files['labels']}: cluster 4 has no members" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--m0", "-1"), ("--m0", "nan"),

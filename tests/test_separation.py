@@ -1,49 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from kfed import separation
 from kfed.datagen import DevicePartition, iid_partition
+from kfed.linalg import operator_norm
 from kfed.local import Clustering
-from kfed.separation import (build_center_matrix, estimate_m0, lemma_audit,
-                             proximity_check, separation_quantities)
+from kfed.separation import (estimate_m0, lemma_audit, proximity_check,
+                             separation_quantities)
 from helpers import planted_instance
 from kfed.rng import Stream
 
 
 def _partition_from_lists(lists):
     return DevicePartition(device_rows=[np.asarray(r, dtype=int) for r in lists])
-
-
-# ---------------------------------------------------------------------------
-# build_center_matrix
-
-def test_center_matrix_single_cluster():
-    data = np.random.default_rng(0).normal(size=(6, 3))
-    clustering = Clustering.from_labels(data, np.zeros(6, dtype=int), 1)
-    centers = build_center_matrix(data, clustering)
-    assert np.allclose(centers, np.tile(data.mean(axis=0), (6, 1)))
-
-
-def test_center_matrix_singletons():
-    data = np.random.default_rng(1).normal(size=(4, 2))
-    clustering = Clustering.from_labels(data, np.arange(4), 4)
-    assert np.allclose(build_center_matrix(data, clustering), data)
-
-
-def test_center_matrix_hand_means():
-    data = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 4.0], [12.0, 8.0]])
-    clustering = Clustering.from_labels(data, np.array([0, 0, 1, 1]), 2)
-    centers = build_center_matrix(data, clustering)
-    assert np.allclose(centers[0], [1.0, 0.0])
-    assert np.allclose(centers[2], [11.0, 6.0])
-
-
-def test_center_matrix_empty_cluster_errors():
-    data = np.ones((3, 2))
-    clustering = Clustering(assignment=np.array([0, 0, 0]),
-                            centers=np.zeros((2, 2)), k=2)
-    with pytest.raises(ValueError, match="empty cluster in target"):
-        build_center_matrix(data, clustering)
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +108,51 @@ def test_proximity_midpoint_is_bad():
     assert 30 in report.bad_indices.tolist()
 
 
-def test_proximity_matches_scalar_oracle():
-    rng = np.random.default_rng(15)
-    data = np.concatenate([rng.normal(size=(25, 4)),
-                           rng.normal(size=(25, 4)) + [4.0, 0, 0, 0]])
-    labels = np.repeat([0, 1], 25)
-    clustering = Clustering.from_labels(data, labels, 2)
-    report = proximity_check(data, clustering)
-
-    from kfed.linalg import operator_norm
-    centers = np.array([data[:25].mean(axis=0), data[25:].mean(axis=0)])
+def _proximity_oracle(data, labels, k):
+    """Per-point worst margins, one cluster pair at a time, and the rows the
+    geometric form (projected distance to each mean) calls bad."""
+    centers = np.array([data[labels == r].mean(axis=0) for r in range(k)])
+    sizes = np.bincount(labels, minlength=k)
     op = operator_norm(data - centers[labels])
-    bad = []
-    for i in range(50):
-        s = labels[i]
-        r = 1 - s
-        unit = (centers[r] - centers[s])
-        unit = unit / np.linalg.norm(unit)
-        projected = centers[s] + ((data[i] - centers[s]) @ unit) * unit
-        margin = np.linalg.norm(projected - centers[r]) - np.linalg.norm(projected - centers[s])
-        if margin < (1 / np.sqrt(25) + 1 / np.sqrt(25)) * op:
-            bad.append(i)
+    margins = np.full(len(data), np.inf)
+    bad = set()
+    for s, r in itertools.permutations(range(k), 2):
+        gap = np.linalg.norm(centers[r] - centers[s])
+        if gap == 0.0:
+            continue
+        unit = (centers[r] - centers[s]) / gap
+        threshold = (1 / np.sqrt(sizes[r]) + 1 / np.sqrt(sizes[s])) * op
+        rows = np.flatnonzero(labels == s)
+        coords = (data[rows] - centers[s]) @ unit
+        for i, coord in zip(rows, coords):
+            margins[i] = min(margins[i], abs(coord - gap) - abs(coord) - threshold)
+            projected = centers[s] + coord * unit
+            if (np.linalg.norm(projected - centers[r])
+                    - np.linalg.norm(projected - centers[s])) < threshold:
+                bad.add(int(i))
+    return margins, sorted(bad)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_proximity_matches_scalar_oracle(k):
+    rng = np.random.default_rng(15)
+    data = np.concatenate([rng.normal(size=(25, 4)) + [6.0 * r, 0, 0, 0]
+                           for r in range(min(k, 3))])
+    if k == 4:  # cluster 3 repeats cluster 2's rows: coincident means
+        data = np.concatenate([data, data[50:75]])
+    labels = np.repeat(np.arange(k), 25)
+    clustering = Clustering.from_labels(data, labels, k)
+    if k == 4:
+        with pytest.warns(RuntimeWarning, match="clusters 3 and 2"):
+            report = proximity_check(data, clustering)
+        assert report.skipped_pairs == [(2, 3)]
+    else:
+        report = proximity_check(data, clustering)
+
+    margins, bad = _proximity_oracle(data, labels, k)
+    assert np.array_equal(report.margins, margins)
     assert report.bad_indices.tolist() == bad
-    assert report.bad_count == len(bad)
+    assert 0 < report.bad_count == len(bad) < len(data)
 
 
 def test_proximity_coincident_means_warns_and_skips():
@@ -176,6 +169,18 @@ def test_proximity_requires_two_clusters():
     clustering = Clustering.from_labels(data, np.zeros(3, dtype=int), 1)
     with pytest.raises(ValueError, match="two clusters"):
         proximity_check(data, clustering)
+
+
+@pytest.mark.parametrize("check", ["separation_quantities", "proximity_check",
+                                   "lemma_audit"])
+def test_empty_cluster_in_target_errors(check):
+    data = np.ones((3, 2))
+    clustering = Clustering(assignment=np.array([0, 0, 0]),
+                            centers=np.zeros((2, 2)), k=2)
+    args = (data, clustering) if check == "proximity_check" else \
+        (data, clustering, _partition_from_lists([range(3)]))
+    with pytest.raises(ValueError, match="empty cluster in target"):
+        getattr(separation, check)(*args)
 
 
 # ---------------------------------------------------------------------------
