@@ -60,7 +60,8 @@ def make_instance(cfg: dict, seed: int, c):
         mean_mode=mixture["mean_mode"], c=float(c), m0=mixture["m0"])
     data, truth = datagen.generate_mixture(spec)
     if partition["mode"] == "structured":
-        devices = datagen.structured_partition(truth, PartitionSpec(**partition))
+        devices = datagen.structured_partition(truth, PartitionSpec(
+            mode="structured", m0=partition["m0"], group_size=partition["group_size"]))
     else:
         devices = datagen.iid_partition(spec.n, partition["Z"], seed)
         devices.annotate_from_labels(truth.assignment, truth.k)
@@ -85,13 +86,12 @@ def write_json(path: Path, blob: dict) -> None:
     path.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
 
 
-def write_line_svg(path: Path, xs: list[float], series: dict[str, list[float]],
+def write_line_svg(path: Path, xs: list[float], ys: list[float], label: str,
                    title: str, xlabel: str, ylabel: str) -> None:
-    """Tiny dependency-free SVG line chart (batch artifact, not a UI)."""
+    """Tiny dependency-free SVG chart of one labeled line (batch artifact, not a UI)."""
     width, height, pad = 640, 420, 60
-    all_ys = [y for ys in series.values() for y in ys]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(all_ys), max(all_ys)
+    y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -105,14 +105,11 @@ def write_line_svg(path: Path, xs: list[float], series: dict[str, list[float]],
              f'<text x="{width/2:.1f}" y="{height-16}" text-anchor="middle" font-size="12">{xlabel}</text>',
              f'<text x="18" y="{height/2:.1f}" text-anchor="middle" font-size="12" '
              f'transform="rotate(-90 18 {height/2:.1f})">{ylabel}</text>']
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
-    for idx, (label, ys) in enumerate(sorted(series.items())):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        color = colors[idx % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width-pad+4}" y="{sy(ys[-1]):.2f}" font-size="11" '
-                     f'fill="{color}">{label}</text>')
-    parts.append("</svg>")
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    parts += [f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="2"/>',
+              f'<text x="{width-pad+4}" y="{sy(ys[-1]):.2f}" font-size="11" '
+              f'fill="#1f77b4">{label}</text>',
+              "</svg>"]
     path.write_text("\n".join(parts) + "\n")
 
 
@@ -178,8 +175,7 @@ def _scored_run(cfg: dict, c, seed: int) -> dict:
                seed)
     if cfg["experiment"] == "single_run":
         counts = partition.counts_by_cluster(truth.assignment, truth.k)
-        participating = [z for z in range(partition.num_devices) if z not in exclude]
-        vanished = np.flatnonzero(counts[participating].sum(axis=0) == 0)
+        vanished = np.flatnonzero(counts[list(run.local_results)].sum(axis=0) == 0)
         write_json(cfg["out"] / f"single_run_seed{seed}.json", {
             "config_hash": cfg["hash"], "seed": seed,
             "accuracy": result.accuracy,
@@ -217,7 +213,7 @@ def _finish_scored(cfg: dict, rows: list[dict]) -> None:
     if len(by_c) > 1:
         xs = sorted(by_c)
         write_line_svg(cfg["out"] / "c_sweep.svg", xs,
-                       {"mean accuracy": [float(np.mean(by_c[c])) for c in xs]},
+                       [float(np.mean(by_c[c])) for c in xs], "mean accuracy",
                        "Accuracy vs separation constant", "c", "accuracy")
     for entry in summary["rows"]:
         print(f"c={entry['c']}: accuracy {entry['accuracy_pct']} "
@@ -452,6 +448,22 @@ def _device_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
+def _check_exclusions(cfg: dict, excluded: tuple[int, ...]) -> None:
+    """Every excluded id names a device of the instance, and one device is left."""
+    partition = cfg["partition"]
+    if partition["mode"] == "iid":
+        devices = partition["Z"]
+    else:
+        groups = datagen.component_groups(cfg["mixture"]["k"], partition["group_size"])
+        devices = len(groups) * partition["m0"]
+    unknown = [z for z in excluded if not 0 <= z < devices]
+    if unknown:
+        raise ConfigError(f"--exclude-devices names device {unknown[0]}, but the "
+                          f"instance has devices 0..{devices - 1}")
+    if set(excluded) >= set(range(devices)):
+        raise ConfigError("--exclude-devices names every device")
+
+
 def _out_dir(cfg: dict, args) -> Path:
     path = Path(args.out or cfg["out"])
     path.mkdir(parents=True, exist_ok=True)
@@ -484,6 +496,10 @@ def cmd_run(args) -> int:
     seeds = _seeds_from(cfg, args)
     if args.record and len(seeds) * len(c_values) > 1:
         raise ConfigError("--record keeps one log, but this config runs several")
+    if args.record and Path(args.record).is_dir():
+        raise ConfigError(f"--record {args.record} is a directory, not a log file")
+    if args.exclude_devices:
+        _check_exclusions(cfg, args.exclude_devices)
     if args.replay:
         print(json.dumps(federation.replay_run(args.replay)))
         return EXIT_OK

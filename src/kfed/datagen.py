@@ -1,7 +1,6 @@
 """Synthetic instances: separated Gaussian mixtures and device partitions.
 
-Mean placement supports three modes:
-  * explicit coordinates,
+Mean placement supports two modes:
   * ``auto``: equal pairwise distances large enough that the generated
     data provably clears the active/inactive separation thresholds with
     about 2x headroom (used by the recovery experiments),
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +40,7 @@ class MixtureSpec:
     sigma_max: float
     seed: int
     weights: np.ndarray | None = None       # None = uniform
-    means: np.ndarray | None = None         # explicit coordinates, (k, d)
-    mean_mode: str = "auto"                 # auto | sigma | explicit
+    mean_mode: str = "auto"                 # auto | sigma
     c: float = 100.0
     m0: float = 5.0
 
@@ -50,7 +49,6 @@ class MixtureSpec:
             "k": self.k, "d": self.d, "n": self.n,
             "sigma_max": self.sigma_max, "seed": self.seed,
             "weights": None if self.weights is None else list(map(float, self.weights)),
-            "means": None if self.means is None else [list(map(float, row)) for row in self.means],
             "mean_mode": self.mean_mode, "c": self.c, "m0": self.m0,
         }
 
@@ -73,7 +71,6 @@ class PartitionSpec:
 
     mode: str                     # structured | iid
     m0: int | None = None         # structured: devices per component group
-    Z: int | None = None          # iid: device count
     group_size: int | None = None # structured: components per group
 
 
@@ -156,13 +153,6 @@ def auto_separation_distance(spec: MixtureSpec) -> float:
 
 
 def resolve_means(spec: MixtureSpec) -> np.ndarray:
-    if spec.mean_mode == "explicit":
-        if spec.means is None:
-            raise ValueError("explicit mean mode needs coordinates")
-        means = np.asarray(spec.means, dtype=float)
-        if means.shape != (spec.k, spec.d):
-            raise ValueError("means must be k x d")
-        return means
     if spec.mean_mode == "auto":
         return _orthogonal_means(spec.k, spec.d, auto_separation_distance(spec))
     if spec.mean_mode == "sigma":
@@ -182,15 +172,12 @@ def balanced_counts(weights: np.ndarray, n: int) -> np.ndarray:
 
 def generate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Clustering]:
     """Sample the mixture; returns (data, ground-truth clustering)."""
-    if spec.n < spec.k:
-        raise ValueError("too few samples")
     if spec.sigma_max < 0:
         raise ValueError("sigma_max must be nonnegative")
-    weights = resolve_weights(spec.weights, spec.k)
-    means = resolve_means(spec)
-    counts = balanced_counts(weights, spec.n)
+    counts = balanced_counts(resolve_weights(spec.weights, spec.k), spec.n)
     if counts.min() < 1:
         raise ValueError("too few samples")
+    means = resolve_means(spec)
     labels = np.repeat(np.arange(spec.k), counts)
     data = np.empty((spec.n, spec.d))
     for r in range(spec.k):
@@ -199,6 +186,16 @@ def generate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Clustering]:
         data[rows] = means[r] + spec.sigma_max * noise
     truth = Clustering.from_labels(data, labels, spec.k)
     return data, truth
+
+
+def component_groups(k: int, group_size: int | None) -> list[list[int]]:
+    """Consecutive runs of ``group_size`` components, round(sqrt(k)) by default.
+
+    A structured partition gives each group m0 devices, so it has
+    ``len(component_groups(k, group_size)) * m0`` devices.
+    """
+    size = int(group_size or max(1, round(math.sqrt(k))))
+    return [list(range(start, min(start + size, k))) for start in range(0, k, size)]
 
 
 def structured_partition(truth: Clustering, spec: PartitionSpec) -> DevicePartition:
@@ -215,9 +212,7 @@ def structured_partition(truth: Clustering, spec: PartitionSpec) -> DevicePartit
     m0 = int(spec.m0 or 0)
     if m0 < 1:
         raise ValueError("structured partitions need m0 >= 1")
-    group_size = int(spec.group_size or max(1, round(math.sqrt(k))))
-    groups = [list(range(start, min(start + group_size, k)))
-              for start in range(0, k, group_size)]
+    groups = component_groups(k, spec.group_size)
     sizes = truth.sizes()
     small = [int(r) for r in range(k) if sizes[r] < m0]
     if small:
@@ -277,13 +272,23 @@ def save_instance(out_dir, data: np.ndarray, truth: Clustering,
     return paths
 
 
+def _loadtxt(path, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` that raises, rather than warns, on a file with no rows."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(path, **kwargs)
+    if table.size == 0:
+        raise ValueError("file holds no rows")
+    return table
+
+
 def load_data_csv(path) -> np.ndarray:
-    return validate_matrix(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2),
+    return validate_matrix(_loadtxt(path, delimiter=",", dtype=float, ndmin=2),
                            "data file")
 
 
 def load_labels_csv(path, k: int | None = None) -> np.ndarray:
-    labels = np.loadtxt(path, dtype=int, ndmin=1)
+    labels = _loadtxt(path, dtype=int, ndmin=1)
     upper = np.inf if k is None else k
     bad = np.flatnonzero((labels < 0) | (labels >= upper))
     if bad.size:

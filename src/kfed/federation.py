@@ -46,13 +46,6 @@ class OpsAccounting:
     pairwise_distance_count: int = 0
     messages: list[Message] = field(default_factory=list)
 
-    def tally(self, count: int) -> None:
-        self.pairwise_distance_count += int(count)
-
-    def log_message(self, direction: str, device_id: int, kind: str,
-                    n_bytes: int) -> None:
-        self.messages.append(Message(direction, device_id, kind, n_bytes))
-
     @property
     def messages_sent(self) -> int:
         return len(self.messages)
@@ -168,7 +161,7 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
     new = list(chosen)
     while len(chosen) < k:
         dist = pairwise_distances(stacked[candidates], stacked[new])
-        accounting.tally(dist.size)
+        accounting.pairwise_distance_count += dist.size
         nearest = np.minimum(nearest, dist.min(axis=1))
         pick = int(nearest.argmax())  # first maximum: lowest (device_id, index)
         new = [int(candidates[pick])]
@@ -194,7 +187,7 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     k = init.points.shape[0]
     # ties resolve to the lowest group index
     nearest = pairwise_distances(stacked, init.points).argmin(axis=1)
-    accounting.tally(stacked.shape[0] * k)
+    accounting.pairwise_distance_count += stacked.shape[0] * k
     tau: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for flat_idx, group in enumerate(nearest):
         tau[group].append(provenance[flat_idx])
@@ -224,7 +217,7 @@ def assign_new_device(cluster_means: np.ndarray, new_centers: DeviceCenters,
             f"device data has dimension {new_centers.centers.shape[1]}, "
             f"aggregation state has {cluster_means.shape[1]}")
     accounting = accounting if accounting is not None else OpsAccounting()
-    accounting.tally(new_centers.k_z * cluster_means.shape[0])
+    accounting.pairwise_distance_count += new_centers.k_z * cluster_means.shape[0]
     return pairwise_distances(new_centers.centers, cluster_means).argmin(axis=1)
 
 
@@ -248,6 +241,10 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
         raise ValueError("partition needs k and per-device cluster counts")
     k = partition.k
     excluded = set(int(z) for z in exclude_devices)
+    unknown = excluded.difference(range(partition.num_devices))
+    if unknown:
+        raise ValueError(f"cannot exclude device {min(unknown)}: the partition "
+                         f"has devices 0..{partition.num_devices - 1}")
     participants = [z for z in range(partition.num_devices) if z not in excluded]
     if not participants:
         raise ValueError("network has fewer than k device centers")
@@ -273,14 +270,15 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
                            local_assignment=result.clusters.assignment,
                            rows=partition.device_rows[z])
         device_centers[z] = dc
-        accounting.log_message("up", z, "centers",
-                               8 * dc.k_z * data.shape[1])
+        accounting.messages.append(
+            Message("up", z, "centers", 8 * dc.k_z * data.shape[1]))
 
     uploads = [device_centers[z] for z in participants]
     init = farthest_point_init(uploads, k, accounting=accounting)
     induced = one_round_lloyd(uploads, init, n_total=n, accounting=accounting)
     for z in participants:
-        accounting.log_message("down", z, "labels", 8 * device_centers[z].k_z)
+        accounting.messages.append(
+            Message("down", z, "labels", 8 * device_centers[z].k_z))
 
     run = KFedRun(induced=induced, accounting=accounting, init=init,
                   device_centers=device_centers,

@@ -26,6 +26,7 @@ from .linalg import operator_norm
 from .local import Clustering, cluster_means
 
 DEFAULT_C = 100.0
+_AUDIT_SLACK = 1e-9   # rounding allowance before a bound counts as violated
 
 
 @dataclass
@@ -94,8 +95,6 @@ class LemmaAudit:
     mean_shift_checks: int
     norm_change_checks: int
     violations: list[dict] = field(default_factory=list)
-    worst_mean_shift_slack: float = -math.inf   # max over checks of lhs - rhs
-    worst_norm_change_slack: float = -math.inf
 
     @property
     def passed(self) -> bool:
@@ -197,15 +196,15 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
 
 
 def lemma_audit(data: np.ndarray, clustering: Clustering,
-                partition: DevicePartition, slack: float = 1e-9) -> LemmaAudit:
+                partition: DevicePartition) -> LemmaAudit:
     """Check the unconditional per-device bounds against the global norm.
 
     For every device z and cluster r present on it, the local cluster mean
     may deviate from the global cluster mean by at most op / sqrt(n^z_r);
     and each device's locally centered data has spectral norm at most
     2 sqrt(local cluster count) times the global op norm. Both hold for
-    any labeling whatsoever, so a violation beyond ``slack`` indicates an
-    implementation bug.
+    any labeling whatsoever, so a violation beyond ``_AUDIT_SLACK``
+    indicates an implementation bug.
     """
     data, labels, centers, _, op = _fit_target(data, clustering)
     k = clustering.k
@@ -222,9 +221,7 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
             lhs = float(np.linalg.norm(local_means[r] - centers[r]))
             rhs = op / math.sqrt(local_sizes[r])
             audit.mean_shift_checks += 1
-            audit.worst_mean_shift_slack = max(audit.worst_mean_shift_slack,
-                                               lhs - rhs)
-            if lhs > rhs + slack:
+            if lhs > rhs + _AUDIT_SLACK:
                 audit.violations.append({
                     "kind": "mean_shift", "device": z, "cluster": int(r),
                     "lhs": lhs, "rhs": rhs,
@@ -232,9 +229,7 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
         lhs = operator_norm(local_data - local_means[local_labels])
         rhs = 2.0 * math.sqrt(present.size) * op
         audit.norm_change_checks += 1
-        audit.worst_norm_change_slack = max(audit.worst_norm_change_slack,
-                                            lhs - rhs)
-        if lhs > rhs + slack:
+        if lhs > rhs + _AUDIT_SLACK:
             audit.violations.append({
                 "kind": "norm_change", "device": z, "cluster": None,
                 "lhs": lhs, "rhs": rhs,

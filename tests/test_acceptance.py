@@ -96,7 +96,7 @@ def test_criterion_04_lemma_audit_fuzz():
         labels[:k] = np.arange(k)                        # keep every cluster alive
         clustering = Clustering.from_labels(data, labels, k)
         partition = iid_partition(n, z, seed=trial)
-        audit = lemma_audit(data, clustering, partition, slack=1e-9)
+        audit = lemma_audit(data, clustering, partition)
         violations += len(audit.violations)
         checks += audit.mean_shift_checks + audit.norm_change_checks
     _report(4, "mean-shift and norm-change bounds on 200 fuzzed instances",

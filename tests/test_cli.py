@@ -501,10 +501,6 @@ def test_exit_codes(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
 
     cfg_path, _ = write_config(tmp_path)
-    # excluding every device is a pipeline failure at run time
-    out = tmp_path / "fail"
-    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
-                     "--exclude-devices", "0,1,2,3"]) == cli.EXIT_PIPELINE
 
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
@@ -532,19 +528,35 @@ def test_seed_and_seeds_are_exclusive(tmp_path, command):
     assert not out.exists()
 
 
+def _exit_code(argv: list[str]) -> int:
+    """``cli.main``'s exit code, whether argparse or a subcommand rejects argv."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# The config has 4 devices: 2 groups of 2 components, each split over m0 = 2.
+# "{tmp}" stands for an existing directory.
 @pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a"),
                                         ("--tol", "-1"), ("--c", "nan"),
                                         ("--c", "inf"), ("--seed", "-1"),
                                         ("--seeds", "-1..0"), ("--seeds", "0..-1"),
-                                        ("--seeds", "0..x")])
-def test_malformed_run_flag_exits_2(tmp_path, flag, value):
+                                        ("--seeds", "0..x"),
+                                        ("--exclude-devices", "-5"),
+                                        ("--exclude-devices", "999"),
+                                        ("--exclude-devices", "1,4"),
+                                        ("--exclude-devices", "0,1,2,3"),
+                                        ("--record", "{tmp}")])
+def test_malformed_run_flag_exits_2(tmp_path, capsys, flag, value):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--config", str(cfg_path), "--out", str(out),
-                  f"{flag}={value}"])
-    assert exc.value.code == cli.EXIT_CONFIG
+    capsys.readouterr()
+    assert _exit_code(["run", "--config", str(cfg_path), "--out", str(out),
+                       f"{flag}={value.format(tmp=tmp_path)}"]) == cli.EXIT_CONFIG
     assert not out.exists()
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith(
+        ("error: ", "kfed run: error: "))
 
 
 def test_generate_negative_seed_exits_2(tmp_path):
@@ -693,6 +705,9 @@ INPUT_DEFECTS = {
     "eval_lengths_differ": ("labels", lambda t: t + "0\n"),
     "eval_negative_label": ("labels", lambda t: "-1\n" + t.split("\n", 1)[1]),
     "eval_data_rows_differ": ("data", lambda t: t.split("\n", 1)[1]),
+    "profile_empty_data": ("data", lambda t: ""),
+    "profile_empty_labels": ("labels", lambda t: ""),
+    "eval_empty_labels": ("labels", lambda t: ""),
 }
 
 
@@ -716,6 +731,18 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, defect):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert str(bad) in capsys.readouterr().err
     assert not (tmp_path / "prof").exists()
+
+
+def test_eval_empty_label_files_exit_2(tmp_path, capsys):
+    pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    pred.write_text("")
+    truth.write_text("")
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {pred}: file holds no rows\n"
+    assert not out.exists()
 
 
 def test_profile_k_above_labels_exits_2(tmp_path, capsys):

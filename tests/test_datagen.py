@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from kfed import datagen
 from kfed.datagen import (MixtureSpec, PartitionSpec, auto_separation_distance,
                           estimate_m0, generate_mixture, iid_partition,
                           load_data_csv, load_labels_csv, load_partition_json,
-                          save_instance, structured_partition)
+                          resolve_means, save_instance, structured_partition)
 from kfed.evaluation import kmeans_cost
 from kfed.separation import separation_quantities
 
@@ -19,20 +20,23 @@ def _spec(**overrides):
     return MixtureSpec(**base)
 
 
-def test_zero_sigma_points_equal_means():
-    data, truth = generate_mixture(_spec(sigma_max=0.0, mean_mode="explicit",
-                                         means=np.arange(32, dtype=float).reshape(4, 8)))
+def test_zero_sigma_points_equal_means(monkeypatch):
+    # both placements scale with sigma_max and would put every mean at 0
+    means = np.arange(32, dtype=float).reshape(4, 8)
+    monkeypatch.setattr(datagen, "resolve_means", lambda spec: means)
+    data, truth = generate_mixture(_spec(sigma_max=0.0))
+    assert np.array_equal(data, means[truth.assignment])
     assert np.allclose(data, truth.centers[truth.assignment])
     assert kmeans_cost(data, truth) == 0.0
 
 
 def test_single_component_mean_converges():
     n = 10_000
-    data, truth = generate_mixture(_spec(k=1, n=n, d=6, mean_mode="explicit",
-                                         means=np.full((1, 6), 3.0)))
+    spec = _spec(k=1, n=n, d=6)
+    data, truth = generate_mixture(spec)
     assert np.array_equal(truth.assignment, np.zeros(n, dtype=int))
     tolerance = 5.0 / np.sqrt(n)
-    assert np.all(np.abs(data.mean(axis=0) - 3.0) < tolerance)
+    assert np.all(np.abs(data.mean(axis=0) - resolve_means(spec)[0]) < tolerance)
 
 
 def test_auto_means_meet_requested_distance():
@@ -40,7 +44,6 @@ def test_auto_means_meet_requested_distance():
     requested = 100.0 * np.sqrt(16 * 5.0) * 1.0 / np.sqrt(1.0 / 16)
     means = generate_mixture(spec)[1].centers
     # empirical means wobble by the sample noise, so audit the placement
-    from kfed.datagen import resolve_means
     placed = resolve_means(spec)
     for r in range(16):
         for s in range(r + 1, 16):
@@ -80,8 +83,9 @@ def test_weight_validation():
 
 
 def test_too_few_samples():
-    with pytest.raises(ValueError, match="too few samples"):
-        generate_mixture(_spec(n=3))
+    for n in (0, 3):  # k = 4 components
+        with pytest.raises(ValueError, match="too few samples"):
+            generate_mixture(_spec(n=n))
 
 
 def test_generation_reproducible():

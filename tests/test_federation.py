@@ -286,6 +286,14 @@ def test_dropout_below_k_centers_errors():
         run_kfed(partition, data, seed=1, exclude_devices=(1,))
 
 
+def test_dropout_unknown_device_errors():
+    _, data, _, partition = planted_instance(10, k=4, d=16, per_cluster=20,
+                                             m0=1, group_size=2)
+    # two devices, 0 and 1
+    with pytest.raises(ValueError, match="cannot exclude device 2"):
+        run_kfed(partition, data, seed=1, exclude_devices=(1, 2))
+
+
 def test_induced_clustering_partitions_regardless_of_separation():
     # no planted structure at all: the induced clustering must still be a
     # disjoint cover of every participating row

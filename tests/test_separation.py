@@ -191,8 +191,8 @@ def test_audit_single_device_zero_lhs():
     part = _partition_from_lists([range(0, 40)])
     audit = lemma_audit(data, clustering, part)
     assert audit.passed
-    # one device holding everything: local means equal global means
-    assert audit.worst_mean_shift_slack <= 0.0
+    # one device holding everything: one mean-shift check per cluster, one norm check
+    assert (audit.mean_shift_checks, audit.norm_change_checks) == (2, 1)
 
 
 def test_audit_random_instance_no_violations():
