@@ -2,8 +2,8 @@
 
 from .datagen import (DevicePartition, MixtureSpec, PartitionSpec,
                       generate_mixture, iid_partition, structured_partition)
-from .evaluation import (EvalResult, cost_ratio_report, evaluate_clustering,
-                         kmeans_cost, matched_accuracy)
+from .evaluation import (EvalResult, cost_ratio_report, kmeans_cost,
+                         matched_accuracy)
 from .federation import (DeviceCenters, InducedClustering, KFedRun,
                          OpsAccounting, assign_new_device, farthest_point_init,
                          one_round_lloyd, run_kfed)
@@ -18,8 +18,7 @@ __all__ = [
     "EvalResult", "InducedClustering", "KFedRun", "LemmaAudit", "LocalResult",
     "MixtureSpec", "OpsAccounting", "PartitionSpec",
     "SeparationReport", "approx_seed", "assign_new_device",
-    "cost_ratio_report", "evaluate_clustering", "farthest_point_init",
-    "generate_mixture",
+    "cost_ratio_report", "farthest_point_init", "generate_mixture",
     "iid_partition", "kmeans_cost", "lemma_audit", "lloyd_iterate",
     "local_cluster", "matched_accuracy", "one_round_lloyd", "operator_norm",
     "proximity_check", "run_kfed", "separation_quantities",

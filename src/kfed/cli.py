@@ -1,6 +1,6 @@
 """Command-line experiment harness.
 
-Subcommands: generate, run, profile, join, eval. A JSON config describes
+Subcommands: generate, run, replay, profile, join, eval. A JSON config describes
 the instance family and experiment; every output file embeds the config
 hash and seed so equal (config, seed) pairs reproduce byte-identical
 result rows. The KFED_THREADS environment variable caps the number of
@@ -25,8 +25,7 @@ import numpy as np
 
 from . import datagen, federation, separation
 from .datagen import MixtureSpec, PartitionSpec
-from .evaluation import (cost_ratio_report, evaluate_clustering, kmeans_cost,
-                         matched_accuracy)
+from .evaluation import cost_ratio_report, kmeans_cost, matched_accuracy
 from .federation import canonical_json
 from .linalg import validate_matrix
 from .local import DEFAULT_TOL, Clustering, local_cluster
@@ -165,10 +164,12 @@ def _scored_run(cfg: dict, c, seed: int) -> dict:
     _, data, truth, partition = make_instance(cfg, seed, c)
     exclude = cfg["exclude_devices"]
     run = federation.run_kfed(partition, data, seed, tol=cfg["tol"],
-                              exclude_devices=exclude, record_path=cfg["record"])
+                              exclude_devices=exclude)
+    if cfg["record"]:
+        federation.record_run(cfg["record"], run)
     covered = run.induced.covered()
-    result = evaluate_clustering(data[covered], run.induced.assignment[covered],
-                                 truth.assignment[covered])
+    pred = run.induced.assignment[covered]
+    accuracy = matched_accuracy(pred, truth.assignment[covered]).accuracy
     state_name = (f"state_c{c}_seed{seed}.json" if cfg["several_c"]
                   else f"state_seed{seed}.json")
     save_state(cfg["out"] / state_name, run.induced.cluster_means, cfg["hash"],
@@ -178,8 +179,8 @@ def _scored_run(cfg: dict, c, seed: int) -> dict:
         vanished = np.flatnonzero(counts[list(run.local_results)].sum(axis=0) == 0)
         write_json(cfg["out"] / f"single_run_seed{seed}.json", {
             "config_hash": cfg["hash"], "seed": seed,
-            "accuracy": result.accuracy,
-            "excluded_devices": sorted(exclude),
+            "accuracy": accuracy,
+            "excluded_devices": list(exclude),
             "vanished_clusters": [int(r) for r in vanished],
             "messages_sent": run.accounting.messages_sent,
         })
@@ -189,8 +190,8 @@ def _scored_run(cfg: dict, c, seed: int) -> dict:
         "seed": seed,
         "experiment": cfg["experiment"],
         "c": float(c),
-        "accuracy": result.accuracy,
-        "kmeans_cost": result.kmeans_cost,
+        "accuracy": accuracy,
+        "kmeans_cost": kmeans_cost(data[covered], pred),
         "distance_count": run.accounting.pairwise_distance_count,
     }
 
@@ -445,7 +446,7 @@ def _flag(kind: str):
 
 
 def _device_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    return tuple(sorted({int(tok) for tok in text.split(",") if tok.strip() != ""}))
 
 
 def _check_exclusions(cfg: dict, excluded: tuple[int, ...]) -> None:
@@ -460,12 +461,12 @@ def _check_exclusions(cfg: dict, excluded: tuple[int, ...]) -> None:
     if unknown:
         raise ConfigError(f"--exclude-devices names device {unknown[0]}, but the "
                           f"instance has devices 0..{devices - 1}")
-    if set(excluded) >= set(range(devices)):
+    if len(excluded) == devices:
         raise ConfigError("--exclude-devices names every device")
 
 
-def _out_dir(cfg: dict, args) -> Path:
-    path = Path(args.out or cfg["out"])
+def _out_dir(path) -> Path:
+    path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -473,7 +474,7 @@ def _out_dir(cfg: dict, args) -> Path:
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
     seeds = _seeds_from(cfg, args)
-    out = _out_dir(cfg, args)
+    out = _out_dir(args.out or cfg["out"])
     for seed in seeds:
         spec, data, truth, partition = make_instance(cfg, seed, cfg["c"])
         blob = {"config_hash": cfg["hash"], "seed": seed,
@@ -500,14 +501,11 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--record {args.record} is a directory, not a log file")
     if args.exclude_devices:
         _check_exclusions(cfg, args.exclude_devices)
-    if args.replay:
-        print(json.dumps(federation.replay_run(args.replay)))
-        return EXIT_OK
     try:
         federation.worker_count()
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    cfg.update(out=_out_dir(cfg, args),
+    cfg.update(out=_out_dir(args.out or cfg["out"]),
                tol=args.tol if args.tol is not None else float(cfg["tol"]),
                exclude_devices=args.exclude_devices or (), record=args.record,
                several_c=len(c_values) > 1)
@@ -526,6 +524,11 @@ def cmd_run(args) -> int:
     return EXIT_PIPELINE if failures else EXIT_OK
 
 
+def cmd_replay(args) -> int:
+    print(json.dumps(federation.replay_run(args.log)))
+    return EXIT_OK
+
+
 def _read(load, path, *args):
     """``load(path, *args)``; a malformed input file is a ConfigError naming it."""
     try:
@@ -538,8 +541,8 @@ def cmd_profile(args) -> int:
     data = _read(datagen.load_data_csv, args.data)
     labels = _read(datagen.load_labels_csv, args.labels, args.k)
     if labels.shape[0] != data.shape[0]:
-        raise ConfigError(
-            f"labels rows ({labels.shape[0]}) do not match data rows ({data.shape[0]})")
+        raise ConfigError(f"{args.labels} has {labels.shape[0]} rows, but "
+                          f"{args.data} has {data.shape[0]}")
     k = args.k if args.k is not None else int(labels.max()) + 1
     try:
         truth = Clustering.from_labels(data, labels, k)
@@ -547,11 +550,9 @@ def cmd_profile(args) -> int:
         raise ConfigError(f"{args.labels}: {err}") from err
     partition = _read(datagen.load_partition_json, args.partition, data.shape[0])
     partition.annotate_from_labels(labels, k)
-    out = Path(args.out or "profile")
-    out.mkdir(parents=True, exist_ok=True)
     blob = profile_instance(data, truth, partition,
                             args.c if args.c is not None else separation.DEFAULT_C,
-                            args.m0, out, tag="profile")
+                            args.m0, _out_dir(args.out or "profile"), tag="profile")
     print(json.dumps({"pairs": len(blob["pairs"]),
                       "lemma_audit_passed": blob["lemma_audit"]["passed"],
                       "proximity_violations": blob["proximity_violations"]}))
@@ -561,18 +562,18 @@ def cmd_profile(args) -> int:
 def cmd_join(args) -> int:
     means, payload = load_state(args.state)
     data = _read(datagen.load_data_csv, args.data)
+    if data.shape[1] != means.shape[1]:
+        raise ConfigError(f"{args.data}: rows have {data.shape[1]} columns, but "
+                          f"the state's group means have {means.shape[1]}")
     if args.k_z > data.shape[0]:
         raise ConfigError(f"{args.data}: --k-z {args.k_z} exceeds its "
                           f"{data.shape[0]} rows")
     result = local_cluster(data, args.k_z, (args.seed, args.device_id), tol=args.tol)
     accounting = federation.OpsAccounting()
-    centers = federation.DeviceCenters(device_id=args.device_id,
-                                       centers=result.centers,
-                                       local_assignment=result.clusters.assignment)
-    labels_per_center = federation.assign_new_device(means, centers, accounting)
+    labels_per_center = federation.assign_new_device(means, result.centers,
+                                                     accounting=accounting)
     row_labels = labels_per_center[result.clusters.assignment]
-    out = Path(args.out or "join")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or "join")
     np.savetxt(out / "join_labels.csv", row_labels, fmt="%d")
     write_results(out, [{
         "run_id": f"join-d{args.device_id}-s{args.seed}",
@@ -611,9 +612,7 @@ def cmd_eval(args) -> int:
         result.kmeans_cost = kmeans_cost(data, pred)
     blob = result.to_json_dict()
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "eval.json", blob)
+        write_json(_out_dir(args.out) / "eval.json", blob)
     print(json.dumps(blob))
     return EXIT_OK
 
@@ -642,8 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--exclude-devices", type=_device_list,
                      help="comma list of device ids to drop")
     run.add_argument("--record", help="record upstream messages to this JSONL file")
-    run.add_argument("--replay", help="audit a recorded message log instead of running")
     run.set_defaults(func=cmd_run)
+
+    replay = sub.add_parser("replay", help="audit a recorded message log")
+    replay.add_argument("--log", required=True, help="JSONL log written by run --record")
+    replay.set_defaults(func=cmd_replay)
 
     prof = sub.add_parser("profile", help="separation report for instance files")
     prof.add_argument("--data", required=True)

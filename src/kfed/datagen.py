@@ -105,6 +105,9 @@ class DevicePartition:
         if seen.size != n or np.unique(seen).size != n or seen.min(initial=0) < 0 \
                 or seen.max(initial=-1) >= n:
             raise ValueError("device rows must disjointly cover all rows")
+        empty = [z for z, rows in enumerate(self.device_rows) if len(rows) == 0]
+        if empty:
+            raise ValueError(f"device {empty[0]} holds no rows")
         if self.k is not None and self.k_per_device is not None:
             if max(self.k_per_device) > self.k:
                 raise ValueError("a device requests more clusters than exist globally")
@@ -301,6 +304,11 @@ def load_partition_json(path, n: int) -> DevicePartition:
     mapping = json.loads(Path(path).read_text())
     if not isinstance(mapping, dict):
         raise ValueError("partition file must map device ids to row lists")
-    rows = [np.asarray(mapping[key], dtype=int)
-            for key in sorted(mapping, key=int)]
+    rows = []
+    for key in sorted(mapping, key=int):
+        ids = mapping[key]
+        if not (isinstance(ids, list)
+                and all(type(i) is int and 0 <= i < n for i in ids)):
+            raise ValueError(f"device {key} must list integer row ids in [0, {n})")
+        rows.append(np.asarray(ids, dtype=int))
     return DevicePartition(device_rows=rows).validate(n)

@@ -80,13 +80,6 @@ def matched_accuracy(pred, truth) -> EvalResult:
                       permutation=permutation)
 
 
-def evaluate_clustering(data: np.ndarray, pred, truth) -> EvalResult:
-    """matched_accuracy plus the k-means cost of the prediction."""
-    result = matched_accuracy(pred, truth)
-    result.kmeans_cost = kmeans_cost(data, pred)
-    return result
-
-
 def cost_ratio_report(oracle_cost: float, structured_cost: float,
                       random_cost: float, eps: float = 1e-12) -> CostRatio:
     """(structured - oracle) / (random - oracle); below 1 favors structured."""

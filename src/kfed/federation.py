@@ -135,15 +135,14 @@ def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[i
 
 
 def farthest_point_init(all_centers: list[DeviceCenters], k: int,
-                        start_device: int | None = None,
-                        accounting: OpsAccounting | None = None) -> FarthestInit:
+                        start_device: int | None = None, *,
+                        accounting: OpsAccounting) -> FarthestInit:
     """Greedy max-min selection of k seed centers among all uploads.
 
     Starts from every center of one device (lowest id unless overridden)
     and repeatedly adds the center farthest from the chosen set. Ties go
     to the lexicographically smallest (device_id, local index).
     """
-    accounting = accounting if accounting is not None else OpsAccounting()
     if not all_centers or sum(dc.k_z for dc in all_centers) < k:
         raise ValueError("network has fewer than k device centers")
     stacked, provenance = _flatten(all_centers)
@@ -173,8 +172,8 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
 
 
 def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
-                    n_total: int | None = None,
-                    accounting: OpsAccounting | None = None) -> InducedClustering:
+                    n_total: int | None = None, *,
+                    accounting: OpsAccounting) -> InducedClustering:
     """Single nearest-center assignment of every upload to the seed set.
 
     No re-centering loop follows; the seed groups are final. Given the
@@ -182,7 +181,6 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     built from each upload's ``rows``: a row joins the group its local
     cluster's center was assigned to.
     """
-    accounting = accounting if accounting is not None else OpsAccounting()
     stacked, provenance = _flatten(all_centers)
     k = init.points.shape[0]
     # ties resolve to the lowest group index
@@ -204,21 +202,20 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     return InducedClustering(tau=tau, cluster_means=means, assignment=assignment)
 
 
-def assign_new_device(cluster_means: np.ndarray, new_centers: DeviceCenters,
-                      accounting: OpsAccounting | None = None) -> np.ndarray:
-    """Label a late device's centers against the retained (k, d) group means.
+def assign_new_device(cluster_means: np.ndarray, centers: np.ndarray, *,
+                      accounting: OpsAccounting) -> np.ndarray:
+    """Label a late device's (k_z, d) centers against the retained (k, d) group means.
 
     Costs exactly k_z * k distance computations and touches no other
     device.
     """
     cluster_means = validate_matrix(cluster_means, "group means")
-    if new_centers.centers.shape[1] != cluster_means.shape[1]:
+    if centers.shape[1] != cluster_means.shape[1]:
         raise ValueError(
-            f"device data has dimension {new_centers.centers.shape[1]}, "
+            f"device data has dimension {centers.shape[1]}, "
             f"aggregation state has {cluster_means.shape[1]}")
-    accounting = accounting if accounting is not None else OpsAccounting()
-    accounting.pairwise_distance_count += new_centers.k_z * cluster_means.shape[0]
-    return pairwise_distances(new_centers.centers, cluster_means).argmin(axis=1)
+    accounting.pairwise_distance_count += centers.shape[0] * cluster_means.shape[0]
+    return pairwise_distances(centers, cluster_means).argmin(axis=1)
 
 
 def worker_count() -> int:
@@ -231,23 +228,19 @@ def worker_count() -> int:
 
 
 def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
-             tol: float = DEFAULT_TOL, exclude_devices: tuple[int, ...] = (),
-             record_path=None) -> KFedRun:
+             tol: float = DEFAULT_TOL, exclude_devices: tuple[int, ...] = ()) -> KFedRun:
     """Full pipeline: local solves on every device, then one-shot aggregation."""
     data = validate_matrix(data, "data")
     n = data.shape[0]
     partition.validate(n)
     if partition.k is None or partition.k_per_device is None:
         raise ValueError("partition needs k and per-device cluster counts")
-    k = partition.k
     excluded = set(int(z) for z in exclude_devices)
     unknown = excluded.difference(range(partition.num_devices))
     if unknown:
         raise ValueError(f"cannot exclude device {min(unknown)}: the partition "
                          f"has devices 0..{partition.num_devices - 1}")
     participants = [z for z in range(partition.num_devices) if z not in excluded]
-    if not participants:
-        raise ValueError("network has fewer than k device centers")
 
     def solve(z: int) -> tuple[int, LocalResult]:
         rows = partition.device_rows[z]
@@ -274,18 +267,15 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
             Message("up", z, "centers", 8 * dc.k_z * data.shape[1]))
 
     uploads = [device_centers[z] for z in participants]
-    init = farthest_point_init(uploads, k, accounting=accounting)
+    init = farthest_point_init(uploads, partition.k, accounting=accounting)
     induced = one_round_lloyd(uploads, init, n_total=n, accounting=accounting)
     for z in participants:
         accounting.messages.append(
             Message("down", z, "labels", 8 * device_centers[z].k_z))
 
-    run = KFedRun(induced=induced, accounting=accounting, init=init,
-                  device_centers=device_centers,
-                  local_results={z: solved[z] for z in participants})
-    if record_path is not None:
-        record_run(record_path, run, k=k, start_device=min(participants))
-    return run
+    return KFedRun(induced=induced, accounting=accounting, init=init,
+                   device_centers=device_centers,
+                   local_results={z: solved[z] for z in participants})
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +286,21 @@ def canonical_json(blob) -> str:
     return json.dumps(blob, sort_keys=True, separators=(",", ":"))
 
 
-def record_run(path, run: KFedRun, k: int, start_device: int) -> Path:
+def _outcome(init: FarthestInit, induced: InducedClustering) -> dict:
+    """The log's trailer: the center groups and the seeds' provenance."""
+    return {"tau": [[list(pair) for pair in group] for group in induced.tau],
+            "init_provenance": [list(pair) for pair in init.provenance]}
+
+
+def record_run(path, run: KFedRun) -> None:
     """Write the upstream messages and the aggregation outcome as JSONL."""
-    path = Path(path)
-    lines = [canonical_json({"schema": WIRE_SCHEMA_VERSION, "k": k,
-                             "start_device": int(start_device)})]
-    for z in sorted(run.device_centers):
-        lines.append(canonical_json(run.device_centers[z].to_wire()))
-    lines.append(canonical_json({
-        "tau": [[list(pair) for pair in group] for group in run.induced.tau],
-        "init_provenance": [list(pair) for pair in run.init.provenance],
-    }))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    header = {"schema": WIRE_SCHEMA_VERSION, "k": len(run.induced.tau),
+              "start_device": min(run.device_centers)}
+    lines = [canonical_json(header)]
+    lines += [canonical_json(run.device_centers[z].to_wire())
+              for z in sorted(run.device_centers)]
+    lines.append(canonical_json(_outcome(run.init, run.induced)))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def replay_run(path) -> dict:
@@ -332,18 +324,13 @@ def replay_run(path) -> dict:
     uploads: list[DeviceCenters] = []
     for line in raw_lines[1:-1]:
         uploads.append(DeviceCenters.from_wire(json.loads(line), uploads))
-    trailer = json.loads(raw_lines[-1])
-    if not isinstance(trailer, dict):
-        raise ValueError("message log trailer is not an object")
     accounting = OpsAccounting()
     init = farthest_point_init(uploads, header["k"],
                                start_device=header["start_device"],
                                accounting=accounting)
     induced = one_round_lloyd(uploads, init, accounting=accounting)
-    replayed_tau = [[list(pair) for pair in group] for group in induced.tau]
-    replayed_init = [list(pair) for pair in init.provenance]
-    if (replayed_tau != trailer.get("tau")
-            or replayed_init != trailer.get("init_provenance")):
+    outcome = _outcome(init, induced)
+    if outcome != json.loads(raw_lines[-1]):
         raise ValueError("replayed aggregation diverges from the recorded run")
-    return {"k": header["k"], "devices": len(uploads), "tau": replayed_tau,
+    return {"k": header["k"], "devices": len(uploads), "tau": outcome["tau"],
             "distance_count": accounting.pairwise_distance_count}

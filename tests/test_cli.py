@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,16 @@ def test_run_dropout_flags_vanished_cluster(tmp_path):
     report = json.loads((out / "single_run_seed0.json").read_text())
     assert report["vanished_clusters"] == [0, 1]
     assert report["excluded_devices"] == [0, 1]
+
+
+def test_run_records_each_excluded_device_once(tmp_path):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "drop"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--exclude-devices", "1,0,1,0"]) == 0
+    report = json.loads((out / "single_run_seed0.json").read_text())
+    assert report["excluded_devices"] == [0, 1]
+    assert report["vanished_clusters"] == [0, 1]
 
 
 def test_run_c_sweep_rows_and_plot(tmp_path):
@@ -325,7 +336,9 @@ def test_join_flow_and_checksum(tmp_path):
     assert not join_bad.exists()
 
 
-def test_join_rejects_dimension_mismatch(tmp_path):
+def test_join_rejects_dimension_mismatch(tmp_path, capsys, monkeypatch):
+    # the width is checked against the state before the local solve runs
+    monkeypatch.setattr(cli, "local_cluster", None)
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "run"
     cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
@@ -335,7 +348,9 @@ def test_join_rejects_dimension_mismatch(tmp_path):
     code = cli.main(["join", "--state", str(out / "state_seed0.json"),
                      "--data", str(narrow), "--k-z", "2",
                      "--out", str(join_out)])
-    assert code == cli.EXIT_PIPELINE
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {narrow}: rows have 1 columns, but the state's group means have 12")
     assert not join_out.exists()
 
 
@@ -386,7 +401,8 @@ def _rechecksummed(state: dict) -> str:
     return json.dumps(state)
 
 
-@pytest.mark.parametrize("case", ["not_object", "no_tau_means", "wrong_k_d"])
+@pytest.mark.parametrize("case", ["not_object", "no_tau_means", "wrong_k_d",
+                                  "missing", "not_json"])
 def test_join_rejects_malformed_state(tmp_path, case):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "run"
@@ -397,11 +413,14 @@ def test_join_rejects_malformed_state(tmp_path, case):
     elif case == "no_tau_means":
         del state["tau_means"]
         text = _rechecksummed(state)
-    else:
+    elif case == "wrong_k_d":
         state.update(k=7, d=99)
         text = _rechecksummed(state)
+    else:
+        text = {"missing": None, "not_json": "{not json"}[case]
     bad = tmp_path / "bad_state.json"
-    bad.write_text(text)
+    if text is not None:
+        bad.write_text(text)
     device = tmp_path / "device.csv"
     np.savetxt(device, np.random.default_rng(0).normal(size=(10, 12)),
                fmt="%.17g", delimiter=",")
@@ -446,8 +465,7 @@ def test_replay_rejects_malformed_log(tmp_path, capsys, defect):
     edit(lines)
     log.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert cli.main(["run", "--config", str(cfg_path), "--replay",
-                     str(log)]) == cli.EXIT_PIPELINE
+    assert cli.main(["replay", "--log", str(log)]) == cli.EXIT_PIPELINE
     assert reason in capsys.readouterr().err
 
 
@@ -463,19 +481,54 @@ def test_eval_command(tmp_path):
     assert blob["accuracy"] == 1.0
 
 
-def test_record_and_replay_via_cli(tmp_path):
+def test_eval_command_with_data_scores_cost(tmp_path, capsys):
+    pred, truth, data = (tmp_path / name for name in ("pred.csv", "truth.csv", "data.csv"))
+    np.savetxt(pred, np.array([0, 0, 1, 1]), fmt="%d")
+    np.savetxt(truth, np.array([0, 1, 1, 1]), fmt="%d")
+    np.savetxt(data, np.array([[0.0], [2.0], [9.0], [11.0]]), delimiter=",")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--data", str(data), "--out", str(out)]) == 0
+    blob = json.loads((out / "eval.json").read_text())
+    assert blob == json.loads(capsys.readouterr().out)
+    assert blob["accuracy"] == 0.75 and blob["misclassified"] == 1
+    assert blob["kmeans_cost"] == 4.0
+
+
+def test_record_and_replay_via_cli(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "rec"
     log = tmp_path / "messages.jsonl"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--record", str(log)]) == 0
-    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
-                     "--replay", str(log)]) == 0
+    capsys.readouterr()
+    assert cli.main(["replay", "--log", str(log)]) == 0
+    audit = json.loads(capsys.readouterr().out)
+    assert audit["k"] == 4 and audit["devices"] == 4
     lines = log.read_text().splitlines()
     log.write_text("\n".join([lines[0], lines[1].replace(",", ", ", 1)]
                              + lines[2:]) + "\n")
-    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
-                     "--replay", str(log)]) == cli.EXIT_PIPELINE
+    assert cli.main(["replay", "--log", str(log)]) == cli.EXIT_PIPELINE
+    assert cli.main(["replay", "--log", str(tmp_path / "absent.jsonl")]) == cli.EXIT_IO
+
+
+# replay takes only --log; run no longer takes --replay
+@pytest.mark.parametrize("argv", [
+    "run --config {cfg} --out {out} --replay {log}",
+    "replay --log {log} --c 3",
+    "replay --log {log} --config {cfg} --out {out}",
+    "replay --log {log} --record {tmp}/new.jsonl --tol 0.5 --exclude-devices 1 --seed 5",
+])
+def test_replay_flag_outside_its_command_exits_2(tmp_path, argv):
+    # argparse rejects the flag before the log or the config is read
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.format(cfg=cfg_path, out=out, log=tmp_path / "messages.jsonl",
+                             tmp=tmp_path).split())
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not out.exists() and not (tmp_path / "new.jsonl").exists()
 
 
 def test_record_rejects_several_runs(tmp_path):
@@ -559,6 +612,17 @@ def test_malformed_run_flag_exits_2(tmp_path, capsys, flag, value):
         ("error: ", "kfed run: error: "))
 
 
+@pytest.mark.parametrize("devices", ["3", "0,1,2"])
+def test_iid_exclusions_beyond_z_exit_2(tmp_path, capsys, devices):
+    cfg_path, _ = write_config(tmp_path, partition={"mode": "iid", "Z": 3})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--exclude-devices", devices]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --exclude-devices names ")
+
+
 def test_generate_negative_seed_exits_2(tmp_path):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "out"
@@ -612,6 +676,9 @@ CONFIG_DEFECTS = {
     "iid_Z_above_n": ("partition", {"mode": "iid", "Z": 20}, "partition.Z",
                       {"mixture": {"k": 4, "d": 12, "per_cluster": 3}}),
     "z_iid_above_n": ("z_iid", 200, "z_iid", {"experiment": "cost_ratio"}),
+    "k_missing": ("mixture.d", 12, "mixture.k", {"mixture": {"per_cluster": 24}}),
+    "version_wrong": ("version", 2, "version", {}),
+    "section_not_object": ("partition", ["structured"], "partition", {}),
 }
 
 
@@ -692,6 +759,19 @@ def _profile_files(tmp_path):
             [("data", "csv"), ("labels", "csv"), ("partition", "json")]}
 
 
+def _edit_partition(text: str, edit) -> str:
+    mapping = json.loads(text)
+    edit(mapping)
+    return json.dumps(mapping)
+
+
+def _replace_row(mapping: dict, row: int, value) -> None:
+    """Write ``value`` where the partition lists ``row``."""
+    for rows in mapping.values():
+        if row in rows:
+            rows[rows.index(row)] = value
+
+
 # defect -> (generated file to edit, the edit); eval reads the labels as truth
 INPUT_DEFECTS = {
     "profile_negative_label": ("labels", lambda t: t.replace("0\n", "-1\n", 1)),
@@ -708,6 +788,15 @@ INPUT_DEFECTS = {
     "profile_empty_data": ("data", lambda t: ""),
     "profile_empty_labels": ("labels", lambda t: ""),
     "eval_empty_labels": ("labels", lambda t: ""),
+    "profile_labels_rows_differ": ("labels", lambda t: t + "0\n"),
+    "profile_partition_empty_device": ("partition", lambda t: _edit_partition(
+        t, lambda m: m.update({"0": [], "1": m["0"] + m["1"]}))),
+    "profile_partition_row_string": ("partition", lambda t: _edit_partition(
+        t, lambda m: _replace_row(m, 0, "0"))),
+    "profile_partition_row_fraction": ("partition", lambda t: _edit_partition(
+        t, lambda m: _replace_row(m, 5, 5.5))),
+    "profile_partition_row_bool": ("partition", lambda t: _edit_partition(
+        t, lambda m: _replace_row(m, 1, True))),
 }
 
 
@@ -777,6 +866,17 @@ def test_run_rejects_m0_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--config", str(cfg_path), "--m0", "3"])
     assert exc.value.code == 2
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.strip()]
+    assert [argv[0] for argv in commands] == ["generate", "run", "replay", "profile",
+                                              "join", "eval"]
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
 
 
 def test_config_round_trip_hash(tmp_path):

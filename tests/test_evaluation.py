@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kfed.evaluation import (cost_ratio_report, evaluate_clustering,
-                             kmeans_cost, matched_accuracy)
+from kfed.evaluation import cost_ratio_report, kmeans_cost, matched_accuracy
 from kfed.local import Clustering
 from oracles import brute_force_accuracy, naive_kmeans_cost
 
@@ -85,14 +84,6 @@ def test_accuracy_pads_unequal_cluster_counts():
 def test_accuracy_rejects_negative_labels():
     with pytest.raises(ValueError, match="nonnegative"):
         matched_accuracy(np.array([-1, 0]), np.array([0, 0]))
-
-
-def test_evaluate_clustering_fills_cost():
-    data = np.array([[0.0], [2.0], [9.0], [11.0]])
-    pred = np.array([0, 0, 1, 1])
-    result = evaluate_clustering(data, pred, pred)
-    assert result.kmeans_cost == pytest.approx(4.0)
-    assert result.accuracy == 1.0
 
 
 def test_cost_ratio_edges():

@@ -6,8 +6,8 @@ import pytest
 from kfed.datagen import DevicePartition
 from kfed.evaluation import matched_accuracy
 from kfed.federation import (DeviceCenters, OpsAccounting, assign_new_device,
-                             farthest_point_init, one_round_lloyd, replay_run,
-                             run_kfed)
+                             farthest_point_init, one_round_lloyd, record_run,
+                             replay_run, run_kfed)
 from kfed.local import local_cluster
 from kfed.separation import separation_quantities
 from helpers import init_planted_clusters, planted_instance
@@ -28,7 +28,7 @@ def _dc(device_id, centers, assignment=None):
 def test_init_duplicated_points_pick_each_once():
     base = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
     uploads = [_dc(z, base) for z in range(5)]
-    init = farthest_point_init(uploads, 3)
+    init = farthest_point_init(uploads, 3, accounting=OpsAccounting())
     rounded = {tuple(np.round(p, 9)) for p in init.points}
     assert rounded == {tuple(row) for row in base}
 
@@ -44,7 +44,7 @@ def test_init_single_device_loop_skipped():
 
 def test_init_collinear_picks_farthest():
     uploads = [_dc(0, [[0.0]]), _dc(1, [[1.0]]), _dc(2, [[10.0]])]
-    init = farthest_point_init(uploads, 2, start_device=0)
+    init = farthest_point_init(uploads, 2, start_device=0, accounting=OpsAccounting())
     assert sorted(float(p[0]) for p in init.points) == [0.0, 10.0]
     # one distance per open upload per step: 2 from (0, 0), then 1 from (2, 0)
     acc = OpsAccounting()
@@ -55,7 +55,7 @@ def test_init_collinear_picks_farthest():
 
 def test_init_tie_breaks_lexicographically():
     uploads = [_dc(0, [[0.0]]), _dc(1, [[4.0]]), _dc(2, [[-4.0]])]
-    init = farthest_point_init(uploads, 2, start_device=0)
+    init = farthest_point_init(uploads, 2, start_device=0, accounting=OpsAccounting())
     assert init.provenance == [(0, 0), (1, 0)]
 
 
@@ -92,7 +92,7 @@ def test_init_matches_max_min_oracle():
 
 def test_init_too_few_centers():
     with pytest.raises(ValueError, match="fewer than k device centers"):
-        farthest_point_init([_dc(0, [[0.0], [1.0]])], 3)
+        farthest_point_init([_dc(0, [[0.0], [1.0]])], 3, accounting=OpsAccounting())
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,8 @@ def test_init_too_few_centers():
 def test_round_groups_duplicates_with_seeds():
     base = np.array([[0.0, 0.0], [20.0, 0.0]])
     uploads = [_dc(0, base), _dc(1, base)]
-    init = farthest_point_init(uploads, 2)
-    induced = one_round_lloyd(uploads, init)
+    init = farthest_point_init(uploads, 2, accounting=OpsAccounting())
+    induced = one_round_lloyd(uploads, init, accounting=OpsAccounting())
     for r in range(2):
         # each group holds the seed point's provenance plus the other
         # device's copy of it (distance zero)
@@ -113,8 +113,8 @@ def test_round_groups_duplicates_with_seeds():
 
 def test_round_tie_goes_to_lower_group():
     uploads = [_dc(0, [[0.0], [10.0]]), _dc(1, [[5.0]])]
-    init = farthest_point_init(uploads, 2, start_device=0)
-    induced = one_round_lloyd(uploads, init)
+    init = farthest_point_init(uploads, 2, start_device=0, accounting=OpsAccounting())
+    induced = one_round_lloyd(uploads, init, accounting=OpsAccounting())
     assert (1, 0) in induced.tau[0]
 
 
@@ -131,18 +131,18 @@ def test_round_builds_induced_rows():
                                      centers=data[r].mean(axis=0, keepdims=True),
                                      local_assignment=np.zeros(10, dtype=int),
                                      rows=r))
-    init = farthest_point_init(uploads, 2)
-    induced = one_round_lloyd(uploads, init, n_total=40)
+    init = farthest_point_init(uploads, 2, accounting=OpsAccounting())
+    induced = one_round_lloyd(uploads, init, n_total=40, accounting=OpsAccounting())
     truth = np.repeat([0, 1], 20)
     assert matched_accuracy(induced.assignment, truth).accuracy == 1.0
     assert induced.covered().all()
 
 
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes of Python and numpy allocations while ``fn(*args)`` runs."""
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes of Python and numpy allocations while ``fn(*args, **kwargs)`` runs."""
     tracemalloc.start()
     try:
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,29 +154,32 @@ def test_aggregator_memory_linear_in_uploads():
     rng = np.random.default_rng(5)
     uploads = [_dc(z, rng.normal(size=(8, 300))) for z in range(40)]
     stacked = np.concatenate([dc.centers for dc in uploads])
-    init = farthest_point_init(uploads, 64)
-    assert _traced_peak(farthest_point_init, uploads, 64) < 8 * stacked.nbytes
-    assert _traced_peak(one_round_lloyd, uploads, init) < 8 * stacked.nbytes
+    init = farthest_point_init(uploads, 64, accounting=OpsAccounting())
+    assert _traced_peak(farthest_point_init, uploads, 64,
+                        accounting=OpsAccounting()) < 8 * stacked.nbytes
+    assert _traced_peak(one_round_lloyd, uploads, init,
+                        accounting=OpsAccounting()) < 8 * stacked.nbytes
 
 
 # ---------------------------------------------------------------------------
 # assign_new_device
 
 def test_assign_duplicate_device_matches():
-    labels = assign_new_device(np.array([[0.0], [10.0]]), _dc(7, [[0.2], [9.5]]))
+    labels = assign_new_device(np.array([[0.0], [10.0]]), np.array([[0.2], [9.5]]),
+                               accounting=OpsAccounting())
     assert labels.tolist() == [0, 1]
 
 
 def test_assign_counts_distances():
     means = np.random.default_rng(1).normal(size=(5, 3))
     acc = OpsAccounting()
-    assign_new_device(means, _dc(9, np.zeros((1, 3))), acc)
+    assign_new_device(means, np.zeros((1, 3)), accounting=acc)
     assert acc.pairwise_distance_count == 5
 
 
 def test_assign_requires_state():
     with pytest.raises(ValueError, match="group means must be 2-D"):
-        assign_new_device(None, _dc(0, [[0.0]]))
+        assign_new_device(None, np.zeros((1, 1)), accounting=OpsAccounting())
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +287,9 @@ def test_dropout_below_k_centers_errors():
     # both devices hold 2 clusters each; dropping one leaves 2 < 4 centers
     with pytest.raises(ValueError, match="fewer than k device centers"):
         run_kfed(partition, data, seed=1, exclude_devices=(1,))
+    # dropping both leaves no uploads at all
+    with pytest.raises(ValueError, match="fewer than k device centers"):
+        run_kfed(partition, data, seed=1, exclude_devices=(0, 1))
 
 
 def test_dropout_unknown_device_errors():
@@ -337,9 +343,8 @@ def test_late_join_matches_full_rerun():
     held = local_cluster(data[partition.device_rows[last]],
                          partition.k_per_device[last], (12, last))
     acc = OpsAccounting()
-    center_labels = assign_new_device(
-        reduced.induced.cluster_means,
-        DeviceCenters(last, held.centers, held.clusters.assignment), acc)
+    center_labels = assign_new_device(reduced.induced.cluster_means, held.centers,
+                                      accounting=acc)
     assert acc.pairwise_distance_count == partition.k_per_device[last] * truth.k
     shared = reduced.induced.covered()
     mapping = matched_accuracy(reduced.induced.assignment[shared],
@@ -358,13 +363,13 @@ def test_record_replay_round_trip(tmp_path):
     _, data, truth, partition = planted_instance(13, k=4, d=12, per_cluster=24,
                                                  m0=2, group_size=2)
     log = tmp_path / "messages.jsonl"
-    run_kfed(partition, data, seed=13, record_path=log)
+    record_run(log, run_kfed(partition, data, seed=13))
     audit = replay_run(log)
     assert audit["devices"] == partition.num_devices
     assert audit["k"] == 4
     # recording the same run again is byte-identical
     second = tmp_path / "again.jsonl"
-    run_kfed(partition, data, seed=13, record_path=second)
+    record_run(second, run_kfed(partition, data, seed=13))
     assert log.read_bytes() == second.read_bytes()
 
 
@@ -372,7 +377,7 @@ def test_replay_detects_tampering(tmp_path):
     _, data, truth, partition = planted_instance(14, k=4, d=12, per_cluster=24,
                                                  m0=2, group_size=2)
     log = tmp_path / "messages.jsonl"
-    run_kfed(partition, data, seed=14, record_path=log)
+    record_run(log, run_kfed(partition, data, seed=14))
     lines = log.read_text().splitlines()
 
     # reformatted bytes are rejected even when the JSON content is equal
