@@ -300,15 +300,23 @@ def load_labels_csv(path, k: int | None = None) -> np.ndarray:
 
 
 def load_partition_json(path, n: int) -> DevicePartition:
-    """Read a device -> rows map that must cover rows 0..n-1 once each."""
+    """Read a device -> rows map that must cover rows 0..n-1 once each.
+
+    The Z keys must be the device ids "0".."Z-1", written as ``str(z)``.
+    """
     mapping = json.loads(Path(path).read_text())
     if not isinstance(mapping, dict):
         raise ValueError("partition file must map device ids to row lists")
+    expected = {str(z) for z in range(len(mapping))}
+    bad = [key for key in mapping if key not in expected]
+    if bad:
+        raise ValueError(f"device key {json.dumps(bad[0])} is not one of "
+                         f"the ids \"0\"..\"{len(mapping) - 1}\"")
     rows = []
-    for key in sorted(mapping, key=int):
-        ids = mapping[key]
+    for z in range(len(mapping)):
+        ids = mapping[str(z)]
         if not (isinstance(ids, list)
                 and all(type(i) is int and 0 <= i < n for i in ids)):
-            raise ValueError(f"device {key} must list integer row ids in [0, {n})")
+            raise ValueError(f"device {z} must list integer row ids in [0, {n})")
         rows.append(np.asarray(ids, dtype=int))
     return DevicePartition(device_rows=rows).validate(n)

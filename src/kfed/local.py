@@ -11,6 +11,11 @@ orthonormal basis of that subspace, not on the projected rows in d-space.
 Distances agree in exact arithmetic, so the result is the same while the
 cost no longer grows with d. The averaged centers are lifted back to
 d-space once, to start the final Lloyd.
+
+One Lloyd loop serves both the seeding restarts and the final solve: it
+takes a stack of starts, iterates them together (each stops at its own
+convergence step), and takes every step's means in one ``cluster_means``
+call, which on these narrow rows is a single ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -59,9 +64,19 @@ def cluster_means(data: np.ndarray, labels: np.ndarray, k: int
     """Per-cluster means and sizes of ``data`` rows under ``labels`` in [0, k).
 
     Mean r is exactly ``data[labels == r].mean(axis=0)``; NaN if r is absent.
+    For widths 2..k one weighted ``np.bincount`` sums every (cluster,
+    column) bin in row order, as that mean does. Width 1 keeps the masked
+    loop, because numpy sums a single column pairwise, and so does a width
+    above k (raw d-space rows), where the loop is faster.
     """
     sizes = np.bincount(labels, minlength=k)
-    means = np.full((k, data.shape[1]), np.nan)
+    width = data.shape[1]
+    if 1 < width <= k:
+        bins = (labels[:, None] * width + np.arange(width)).ravel()
+        sums = np.bincount(bins, weights=data.ravel(), minlength=k * width)
+        with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an absent r
+            return sums.reshape(k, width) / sizes[:, None], sizes
+    means = np.full((k, width), np.nan)
     for r in np.flatnonzero(sizes):
         means[r] = data[labels == r].mean(axis=0)
     return means, sizes
@@ -88,7 +103,8 @@ def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     ``threshold_assign``'s three-times test depend on those last bits.
     The (n, k, d) block stays small here: one device's rows against its
     own k centers, at most 160 x 8 x 300 doubles (3 MB) on the
-    d=300/k=64 table1 shape.
+    d=300/k=64 table1 shape. ``_lloyd`` calls it one start at a time, so
+    stacked starts never hold more than one such block.
     """
     diff = data[:, None, :] - centers[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
@@ -100,27 +116,44 @@ def _assignment_cost(data: np.ndarray, labels: np.ndarray,
     return float(np.einsum("nd,nd->", diff, diff))
 
 
-def _lloyd(data: np.ndarray, centers: np.ndarray, tol: float,
-           max_iter: int) -> tuple[Clustering, int]:
-    """Lloyd iterations; returns (clustering, iterations).
+def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations from each of R (k, w) starts, all run together.
 
+    Returns labels (R, n), centers (R, k, w) and iterations (R,). Each
+    start follows exactly the path it would follow alone and stops at its
+    own step, once its largest center shift drops below ``tol``.
     Nearest-center ties go to the lowest cluster index. A cluster that
     loses all members keeps its previous center. The returned centers are
     exactly the means of the returned assignment (for nonempty clusters).
+    A step's means for every running start come from one ``cluster_means``
+    call, start j's clusters numbered from j*k over a stacked copy of the
+    rows.
     """
-    centers = np.array(centers, dtype=float)
-    k = centers.shape[0]
-    labels = np.zeros(data.shape[0], dtype=int)
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        labels = _sq_distances(data, centers).argmin(axis=1)
-        means, sizes = cluster_means(data, labels, k)
-        updated = np.where(sizes[:, None] > 0, means, centers)
-        shift = float(np.sqrt(((updated - centers) ** 2).sum(axis=1)).max())
-        centers = updated
-        if shift < tol:
+    centers = np.array(starts, dtype=float)
+    runs, k, _ = centers.shape
+    n = data.shape[0]
+    stacked = np.tile(data, (runs, 1))
+    labels = np.zeros((runs, n), dtype=int)
+    iterations = np.zeros(runs, dtype=int)
+    active = np.arange(runs)
+    for step in range(1, max_iter + 1):
+        if not active.size:
             break
-    return Clustering(assignment=labels, centers=centers, k=k), iteration
+        for r in active:
+            labels[r] = _sq_distances(data, centers[r]).argmin(axis=1)
+        offsets = np.arange(active.size)[:, None] * k
+        means, sizes = cluster_means(stacked[:active.size * n],
+                                     (labels[active] + offsets).ravel(),
+                                     active.size * k)
+        current = centers[active]
+        updated = np.where(sizes.reshape(-1, k, 1) > 0,
+                           means.reshape(current.shape), current)
+        shift = np.sqrt(((updated - current) ** 2).sum(axis=2)).max(axis=1)
+        centers[active] = updated
+        iterations[active] = step
+        active = active[~(shift < tol)]
+    return labels, centers, iterations
 
 
 def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,
@@ -130,8 +163,18 @@ def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TO
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("need at least one initial center")
-    clustering, _ = _lloyd(data, centers, tol, max_iter)
-    return clustering
+    labels, final, _ = _lloyd(data, centers[None], tol, max_iter)
+    return Clustering(assignment=labels[0], centers=final[0], k=centers.shape[0])
+
+
+def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
+    """Whether each (k, w) matrix in ``centers`` (..., k, w) repeats a row.
+
+    Rows compare by exact float equality, so -0.0 equals 0.0; on finite
+    centers this agrees with counting fewer than k distinct rows.
+    """
+    equal = (centers[..., :, None, :] == centers[..., None, :, :]).all(axis=-1)
+    return np.triu(equal, 1).any(axis=(-2, -1))
 
 
 def _dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
@@ -154,6 +197,7 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     """Estimate k centers on the projected rows (or their subspace coordinates).
 
     k-means++ seeding refined by Lloyd, best cost over seeded restarts.
+    Restarts whose refined centers collapse (two equal rows) are skipped.
     Comfortably within the 10x-of-optimal budget the pipeline assumes;
     tests enforce that factor against an exhaustive oracle at small sizes.
     """
@@ -162,18 +206,16 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
         seed = (int(seed),)
     if data.shape[0] < k:
         raise ValueError("insufficient distinct points")
+    starts = np.stack([_dsq_sample(data, k, Stream(*seed, restart))
+                       for restart in range(_SEED_RESTARTS)])
+    labels, refined, _ = _lloyd(data, starts, tol, DEFAULT_MAX_ITER)
     best_cost = np.inf
     best_centers: np.ndarray | None = None
-    for restart in range(_SEED_RESTARTS):
-        stream = Stream(*seed, restart)
-        seeded = _dsq_sample(data, k, stream)
-        refined, _ = _lloyd(data, seeded, tol, DEFAULT_MAX_ITER)
-        if np.unique(refined.centers, axis=0).shape[0] < k:
-            continue  # degenerate restart; centers collapsed
-        cost = _assignment_cost(data, refined.assignment, refined.centers)
+    for restart in np.flatnonzero(~_has_equal_rows(refined)):
+        cost = _assignment_cost(data, labels[restart], refined[restart])
         if cost < best_cost:
             best_cost = cost
-            best_centers = refined.centers
+            best_centers = refined[restart]
     if best_centers is None:
         raise ValueError("seeding collapsed on every restart")
     return best_centers
@@ -191,7 +233,7 @@ def threshold_assign(projected, centers: np.ndarray
     data = validate_matrix(projected)
     centers = np.asarray(centers, dtype=float)
     k = centers.shape[0]
-    if np.unique(centers, axis=0).shape[0] < k:
+    if _has_equal_rows(centers):
         raise ValueError("centers must be distinct")
     dist = np.sqrt(_sq_distances(data, centers))
     nearest = dist.argmin(axis=1)
@@ -221,8 +263,10 @@ def local_cluster(data: np.ndarray, k: int, seed,
     coords, lift = top_k_projection(data, k_eff)
     seeded = approx_seed(coords, k, seed, tol=tol)
     sets, theta = threshold_assign(coords, seeded)
-    clustering, iterations = _lloyd(data, theta @ lift, tol, DEFAULT_MAX_ITER)
+    labels, centers, iterations = _lloyd(data, (theta @ lift)[None], tol,
+                                         DEFAULT_MAX_ITER)
     unassigned = data.shape[0] - sum(s.size for s in sets)
-    return LocalResult(clusters=clustering,
+    return LocalResult(clusters=Clustering(assignment=labels[0],
+                                           centers=centers[0], k=k),
                        unassigned_after_threshold=unassigned,
-                       lloyd_iterations=iterations)
+                       lloyd_iterations=int(iterations[0]))

@@ -4,10 +4,13 @@ Nothing here shares code with the package: the spectral oracle is a
 classical max-pivot Jacobi eigensolver on the full Gram matrix, the
 k-means oracle enumerates set partitions outright, the matching oracle
 tries every permutation, and the max-min oracle recomputes every distance
-at every step. The one exception is the d-space device solve, which
-composes the package's own seeding, thresholding and Lloyd steps on
-projected d-space rows: it is the reference the subspace-coordinate device
-solve must reproduce bit for bit.
+at every step. Two references do share package code, because they must
+reproduce the package bit for bit. The d-space device solve composes the
+package's own seeding, thresholding and Lloyd steps on projected d-space
+rows; the subspace-coordinate device solve must match it. The per-restart
+seeding draws its k-means++ starts with the package's sampler and refines
+each with its own single-start Lloyd; the stacked multi-start solve must
+match it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import itertools
 
 import numpy as np
 
+from kfed import local
 from kfed.local import (DEFAULT_MAX_ITER, DEFAULT_TOL, Clustering, approx_seed,
                         lloyd_iterate, threshold_assign)
+from kfed.rng import Stream
 
 
 def jacobi_eigenvalues(sym: np.ndarray, max_rotations: int = 100_000) -> np.ndarray:
@@ -168,3 +173,60 @@ def dspace_local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TO
     sets, theta = threshold_assign(projected, seeded)
     clustering = lloyd_iterate(data, theta, tol, max_iter)
     return clustering, n - sum(s.size for s in sets)
+
+
+def single_lloyd(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER
+                 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Lloyd from one start, one masked mean per cluster per step.
+
+    Returns (labels, centers, iterations, whether a cluster ever lost all
+    its members). Ties go to the lowest index; an empty cluster keeps its
+    center; it stops once no center moves by ``tol`` or more.
+    """
+    centers = np.array(centers, dtype=float)
+    labels = np.zeros(data.shape[0], dtype=int)
+    iteration, emptied = 0, False
+    for iteration in range(1, max_iter + 1):
+        diff = data[:, None, :] - centers[None, :, :]
+        labels = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
+        updated = centers.copy()
+        for r in range(centers.shape[0]):
+            members = data[labels == r]
+            if members.shape[0]:
+                updated[r] = members.mean(axis=0)
+            else:
+                emptied = True
+        shift = float(np.sqrt(((updated - centers) ** 2).sum(axis=1)).max())
+        centers = updated
+        if shift < tol:
+            break
+    return labels, centers, iteration, emptied
+
+
+def per_restart_seed(data: np.ndarray, k: int, seed: tuple, tol: float = DEFAULT_TOL
+                     ) -> tuple[np.ndarray, list[int]]:
+    """``approx_seed`` run one restart at a time: (centers, collapsed restarts).
+
+    Each restart draws its k-means++ start from ``Stream(*seed, restart)``
+    and refines it with ``single_lloyd``. A restart whose refined centers
+    repeat a row (``np.unique``) is skipped; the lowest cost wins, and a
+    later restart replaces it only at a strictly lower cost.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.shape[0] < k:
+        raise ValueError("insufficient distinct points")
+    best_cost, best, collapsed = np.inf, None, []
+    for restart in range(local._SEED_RESTARTS):
+        start = local._dsq_sample(data, k, Stream(*seed, restart))
+        labels, centers, _, _ = single_lloyd(data, start, tol)
+        if np.unique(centers, axis=0).shape[0] < k:
+            collapsed.append(restart)
+            continue
+        diff = data - centers[labels]
+        cost = float(np.einsum("nd,nd->", diff, diff))
+        if cost < best_cost:
+            best_cost, best = cost, centers
+    if best is None:
+        raise ValueError("seeding collapsed on every restart")
+    return best, collapsed

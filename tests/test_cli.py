@@ -822,6 +822,25 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, defect):
     assert not (tmp_path / "prof").exists()
 
 
+@pytest.mark.parametrize("keys,bad", [(["10", "11", "12", "13"], "10"),
+                                      (["0", "00", "2", "3"], "00")])
+def test_profile_rekeyed_partition_names_the_key(tmp_path, capsys, keys, bad):
+    files = _profile_files(tmp_path)
+    mapping = json.loads(files["partition"].read_text())
+    rows = [mapping[str(z)] for z in range(len(mapping))]
+    files["partition"].write_text(json.dumps(dict(zip(keys, rows))))
+    out = tmp_path / "prof"
+    capsys.readouterr()
+    assert cli.main(["profile", "--data", str(files["data"]),
+                     "--labels", str(files["labels"]),
+                     "--partition", str(files["partition"]),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f'error: {files["partition"]}: device key "{bad}" is not one of '
+        f'the ids "0".."3"\n')
+    assert not out.exists()
+
+
 def test_eval_empty_label_files_exit_2(tmp_path, capsys):
     pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
     pred.write_text("")

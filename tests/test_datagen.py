@@ -231,6 +231,22 @@ def test_save_and_load_round_trip(tmp_path):
     assert json.loads(paths["spec"].read_text())["idtag"] == 1
 
 
+def test_load_partition_keys_are_device_ids(tmp_path):
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps({"1": [2, 0], "0": [1]}))   # file order is free
+    loaded = load_partition_json(path, 3)
+    assert [rows.tolist() for rows in loaded.device_rows] == [[1], [2, 0]]
+    for keys, bad in ((["1", "2"], "2"), (["0", "01"], "01"), (["0", "-1"], "-1"),
+                      (["0", " 1"], " 1"), (["0", "x"], "x")):
+        path.write_text(json.dumps(dict(zip(keys, [[1], [2, 0]]))))
+        with pytest.raises(ValueError, match=f'^device key "{bad}" is not one of '
+                                             f'the ids "0".."1"$'):
+            load_partition_json(path, 3)
+    path.write_text(json.dumps({"0": [0, 1, 2], "1": []}))
+    with pytest.raises(ValueError, match="device 1 holds no rows"):
+        load_partition_json(path, 3)
+
+
 def test_load_labels_rejects_unseen_cluster(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("0\n1\n5\n")

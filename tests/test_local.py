@@ -1,14 +1,18 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from kfed import local
 from kfed.evaluation import kmeans_cost, matched_accuracy
 from kfed.linalg import operator_norm
 from kfed.local import (Clustering, approx_seed, cluster_means, lloyd_iterate,
                         local_cluster, threshold_assign)
+from kfed.rng import Stream
 from helpers import planted_instance, projection
-from oracles import brute_force_kmeans, dspace_local_cluster
+from oracles import (brute_force_kmeans, dspace_local_cluster, per_restart_seed,
+                     single_lloyd)
 
 
 def _as_center_set(centers):
@@ -331,9 +335,146 @@ def test_cluster_means_bit_identical_to_masked_mean():
     for r in (0, 1, 2, 4):
         assert means[r].tobytes() == data[labels == r].mean(axis=0).tobytes()
     assert np.isnan(means[[3, 5]]).all()
+    # Width 1 and widths above k take the masked loop, widths 2..k the
+    # bincount; C- and Fortran-ordered rows, one label always absent.
+    for width in (1, 2, 16, 32, 33, 64, 300):
+        for k in sorted({2, max(width - 1, 2), max(width, 2), width + 3}):
+            for n in (k, 3 * k + 5):
+                data = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 4)
+                labels = rng.integers(0, k, size=n)
+                labels[labels == k - 1] = 0             # label k-1 absent
+                for rows in (data, np.asfortranarray(data)):
+                    means, sizes = cluster_means(rows, labels, k)
+                    assert sizes.tolist() == np.bincount(labels, minlength=k).tolist()
+                    for r in np.flatnonzero(sizes):
+                        assert means[r].tobytes() == \
+                            rows[labels == r].mean(axis=0).tobytes()
+                    assert np.isnan(means[sizes == 0]).all()
+                    assert sizes[k - 1] == 0
 
 
 def test_clustering_from_labels_requires_members():
     data = np.ones((3, 2))
     with pytest.raises(ValueError, match="no members"):
         Clustering.from_labels(data, np.array([0, 0, 0]), 2)
+
+
+def test_has_equal_rows_matches_unique():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        k, width = rng.integers(1, 9), rng.integers(1, 9)
+        centers = rng.integers(-1, 2, size=(k, width)).astype(float)
+        assert bool(local._has_equal_rows(centers)) == \
+            (np.unique(centers, axis=0).shape[0] < k)
+    signed = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 3.0]])
+    assert np.unique(signed, axis=0).shape[0] == 2
+    assert local._has_equal_rows(signed)
+    stack = np.stack([signed, signed + [[0.0, 0.0], [0.0, 5.0], [0.0, 0.0]],
+                      np.eye(3, 2)])
+    assert local._has_equal_rows(stack).tolist() == [True, False, False]
+
+
+def _fuzz_rows(rng, n, width):
+    """Blobs at random scale, some rounded to integers (duplicate rows, ties)."""
+    blobs = rng.integers(1, 6)
+    centers = rng.normal(size=(blobs, width)) * rng.choice([1.0, 5.0, 50.0])
+    data = centers[rng.integers(0, blobs, size=n)] + rng.normal(size=(n, width))
+    return np.round(data) if rng.random() < 0.3 else data
+
+
+def test_multi_start_lloyd_matches_per_start_oracle():
+    rng = np.random.default_rng(42)
+    iteration_spreads = emptied = raised = 0
+    for case in range(220):
+        n, width = int(rng.integers(5, 401)), int(rng.integers(1, 34))
+        k = int(rng.integers(1, min(16, n) + 1))
+        data = _fuzz_rows(rng, n, width)
+        if case % 2:
+            data = np.asfortranarray(data)
+        # Arbitrary starts: data rows (repeats allowed) or points beyond the
+        # data's span, which can leave a cluster without members.
+        runs = int(rng.integers(1, 6))
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        starts = np.stack([
+            data[rng.integers(0, n, size=k)] if rng.random() < 0.5
+            else lo + (hi - lo + 1.0) * rng.uniform(-0.5, 1.5, size=(k, width))
+            for _ in range(runs)])
+        max_iter = 2 if case % 7 == 0 else local.DEFAULT_MAX_ITER
+        labels, centers, iterations = local._lloyd(data, starts, local.DEFAULT_TOL,
+                                                   max_iter)
+        assert labels.shape == (runs, n) and centers.shape == (runs, k, width)
+        for r in range(runs):
+            ref_labels, ref_centers, ref_iter, ref_emptied = single_lloyd(
+                data, starts[r], max_iter=max_iter)
+            assert labels[r].tobytes() == ref_labels.tobytes()
+            assert centers[r].tobytes() == ref_centers.tobytes()
+            assert iterations[r] == ref_iter
+            emptied += ref_emptied
+        iteration_spreads += len(set(iterations.tolist())) > 1
+        seed = (case, 3)
+        try:
+            expected, _ = per_restart_seed(data, k, seed)
+        except ValueError as err:
+            raised += 1
+            with pytest.raises(ValueError, match=str(err)):
+                approx_seed(data, k, seed)
+            continue
+        assert approx_seed(data, k, seed).tobytes() == expected.tobytes()
+    assert iteration_spreads >= 50 and emptied >= 20 and raised >= 1
+
+
+def _collapse_restarts(monkeypatch, which):
+    """Make restarts in ``which`` start with two equal rows far from the data.
+
+    Neither far row ever gains a member, so that restart's refined centers
+    keep the repeat and it collapses.
+    """
+    sample = local._dsq_sample
+    calls = []
+
+    def patched(data, k, stream):
+        start = sample(data, k, stream)
+        if len(calls) % local._SEED_RESTARTS in which:
+            start[-2:] = np.abs(data).max() * 1e6 + 1.0
+        calls.append(1)
+        return start
+    monkeypatch.setattr(local, "_dsq_sample", patched)
+
+
+def test_approx_seed_skips_collapsed_restart(monkeypatch):
+    rng = np.random.default_rng(43)
+    data = _fuzz_rows(rng, 120, 4)
+    _collapse_restarts(monkeypatch, {0, 2})
+    expected, collapsed = per_restart_seed(data, 5, (9,))
+    assert collapsed == [0, 2]
+    assert approx_seed(data, 5, 9).tobytes() == expected.tobytes()
+    starts = np.stack([local._dsq_sample(data, 5, Stream(9, r)) for r in range(5)])
+    _, refined, _ = local._lloyd(data, starts, local.DEFAULT_TOL,
+                                 local.DEFAULT_MAX_ITER)
+    assert local._has_equal_rows(refined).tolist() == [True, False, True,
+                                                       False, False]
+
+
+def test_approx_seed_every_restart_collapsed(monkeypatch):
+    data = _fuzz_rows(np.random.default_rng(44), 60, 3)
+    _collapse_restarts(monkeypatch, set(range(local._SEED_RESTARTS)))
+    with pytest.raises(ValueError, match="seeding collapsed on every restart"):
+        per_restart_seed(data, 4, (1,))
+    with pytest.raises(ValueError, match="seeding collapsed on every restart"):
+        approx_seed(data, 4, 1)
+
+
+def test_approx_seed_memory_one_distance_block():
+    # Five restarts at 2000 x 32, k=32: stacking the restarts' distance
+    # blocks would hold five (n, k, w) blocks at once.
+    rng = np.random.default_rng(45)
+    means = np.eye(32) * 100.0
+    data = means[rng.integers(0, 32, size=2000)] + rng.normal(size=(2000, 32))
+    block = 2000 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        approx_seed(data, 32, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block
