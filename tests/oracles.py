@@ -10,18 +10,21 @@ package's own seeding, thresholding and Lloyd steps on projected d-space
 rows; the subspace-coordinate device solve must match it. The per-restart
 seeding draws its k-means++ starts with the package's sampler and refines
 each with its own single-start Lloyd; the stacked multi-start solve must
-match it.
+match it. The exact-path lemma audit takes the package's global fit and
+``operator_norm``, so that its bounds and norms are the package's to the
+bit; it differs only in taking the exact norm on every device.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from kfed import local
+from kfed import local, separation
 from kfed.local import (DEFAULT_MAX_ITER, DEFAULT_TOL, Clustering, approx_seed,
-                        lloyd_iterate, threshold_assign)
+                        cluster_means, lloyd_iterate, threshold_assign)
 from kfed.rng import Stream
 
 
@@ -230,3 +233,43 @@ def per_restart_seed(data: np.ndarray, k: int, seed: tuple, tol: float = DEFAULT
     if best is None:
         raise ValueError("seeding collapsed on every restart")
     return best, collapsed
+
+
+def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
+                      partition) -> separation.LemmaAudit:
+    """``lemma_audit`` with an exact ``operator_norm`` on every device.
+
+    No Frobenius certificate: every device's residual norm is the
+    eigensolve. A bound counts as violated beyond the smaller of 1e-9 and
+    1e-12 times the bound. ``separation.operator_norm`` is looked up at
+    call time, so a test that patches it patches this audit too.
+    """
+    data, labels, centers, _, op = separation._fit_target(data, clustering)
+    k = clustering.k
+
+    audit = separation.LemmaAudit(mean_shift_checks=0, norm_change_checks=0)
+    for z, rows in enumerate(partition.device_rows):
+        if rows.size == 0:
+            continue
+        local_labels = labels[rows]
+        local_data = data[rows]
+        local_means, local_sizes = cluster_means(local_data, local_labels, k)
+        present = np.flatnonzero(local_sizes)
+        for r in present:
+            lhs = float(np.linalg.norm(local_means[r] - centers[r]))
+            rhs = op / math.sqrt(local_sizes[r])
+            audit.mean_shift_checks += 1
+            if lhs > rhs + min(1e-9, 1e-12 * rhs):
+                audit.violations.append({
+                    "kind": "mean_shift", "device": z, "cluster": int(r),
+                    "lhs": lhs, "rhs": rhs,
+                })
+        lhs = separation.operator_norm(local_data - local_means[local_labels])
+        rhs = 2.0 * math.sqrt(present.size) * op
+        audit.norm_change_checks += 1
+        if lhs > rhs + min(1e-9, 1e-12 * rhs):
+            audit.violations.append({
+                "kind": "norm_change", "device": z, "cluster": None,
+                "lhs": lhs, "rhs": rhs,
+            })
+    return audit

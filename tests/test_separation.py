@@ -11,6 +11,7 @@ from kfed.separation import (estimate_m0, lemma_audit, proximity_check,
                              separation_quantities)
 from helpers import planted_instance
 from kfed.rng import Stream
+from oracles import exact_lemma_audit
 
 
 def _partition_from_lists(lists):
@@ -261,3 +262,88 @@ def test_diagnostics_match_svd_operator_norm(monkeypatch, seed):
     assert (audit.mean_shift_checks, audit.norm_change_checks, audit.violations) == \
         (svd_audit.mean_shift_checks, svd_audit.norm_change_checks,
          svd_audit.violations)
+
+
+# ---------------------------------------------------------------------------
+# lemma_audit's Frobenius certificate against the exact path
+
+def _acceptance_01_instance(seed):
+    _, data, truth, partition = planted_instance(
+        seed, k=16, d=100, per_cluster=200, m0=5, group_size=4)
+    return data, truth, partition
+
+
+def _wide_device_instance(devices=20, rows=20, d=500, k=4):
+    """d >> device rows, one cluster per device: every device's Frobenius
+    norm exceeds its bound, so every device takes the exact eigensolve."""
+    data = np.random.default_rng(14).normal(size=(devices * rows, d))
+    labels = np.repeat(np.arange(devices) % k, rows)
+    part = _partition_from_lists([range(z * rows, (z + 1) * rows)
+                                  for z in range(devices)])
+    return data, Clustering.from_labels(data, labels, k), part
+
+
+_SHAPES = {"acceptance_01_seed0": lambda: _acceptance_01_instance(0),
+           "acceptance_01_seed1": lambda: _acceptance_01_instance(1),
+           "wide_devices": _wide_device_instance}
+
+
+def _count_operator_norm(monkeypatch):
+    calls = []
+    real = separation.operator_norm
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+    monkeypatch.setattr(separation, "operator_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_audit_matches_exact_path_oracle(shape):
+    data, truth, partition = _SHAPES[shape]()
+    audit = lemma_audit(data, truth, partition)
+    assert audit == exact_lemma_audit(data, truth, partition)
+    assert audit.passed
+
+
+@pytest.mark.parametrize("shape,per_device", [("acceptance_01_seed0", 0),
+                                              ("wide_devices", 1)])
+def test_audit_eigensolves_only_uncertified_devices(monkeypatch, shape,
+                                                    per_device):
+    data, truth, partition = _SHAPES[shape]()
+    calls = _count_operator_norm(monkeypatch)
+    lemma_audit(data, truth, partition)
+    # the global fit, then one per device the certificate does not settle
+    assert len(calls) == 1 + per_device * len(partition.device_rows)
+    assert calls[0] == data.shape
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-200])
+def test_audit_certificate_is_scale_free(monkeypatch, scale):
+    data, truth, partition = _acceptance_01_instance(0)
+    calls = _count_operator_norm(monkeypatch)
+    assert lemma_audit(data * scale, truth, partition).passed
+    assert len(calls) == 1
+
+
+def _planted_norm_bug(monkeypatch, n_rows):
+    """``operator_norm`` that returns the global residual's norm 100x too small."""
+    real = separation.operator_norm
+    monkeypatch.setattr(separation, "operator_norm",
+                        lambda m: real(m) / (100.0 if len(m) == n_rows else 1.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-200])
+def test_audit_flags_planted_violation_at_any_scale(monkeypatch, scale):
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(200, 6)) * scale
+    clustering = Clustering.from_labels(data, np.arange(200) % 3, 3)
+    partition = iid_partition(200, 4, seed=3)
+    _planted_norm_bug(monkeypatch, len(data))
+    audit = lemma_audit(data, clustering, partition)
+    assert audit == exact_lemma_audit(data, clustering, partition)
+    kinds = [v["kind"] for v in audit.violations]
+    assert kinds.count("norm_change") == 4    # every device, by the exact path
+    if scale > 1e-100:  # at 1e-200 the mean shifts' vector norms underflow to 0
+        assert kinds.count("mean_shift") > 0
