@@ -3,12 +3,7 @@
 Subcommands: generate, run, replay, profile, join, eval. A JSON config describes
 the instance family and experiment; every output file embeds the config
 hash and seed so equal (config, seed) pairs reproduce byte-identical
-result rows. The KFED_THREADS environment variable caps the number of
-concurrent device solves. It only speeds a run up with BLAS pinned to one
-thread (for example OPENBLAS_NUM_THREADS=1): on 2 cores a d=300/k=64
-run_kfed took a median 0.39-0.43 s at KFED_THREADS=2 against 0.45-0.50 s
-serially. With BLAS's default threading the solver threads and BLAS's
-threads compete for the same cores, and two solver threads were slower.
+result rows.
 """
 
 from __future__ import annotations
@@ -501,10 +496,6 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--record {args.record} is a directory, not a log file")
     if args.exclude_devices:
         _check_exclusions(cfg, args.exclude_devices)
-    try:
-        federation.worker_count()
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
     cfg.update(out=_out_dir(args.out or cfg["out"]),
                tol=args.tol if args.tol is not None else float(cfg["tol"]),
                exclude_devices=args.exclude_devices or (), record=args.record,
@@ -651,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--data", required=True)
     prof.add_argument("--labels", required=True)
     prof.add_argument("--partition", required=True)
-    prof.add_argument("--k", type=int, help="expected cluster count for label validation")
+    prof.add_argument("--k", type=_flag("count"),
+                      help="expected cluster count for label validation")
     prof.add_argument("--c", type=_flag("number"))
     prof.add_argument("--m0", type=_flag("number>=0"))
     prof.add_argument("--out")

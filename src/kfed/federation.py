@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import re
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,11 +30,15 @@ from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
 WIRE_SCHEMA_VERSION = 1
 
 
+def _wire_int(value, least: int) -> bool:
+    """A JSON integer, not a bool or a float, of at least ``least``."""
+    return type(value) is int and value >= least
+
+
 @dataclass
 class Message:
     direction: str   # "up" (device -> server) or "down" (server -> device)
     device_id: int
-    kind: str
     n_bytes: int
 
 
@@ -79,14 +82,22 @@ class DeviceCenters:
     @classmethod
     def from_wire(cls, blob: dict,
                   earlier: Sequence["DeviceCenters"] = ()) -> "DeviceCenters":
-        """Parse one upload; reject a device id or width that clashes with ``earlier``."""
+        """Parse one upload that holds exactly what ``to_wire`` writes; reject
+        a device id or width that clashes with ``earlier``."""
         try:
             centers = validate_matrix(blob["centers"], "uploaded centers")
-            device_id, k_z = int(blob["device_id"]), blob["k_z"]
+            device_id, k_z = blob["device_id"], blob["k_z"]
+            digest = blob["assignment_digest"]
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed center upload: {err!r}") from err
-        if centers.shape[0] != k_z:
-            raise ValueError("malformed center upload")
+        if not (set(blob) == {"device_id", "k_z", "centers", "assignment_digest"}
+                and _wire_int(device_id, 0) and _wire_int(k_z, 1)
+                and centers.shape[0] == k_z and isinstance(digest, str)
+                and re.fullmatch("[0-9a-f]{64}", digest)
+                and all(type(x) is float for row in blob["centers"] for x in row)):
+            raise ValueError("malformed center upload: it needs exactly an integer "
+                             "device_id >= 0, k_z >= 1 rows of float centers and "
+                             "a 64-hex-digit assignment_digest")
         if any(other.device_id == device_id for other in earlier):
             raise ValueError(f"device {device_id} uploaded twice")
         if any(other.centers.shape[1] != centers.shape[1] for other in earlier):
@@ -218,15 +229,6 @@ def assign_new_device(cluster_means: np.ndarray, centers: np.ndarray, *,
     return pairwise_distances(centers, cluster_means).argmin(axis=1)
 
 
-def worker_count() -> int:
-    """Concurrent device solves: ``KFED_THREADS``, or 1 when it is unset."""
-    env = os.environ.get("KFED_THREADS", "").strip()
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError as err:
-        raise ValueError(f"KFED_THREADS must be an integer, got {env!r}") from err
-
-
 def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
              tol: float = DEFAULT_TOL, exclude_devices: tuple[int, ...] = ()) -> KFedRun:
     """Full pipeline: local solves on every device, then one-shot aggregation."""
@@ -242,40 +244,27 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
                          f"has devices 0..{partition.num_devices - 1}")
     participants = [z for z in range(partition.num_devices) if z not in excluded]
 
-    def solve(z: int) -> tuple[int, LocalResult]:
+    accounting = OpsAccounting()
+    device_centers: dict[int, DeviceCenters] = {}
+    local_results: dict[int, LocalResult] = {}
+    for z in participants:
         rows = partition.device_rows[z]
         result = local_cluster(data[rows], partition.k_per_device[z],
                                (seed, z), tol=tol)
-        return z, result
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = dict(pool.map(solve, participants))
-    else:
-        solved = dict(map(solve, participants))
-
-    accounting = OpsAccounting()
-    device_centers: dict[int, DeviceCenters] = {}
-    for z in participants:  # collect in device order after the join
-        result = solved[z]
-        dc = DeviceCenters(device_id=z, centers=result.centers,
-                           local_assignment=result.clusters.assignment,
-                           rows=partition.device_rows[z])
-        device_centers[z] = dc
-        accounting.messages.append(
-            Message("up", z, "centers", 8 * dc.k_z * data.shape[1]))
+        local_results[z] = result
+        device_centers[z] = DeviceCenters(
+            device_id=z, centers=result.centers,
+            local_assignment=result.clusters.assignment, rows=rows)
+        accounting.messages.append(Message("up", z, 8 * result.centers.size))
 
     uploads = [device_centers[z] for z in participants]
     init = farthest_point_init(uploads, partition.k, accounting=accounting)
     induced = one_round_lloyd(uploads, init, n_total=n, accounting=accounting)
     for z in participants:
-        accounting.messages.append(
-            Message("down", z, "labels", 8 * device_centers[z].k_z))
+        accounting.messages.append(Message("down", z, 8 * device_centers[z].k_z))
 
     return KFedRun(induced=induced, accounting=accounting, init=init,
-                   device_centers=device_centers,
-                   local_results={z: solved[z] for z in participants})
+                   device_centers=device_centers, local_results=local_results)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +295,11 @@ def record_run(path, run: KFedRun) -> None:
 def replay_run(path) -> dict:
     """Re-run aggregation from a recorded message log and audit it.
 
-    Verifies that every line re-serializes to the exact recorded bytes and
-    that re-aggregating the recorded centers reproduces the recorded
-    center groups. Raises ValueError on any mismatch.
+    Verifies that every line re-serializes to the exact recorded bytes,
+    that the header and every upload hold exactly the keys and JSON types
+    ``record_run`` writes, and that re-aggregating the recorded centers
+    reproduces the recorded trailer byte for byte. Raises ValueError on any
+    mismatch.
     """
     raw_lines = Path(path).read_text().splitlines()
     if len(raw_lines) < 3:
@@ -316,8 +307,11 @@ def replay_run(path) -> dict:
     header = json.loads(raw_lines[0])
     if not isinstance(header, dict) or header.get("schema") != WIRE_SCHEMA_VERSION:
         raise ValueError("unsupported wire schema")
-    if not all(isinstance(header.get(key), int) for key in ("k", "start_device")):
-        raise ValueError("message log header needs integer k and start_device")
+    if not (set(header) == {"schema", "k", "start_device"}
+            and _wire_int(header["schema"], 1) and _wire_int(header["k"], 1)
+            and _wire_int(header["start_device"], 0)):
+        raise ValueError("message log header needs exactly schema 1, integer "
+                         "k >= 1 and integer start_device >= 0")
     for line in raw_lines:
         if canonical_json(json.loads(line)) != line:
             raise ValueError("message log is not in canonical form")
@@ -330,7 +324,7 @@ def replay_run(path) -> dict:
                                accounting=accounting)
     induced = one_round_lloyd(uploads, init, accounting=accounting)
     outcome = _outcome(init, induced)
-    if outcome != json.loads(raw_lines[-1]):
+    if canonical_json(outcome) != raw_lines[-1]:
         raise ValueError("replayed aggregation diverges from the recorded run")
     return {"k": header["k"], "devices": len(uploads), "tau": outcome["tau"],
             "distance_count": accounting.pairwise_distance_count}

@@ -201,6 +201,18 @@ def _exceeds(lhs: float, rhs: float) -> bool:
     return lhs > rhs + min(_AUDIT_SLACK, _AUDIT_REL * rhs)
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of ``m``, taken on the row scaled by the
+    power of two that brings its largest entry into [0.5, 1), then scaled
+    back. Both steps are exact, so each norm is bit-identical wherever the
+    plain norm neither overflows nor underflows, and right where it would.
+    """
+    exponents = np.frexp(np.abs(m).max(axis=1))[1]
+    norms = [np.linalg.norm(row) for row in np.ldexp(m, -exponents[:, None])]
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return np.ldexp(norms, exponents)
+
+
 def _frobenius_within(m: np.ndarray, bound: float) -> bool:
     """Whether ‖m‖_F, and so ‖m‖₂, is within ``bound`` by a relative margin.
 
@@ -241,8 +253,8 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
         local_data = data[rows]
         local_means, local_sizes = cluster_means(local_data, local_labels, k)
         present = np.flatnonzero(local_sizes)
-        for r in present:
-            lhs = float(np.linalg.norm(local_means[r] - centers[r]))
+        shifts = _row_norms(local_means[present] - centers[present])
+        for r, lhs in zip(present, shifts.tolist()):
             rhs = op / math.sqrt(local_sizes[r])
             audit.mean_shift_checks += 1
             if _exceeds(lhs, rhs):

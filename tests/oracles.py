@@ -10,9 +10,10 @@ package's own seeding, thresholding and Lloyd steps on projected d-space
 rows; the subspace-coordinate device solve must match it. The per-restart
 seeding draws its k-means++ starts with the package's sampler and refines
 each with its own single-start Lloyd; the stacked multi-start solve must
-match it. The exact-path lemma audit takes the package's global fit and
-``operator_norm``, so that its bounds and norms are the package's to the
-bit; it differs only in taking the exact norm on every device.
+match it. The exact-path lemma audit takes the package's global fit,
+``operator_norm`` and scaled mean-shift norms, so that its bounds and norms
+are the package's to the bit; it differs only in taking the exact norm on
+every device.
 """
 
 from __future__ import annotations
@@ -240,9 +241,10 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
     """``lemma_audit`` with an exact ``operator_norm`` on every device.
 
     No Frobenius certificate: every device's residual norm is the
-    eigensolve. A bound counts as violated beyond the smaller of 1e-9 and
-    1e-12 times the bound. ``separation.operator_norm`` is looked up at
-    call time, so a test that patches it patches this audit too.
+    eigensolve. Mean shifts take the audit's power-of-two scaled row norms.
+    A bound counts as violated beyond the smaller of 1e-9 and 1e-12 times the
+    bound. ``separation.operator_norm`` is looked up at call time, so a
+    test that patches it patches this audit too.
     """
     data, labels, centers, _, op = separation._fit_target(data, clustering)
     k = clustering.k
@@ -255,8 +257,8 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
         local_data = data[rows]
         local_means, local_sizes = cluster_means(local_data, local_labels, k)
         present = np.flatnonzero(local_sizes)
-        for r in present:
-            lhs = float(np.linalg.norm(local_means[r] - centers[r]))
+        shifts = separation._row_norms(local_means[present] - centers[present])
+        for r, lhs in zip(present, shifts.tolist()):
             rhs = op / math.sqrt(local_sizes[r])
             audit.mean_shift_checks += 1
             if lhs > rhs + min(1e-9, 1e-12 * rhs):

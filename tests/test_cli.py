@@ -80,6 +80,22 @@ def test_run_single_seed_outputs(tmp_path):
     assert state["k"] == 4 and len(state["tau_means"]) == 4
 
 
+def test_run_ignores_kfed_threads(tmp_path, monkeypatch):
+    # devices are solved one after another; the variable the old solver pool
+    # read is no longer consulted, so even a malformed value changes nothing
+    cfg_path, _ = write_config(tmp_path, experiment="table1", seeds=[0, 1])
+    plain, threaded = tmp_path / "plain", tmp_path / "threaded"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(plain)]) == 0
+    monkeypatch.setenv("KFED_THREADS", "abc")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(threaded)]) == 0
+    names = sorted(path.name for path in plain.iterdir())
+    assert {"results.csv", "summary.json", "state_seed0.json",
+            "state_seed1.json"} <= set(names)
+    assert names == sorted(path.name for path in threaded.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (threaded / name).read_bytes(), name
+
+
 def test_run_result_rows_reproducible(tmp_path):
     cfg_path, _ = write_config(tmp_path)
     out_a, out_b = tmp_path / "ra", tmp_path / "rb"
@@ -469,6 +485,76 @@ def test_replay_rejects_malformed_log(tmp_path, capsys, defect):
     assert reason in capsys.readouterr().err
 
 
+def _first_pair(tau, pick, swap):
+    """Replace the first ``tau`` pair that ``pick`` accepts with ``swap(pair)``."""
+    for group in tau:
+        for i, pair in enumerate(group):
+            if pick(pair):
+                group[i] = swap(pair)
+                return
+    raise AssertionError("no pair to edit")
+
+
+# Edits that give a log in canonical form that record_run never writes:
+# defect -> (line index, edit of that line's JSON). All but header_k_bool
+# replayed with exit 0 when replay compared values, not JSON types and bytes.
+UNWRITABLE_LOGS = {
+    "device_id_fraction": (1, lambda b: b.update(device_id=0.5)),
+    "device_id_string": (1, lambda b: b.update(device_id=str(b["device_id"]))),
+    "k_z_float": (1, lambda b: b.update(k_z=float(b["k_z"]))),
+    "digest_missing": (1, lambda b: b.pop("assignment_digest")),
+    "digest_not_hex": (1, lambda b: b.update(assignment_digest="x")),
+    "digest_upper_case": (1, lambda b: b.update(
+        assignment_digest=b["assignment_digest"].upper())),
+    "extra_key": (1, lambda b: b.update(note=1)),
+    "center_integer": (1, lambda b: b["centers"][0].__setitem__(
+        0, round(b["centers"][0][0]))),
+    "header_schema_bool": (0, lambda b: b.update(schema=True)),
+    "header_start_device_bool": (0, lambda b: b.update(start_device=False)),
+    "header_k_bool": (0, lambda b: b.update(k=True)),
+    "header_extra_key": (0, lambda b: b.update(note=1)),
+    "tau_bool": (-1, lambda b: _first_pair(
+        b["tau"], lambda pair: pair[0] == 1, lambda pair: [True, pair[1]])),
+    "tau_float": (-1, lambda b: _first_pair(
+        b["tau"], lambda pair: True, lambda pair: [pair[0], float(pair[1])])),
+}
+
+
+@pytest.fixture(scope="module")
+def recorded_log(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("recorded")
+    cfg_path, _ = write_config(tmp)
+    log = tmp / "messages.jsonl"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp / "rec"),
+                     "--record", str(log)]) == 0
+    return log.read_text().splitlines()
+
+
+@pytest.mark.parametrize("defect", [None] + sorted(UNWRITABLE_LOGS))
+def test_replay_rejects_log_record_run_cannot_write(tmp_path, capsys, recorded_log,
+                                                   defect):
+    lines = list(recorded_log)
+    if defect is not None:
+        index, edit = UNWRITABLE_LOGS[defect]
+        _edit_upload(lines, index, edit)
+        assert lines != recorded_log
+    log = tmp_path / "messages.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = cli.main(["replay", "--log", str(log)])
+    out, err = capsys.readouterr()
+    if defect is None:
+        assert code == cli.EXIT_OK and err == ""
+        header, trailer = json.loads(lines[0]), json.loads(lines[-1])
+        audit = json.loads(out)
+        assert out.count("\n") == 1 and out == json.dumps(audit) + "\n"
+        assert (audit["k"], audit["devices"]) == (header["k"], len(lines) - 2)
+        assert audit["tau"] == trailer["tau"]
+    else:
+        assert code == cli.EXIT_PIPELINE and out == ""
+        assert err.startswith("pipeline error: ") and err.count("\n") == 1
+
+
 def test_eval_command(tmp_path):
     pred = tmp_path / "pred.csv"
     truth = tmp_path / "truth.csv"
@@ -697,17 +783,6 @@ def test_malformed_config_exits_2_before_writing(tmp_path, capsys, defect):
         assert named in capsys.readouterr().err
 
 
-def test_malformed_kfed_threads_exits_2_before_writing(tmp_path, capsys,
-                                                       monkeypatch):
-    cfg_path, _ = write_config(tmp_path)
-    monkeypatch.setenv("KFED_THREADS", "abc")
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(cfg_path),
-                     "--out", str(out)]) == cli.EXIT_CONFIG
-    assert not out.exists()
-    assert "KFED_THREADS" in capsys.readouterr().err
-
-
 def test_config_grid_builds_or_exits_2(tmp_path):
     # Every config load_config accepts builds for seed 0 at each of its c
     # values; a sample of the rejected ones exits 2 with nothing written.
@@ -877,6 +952,22 @@ def test_malformed_profile_flag_exits_2(tmp_path, flag, value):
                   "--partition", str(files["partition"]),
                   "--out", str(out), flag, value])
     assert exc.value.code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_profile_k_flag_must_be_count(tmp_path, capsys, value):
+    files = _profile_files(tmp_path)
+    out = tmp_path / "prof"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile", "--data", str(files["data"]),
+                  "--labels", str(files["labels"]),
+                  "--partition", str(files["partition"]),
+                  "--out", str(out), "--k", value])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument --k: must be count, got {value}" in err
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,7 +321,7 @@ def test_audit_eigensolves_only_uncertified_devices(monkeypatch, shape,
     assert calls[0] == data.shape
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-200])
+@pytest.mark.parametrize("scale", [1e-12, 1e-200, 1e200])
 def test_audit_certificate_is_scale_free(monkeypatch, scale):
     data, truth, partition = _acceptance_01_instance(0)
     calls = _count_operator_norm(monkeypatch)
@@ -334,16 +336,33 @@ def _planted_norm_bug(monkeypatch, n_rows):
                         lambda m: real(m) / (100.0 if len(m) == n_rows else 1.0))
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-200])
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-200, 1e200])
 def test_audit_flags_planted_violation_at_any_scale(monkeypatch, scale):
     rng = np.random.default_rng(21)
     data = rng.normal(size=(200, 6)) * scale
     clustering = Clustering.from_labels(data, np.arange(200) % 3, 3)
     partition = iid_partition(200, 4, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or underflow warning
+        assert lemma_audit(data, clustering, partition).passed
     _planted_norm_bug(monkeypatch, len(data))
     audit = lemma_audit(data, clustering, partition)
     assert audit == exact_lemma_audit(data, clustering, partition)
     kinds = [v["kind"] for v in audit.violations]
     assert kinds.count("norm_change") == 4    # every device, by the exact path
-    if scale > 1e-100:  # at 1e-200 the mean shifts' vector norms underflow to 0
-        assert kinds.count("mean_shift") > 0
+    assert kinds.count("mean_shift") > 0
+
+
+def test_row_norms_match_plain_norm_and_survive_extremes():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        m = rng.normal(size=tuple(rng.integers(1, 40, size=2)))
+        m *= 10.0 ** rng.uniform(-100, 100, size=(m.shape[0], 1))
+        assert separation._row_norms(m).tolist() == [
+            float(np.linalg.norm(row)) for row in m]
+    m = np.stack([rng.normal(size=6) * scale for scale in (1e200, 1e-200, 1e-310)])
+    plain = np.linalg.norm(m / np.array([[1e200], [1e-200], [1e-310]]), axis=1)
+    assert np.allclose(separation._row_norms(m) / [1e200, 1e-200, 1e-310], plain,
+                       rtol=1e-13, atol=0)
+    assert separation._row_norms(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+    assert separation._row_norms(np.full((1, 4), 1e308)).tolist() == [math.inf]
