@@ -29,6 +29,16 @@ def validate_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``m`` scaled by the power of two that brings its largest entry into
+    [0.5, 1), and that power's exponent (0 for an all-zero ``m``).
+
+    Exact, bar entries 2^1022 times below the largest, which underflow.
+    """
+    exponent = int(np.frexp(np.abs(m).max())[1])
+    return np.ldexp(m, -exponent), exponent
+
+
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value (spectral norm) of ``m``.
 
@@ -43,9 +53,7 @@ def operator_norm(m: np.ndarray) -> float:
     tall, wide, single-row and single-column matrices from 1e-300 to
     1e300), at a fraction of the SVD's time on tall matrices.
     """
-    m = validate_matrix(m)
-    exponent = int(np.frexp(np.abs(m).max())[1])
-    m = np.ldexp(m, -exponent)
+    m, exponent = unit_scaled(validate_matrix(m))
     gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
     top = max(0.0, float(np.linalg.eigvalsh(gram)[-1]))
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
@@ -55,16 +63,23 @@ def operator_norm(m: np.ndarray) -> float:
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` and ``b``: (len(a), len(b)).
 
-    Column j is ``np.linalg.norm(a - b[j], axis=1)``, bit-identical to the
-    broadcast ``np.linalg.norm(a[:, None] - b[None], axis=2)``, but one
-    column at a time, so the temporaries are len(a) x d rather than
-    len(a) x len(b) x d. The exact differences keep the last bits, and so
-    the nearest-center tie-breaks, that the ‖a‖²+‖b‖²−2a·b expansion
-    would change.
+    Column j is ``np.linalg.norm(a - b[j], axis=1)`` to the bit, and so is
+    the broadcast ``np.linalg.norm(a[:, None] - b[None], axis=2)``. It does
+    the operations that norm does (square, ``np.add.reduce`` along the
+    row, ``np.sqrt``) in one reused len(a) x d buffer laid out like ``a``,
+    without norm's ``conj()`` copy and its per-column allocations, so the
+    temporaries stay len(a) x d rather than len(a) x len(b) x d. The exact
+    differences keep the last bits, and so the nearest-center tie-breaks,
+    that the ‖a‖²+‖b‖²−2a·b expansion would change.
     """
     dist = np.empty((a.shape[0], b.shape[0]))
+    diff = np.empty_like(a, dtype=float)
+    sums = np.empty(a.shape[0])
     for j, row in enumerate(b):
-        dist[:, j] = np.linalg.norm(a - row, axis=1)
+        np.subtract(a, row, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=sums)
+        np.sqrt(sums, out=dist[:, j])
     return dist
 
 

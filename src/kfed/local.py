@@ -12,10 +12,12 @@ Distances agree in exact arithmetic, so the result is the same while the
 cost no longer grows with d. The averaged centers are lifted back to
 d-space once, to start the final Lloyd.
 
-One Lloyd loop serves both the seeding restarts and the final solve: it
-takes a stack of starts, iterates them together (each stops at its own
-convergence step), and takes every step's means in one ``cluster_means``
-call, which on these narrow rows is a single ``np.bincount``.
+The seeding restarts draw their k-means++ starts in lockstep, over one
+table of distances. One Lloyd loop serves both the seeding restarts and
+the final solve: it takes a stack of starts, iterates them together (each
+stops at its own convergence step), and takes every step's means in one
+``cluster_means`` call, which on these narrow rows is a single
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -96,18 +98,30 @@ class LocalResult:
 
 
 def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances, (n, k), from the broadcast difference block.
+    """Squared distances, (n, k), as the broadcast difference block gives them.
 
     Not ``linalg.pairwise_distances``: this einsum sum of squares rounds
     differently from ``np.linalg.norm``, and Lloyd's argmin and
     ``threshold_assign``'s three-times test depend on those last bits.
-    The (n, k, d) block stays small here: one device's rows against its
-    own k centers, at most 160 x 8 x 300 doubles (3 MB) on the
-    d=300/k=64 table1 shape. ``_lloyd`` calls it one start at a time, so
-    stacked starts never hold more than one such block.
+    On rows no wider than k (the seeding coordinates) it is
+    ``einsum("nkd,nkd->nk")`` over the (n, k, w) block, which is faster
+    there than a loop. On wider rows (the raw-row Lloyd) it takes one
+    center at a time: the difference goes into one reused (n, w) buffer
+    laid out like ``data``, and ``einsum("nd,nd->n")`` adds the same
+    products in the same order as the block would, without ever holding
+    the block.
     """
-    diff = data[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    n, width = data.shape
+    k = centers.shape[0]
+    if width <= k:
+        diff = data[:, None, :] - centers[None, :, :]
+        return np.einsum("nkd,nkd->nk", diff, diff)
+    dist = np.empty((n, k))
+    diff = np.empty_like(data)
+    for j, center in enumerate(centers):
+        np.subtract(data, center, out=diff)
+        dist[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return dist
 
 
 def _assignment_cost(data: np.ndarray, labels: np.ndarray,
@@ -126,33 +140,47 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     Nearest-center ties go to the lowest cluster index. A cluster that
     loses all members keeps its previous center. The returned centers are
     exactly the means of the returned assignment (for nonempty clusters).
-    A step's means for every running start come from one ``cluster_means``
-    call, start j's clusters numbered from j*k over a stacked copy of the
-    rows.
+
+    A start whose labels repeat the previous step's stops at that step
+    without taking means: they would equal its centers bit for bit, so its
+    shift is exactly 0. That holds for finite centers and a positive
+    ``tol``; otherwise the start takes the step as usual. The means of the
+    starts that moved come from one ``cluster_means`` call, start j's
+    clusters numbered from j*k over a stacked copy of the rows (the rows
+    themselves when there is only one start).
     """
     centers = np.array(starts, dtype=float)
     runs, k, _ = centers.shape
     n = data.shape[0]
-    stacked = np.tile(data, (runs, 1))
+    stacked = np.tile(data, (runs, 1)) if runs > 1 else data
     labels = np.zeros((runs, n), dtype=int)
     iterations = np.zeros(runs, dtype=int)
     active = np.arange(runs)
     for step in range(1, max_iter + 1):
         if not active.size:
             break
+        iterations[active] = step
+        moved = []
         for r in active:
-            labels[r] = _sq_distances(data, centers[r]).argmin(axis=1)
-        offsets = np.arange(active.size)[:, None] * k
-        means, sizes = cluster_means(stacked[:active.size * n],
-                                     (labels[active] + offsets).ravel(),
-                                     active.size * k)
-        current = centers[active]
+            nearest = _sq_distances(data, centers[r]).argmin(axis=1)
+            if (step > 1 and 0.0 < tol and np.array_equal(nearest, labels[r])
+                    and np.isfinite(centers[r]).all()):
+                continue
+            labels[r] = nearest
+            moved.append(r)
+        if not moved:
+            break
+        moved = np.array(moved)
+        offsets = np.arange(moved.size)[:, None] * k
+        means, sizes = cluster_means(stacked[:moved.size * n],
+                                     (labels[moved] + offsets).ravel(),
+                                     moved.size * k)
+        current = centers[moved]
         updated = np.where(sizes.reshape(-1, k, 1) > 0,
                            means.reshape(current.shape), current)
         shift = np.sqrt(((updated - current) ** 2).sum(axis=2)).max(axis=1)
-        centers[active] = updated
-        iterations[active] = step
-        active = active[~(shift < tol)]
+        centers[moved] = updated
+        active = moved[~(shift < tol)]
     return labels, centers, iterations
 
 
@@ -177,20 +205,36 @@ def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
     return np.triu(equal, 1).any(axis=(-2, -1))
 
 
-def _dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted sampling of k rows."""
+def _dsq_sample(data: np.ndarray, k: int, seed: tuple) -> np.ndarray:
+    """k-means++ starts for every seeding restart: (R, k, w) D^2-sampled rows.
+
+    Restart r draws from ``Stream(*seed, r)``: its first uniform picks the
+    first row, as ``integers(1, n)`` would, and each later one serves one
+    D^2 step. One ``uniforms(k)`` call yields the values that k one-value
+    calls would, since Philox's raw stream does not depend on how it is
+    chunked. The restarts step together over one (R, n) table of squared
+    distances to their nearest chosen row; the (R, n, w) differences keep
+    ``data``'s memory layout, so each row's squares add in the order one
+    restart's (n, w) differences would. A step picks, per restart, the
+    number of cumulative weights not above u times their total: that is
+    ``searchsorted(cdf, u, side="right")`` on the nondecreasing cdf,
+    capped at n-1.
+    """
     n = data.shape[0]
-    centers = np.empty((k, data.shape[1]))
-    centers[0] = data[stream.integers(1, n)[0]]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    draws = np.stack([Stream(*seed, r).uniforms(k) for r in range(_SEED_RESTARTS)])
+    picks = np.empty((_SEED_RESTARTS, k), dtype=np.int64)
+    picks[:, 0] = np.minimum((draws[:, 0] * n).astype(np.int64), n - 1)
+    d2 = ((data - data[picks[:, 0], None]) ** 2).sum(axis=2)
     for j in range(1, k):
         # All weights are zero once every distinct row has been chosen.
-        if not d2.any():
+        if not d2.any(axis=1).all():
             raise ValueError("insufficient distinct points")
-        idx = stream.choice_weighted(d2)
-        centers[j] = data[idx]
-        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
-    return centers
+        cdf = np.cumsum(d2, axis=1)
+        u = draws[:, j] * cdf[:, -1]
+        picks[:, j] = np.minimum(n - np.count_nonzero(cdf > u[:, None], axis=1),
+                                 n - 1)
+        d2 = np.minimum(d2, ((data - data[picks[:, j], None]) ** 2).sum(axis=2))
+    return data[picks]
 
 
 def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -206,9 +250,8 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
         seed = (int(seed),)
     if data.shape[0] < k:
         raise ValueError("insufficient distinct points")
-    starts = np.stack([_dsq_sample(data, k, Stream(*seed, restart))
-                       for restart in range(_SEED_RESTARTS)])
-    labels, refined, _ = _lloyd(data, starts, tol, DEFAULT_MAX_ITER)
+    labels, refined, _ = _lloyd(data, _dsq_sample(data, k, seed), tol,
+                                DEFAULT_MAX_ITER)
     best_cost = np.inf
     best_centers: np.ndarray | None = None
     for restart in np.flatnonzero(~_has_equal_rows(refined)):

@@ -48,12 +48,3 @@ class Stream:
             raise ValueError("bound must be positive")
         vals = (self.uniforms(n) * bound).astype(np.int64)
         return np.minimum(vals, bound - 1)
-
-    def choice_weighted(self, weights: np.ndarray) -> int:
-        """One index drawn proportionally to nonnegative weights."""
-        cdf = np.cumsum(np.asarray(weights, dtype=float))
-        if cdf[-1] <= 0.0:
-            raise ValueError("weights sum to zero")
-        u = self.uniforms(1)[0] * cdf[-1]
-        idx = int(np.searchsorted(cdf, u, side="right"))
-        return min(idx, len(cdf) - 1)

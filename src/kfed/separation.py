@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import DevicePartition, estimate_m0
-from .linalg import operator_norm
+from .linalg import operator_norm, unit_scaled
 from .local import Clustering, cluster_means
 
 DEFAULT_C = 100.0
@@ -131,8 +131,12 @@ def separation_quantities(data: np.ndarray, clustering: Clustering,
     delta = k_prime * op / np.sqrt(sizes)
     lam = math.sqrt(k_prime) * op / math.sqrt(n_min_device)
 
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt(np.einsum("rsd,rsd->rs", diff, diff))
+    # Differences of the power-of-two scaled centers neither overflow nor
+    # underflow when squared; scaling back is exact.
+    scaled, exponent = unit_scaled(centers)
+    diff = scaled[:, None, :] - scaled[None, :, :]
+    with np.errstate(over="ignore"):  # a distance beyond the float range is inf
+        dist = np.ldexp(np.sqrt(np.einsum("rsd,rsd->rs", diff, diff)), exponent)
     pair_active = present.T @ present   # some device holds both clusters
     np.fill_diagonal(pair_active, False)
 
@@ -171,6 +175,9 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
     data, labels, centers, sizes, op = _fit_target(data, clustering)
 
     scale = 1.0 / np.sqrt(sizes)
+    # Mean gaps are taken on the power-of-two scaled centers, as in
+    # ``separation_quantities``, then scaled back.
+    scaled, exponent = unit_scaled(centers)
     worst = np.full(data.shape[0], np.inf)
     skipped: list[tuple[int, int]] = []
     for s in range(k):
@@ -178,7 +185,7 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
         block = data[rows] - centers[s]
         worst_s = np.full(rows.size, np.inf)
         for r in range(k):
-            axis = centers[r] - centers[s]
+            axis = scaled[r] - scaled[s]
             gap = float(np.linalg.norm(axis))
             if r == s or gap == 0.0:    # no line through the two means
                 if r > s:
@@ -188,6 +195,10 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
                         "proximity pair skipped", RuntimeWarning)
                 continue
             coord = block @ (axis / gap)
+            try:
+                gap = math.ldexp(gap, exponent)
+            except OverflowError:       # a gap beyond the float range
+                gap = math.inf
             margin = np.abs(coord - gap) - np.abs(coord)
             np.minimum(worst_s, margin - (scale[r] + scale[s]) * op, out=worst_s)
         worst[rows] = worst_s

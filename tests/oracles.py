@@ -8,9 +8,10 @@ at every step. Two references do share package code, because they must
 reproduce the package bit for bit. The d-space device solve composes the
 package's own seeding, thresholding and Lloyd steps on projected d-space
 rows; the subspace-coordinate device solve must match it. The per-restart
-seeding draws its k-means++ starts with the package's sampler and refines
-each with its own single-start Lloyd; the stacked multi-start solve must
-match it. The exact-path lemma audit takes the package's global fit,
+seeding draws each restart's k-means++ start one scalar draw at a time,
+refines it with its own single-start Lloyd and picks the best restart as
+``approx_seed`` does; the lockstep sampler and the stacked multi-start
+solve must match it. The exact-path lemma audit takes the package's global fit,
 ``operator_norm`` and scaled mean-shift norms, so that its bounds and norms
 are the package's to the bit; it differs only in taking the exact norm on
 every device.
@@ -208,21 +209,49 @@ def single_lloyd(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL
     return labels, centers, iteration, emptied
 
 
+def scalar_dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
+    """k-means++ seeding of one restart: D^2-weighted sampling of k rows.
+
+    The first row comes from ``stream.integers(1, n)``; each later row from
+    one ``stream.uniforms(1)`` draw, scaled by the total weight and looked
+    up with ``searchsorted(side="right")`` in the cumulative weights.
+    """
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[stream.integers(1, n)[0]]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        # All weights are zero once every distinct row has been chosen.
+        if not d2.any():
+            raise ValueError("insufficient distinct points")
+        cdf = np.cumsum(d2)
+        u = stream.uniforms(1)[0] * cdf[-1]
+        centers[j] = data[min(int(np.searchsorted(cdf, u, side="right")), n - 1)]
+        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def dsq_starts(data: np.ndarray, k: int, seed: tuple) -> np.ndarray:
+    """Every restart's start, (R, k, w): restart r samples ``Stream(*seed, r)``."""
+    return np.stack([scalar_dsq_sample(data, k, Stream(*seed, restart))
+                     for restart in range(local._SEED_RESTARTS)])
+
+
 def per_restart_seed(data: np.ndarray, k: int, seed: tuple, tol: float = DEFAULT_TOL
                      ) -> tuple[np.ndarray, list[int]]:
     """``approx_seed`` run one restart at a time: (centers, collapsed restarts).
 
-    Each restart draws its k-means++ start from ``Stream(*seed, restart)``
-    and refines it with ``single_lloyd``. A restart whose refined centers
-    repeat a row (``np.unique``) is skipped; the lowest cost wins, and a
-    later restart replaces it only at a strictly lower cost.
+    The restarts' k-means++ starts come from ``dsq_starts`` (looked up at
+    call time, so a test may patch it), and ``single_lloyd`` refines each.
+    A restart whose refined centers repeat a row (``np.unique``) is
+    skipped; the lowest cost wins, and a later restart replaces it only at
+    a strictly lower cost.
     """
     data = np.asarray(data, dtype=float)
     if data.shape[0] < k:
         raise ValueError("insufficient distinct points")
     best_cost, best, collapsed = np.inf, None, []
-    for restart in range(local._SEED_RESTARTS):
-        start = local._dsq_sample(data, k, Stream(*seed, restart))
+    for restart, start in enumerate(dsq_starts(data, k, seed)):
         labels, centers, _, _ = single_lloyd(data, start, tol)
         if np.unique(centers, axis=0).shape[0] < k:
             collapsed.append(restart)

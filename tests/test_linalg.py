@@ -160,6 +160,9 @@ def test_pairwise_distances_match_broadcast_norm():
         (rng.normal(size=(1, 40)), rng.normal(size=(8, 40))),
         (rng.normal(size=(25, 40)), rng.normal(size=(1, 40))),
         (rng.normal(size=(17, 1)), rng.normal(size=(5, 1))),
+        (np.asfortranarray(rng.normal(size=(40, 12))), rng.normal(size=(6, 12))),
+        (rng.normal(size=(20, 5)) * 1e150, rng.normal(size=(4, 5)) * 1e150),
+        (rng.normal(size=(20, 5)) * 1e-150, rng.normal(size=(4, 5)) * 1e-150),
     ]
     for a, b in cases:
         expected = np.linalg.norm(a[:, None] - b[None], axis=2)

@@ -10,9 +10,10 @@ from kfed.linalg import operator_norm
 from kfed.local import (Clustering, approx_seed, cluster_means, lloyd_iterate,
                         local_cluster, threshold_assign)
 from kfed.rng import Stream
+import oracles
 from helpers import planted_instance, projection
 from oracles import (brute_force_kmeans, dspace_local_cluster, per_restart_seed,
-                     single_lloyd)
+                     scalar_dsq_sample, single_lloyd)
 
 
 def _as_center_set(centers):
@@ -423,22 +424,42 @@ def test_multi_start_lloyd_matches_per_start_oracle():
     assert iteration_spreads >= 50 and emptied >= 20 and raised >= 1
 
 
+@pytest.mark.parametrize("case", ["zero_tol", "overflowing_mean"])
+def test_lloyd_repeated_labels_stop_only_where_the_shift_would(case):
+    # Repeated labels give a zero shift, which stops a start only when
+    # 0 < tol; a mean that overflows to inf gives a NaN shift, which never
+    # stops it. Either way the start runs to max_iter, as the oracle does.
+    if case == "zero_tol":
+        data, tol = np.array([[0.0], [1.0], [10.0], [11.0]]), 0.0
+        starts = np.array([[[0.0], [10.0]]])
+    else:
+        data = np.array([[1.5e308], [1.6e308], [-1.0], [1.0]])
+        tol = local.DEFAULT_TOL
+        starts = np.array([[[1e308], [0.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels, centers, iterations = local._lloyd(data, starts, tol, 50)
+        ref_labels, ref_centers, ref_iter, _ = single_lloyd(data, starts[0], tol,
+                                                            max_iter=50)
+    assert iterations.tolist() == [ref_iter] == [50]
+    assert labels[0].tolist() == ref_labels.tolist()
+    assert centers[0].tobytes() == ref_centers.tobytes()
+
+
 def _collapse_restarts(monkeypatch, which):
     """Make restarts in ``which`` start with two equal rows far from the data.
 
+    Both the package's sampler and the oracle's get the same overwrite.
     Neither far row ever gains a member, so that restart's refined centers
     keep the repeat and it collapses.
     """
-    sample = local._dsq_sample
-    calls = []
-
-    def patched(data, k, stream):
-        start = sample(data, k, stream)
-        if len(calls) % local._SEED_RESTARTS in which:
-            start[-2:] = np.abs(data).max() * 1e6 + 1.0
-        calls.append(1)
-        return start
-    monkeypatch.setattr(local, "_dsq_sample", patched)
+    def collapsing(sample):
+        def patched(data, k, seed):
+            starts = sample(data, k, seed)
+            starts[sorted(which), -2:] = np.abs(data).max() * 1e6 + 1.0
+            return starts
+        return patched
+    monkeypatch.setattr(local, "_dsq_sample", collapsing(local._dsq_sample))
+    monkeypatch.setattr(oracles, "dsq_starts", collapsing(oracles.dsq_starts))
 
 
 def test_approx_seed_skips_collapsed_restart(monkeypatch):
@@ -448,9 +469,8 @@ def test_approx_seed_skips_collapsed_restart(monkeypatch):
     expected, collapsed = per_restart_seed(data, 5, (9,))
     assert collapsed == [0, 2]
     assert approx_seed(data, 5, 9).tobytes() == expected.tobytes()
-    starts = np.stack([local._dsq_sample(data, 5, Stream(9, r)) for r in range(5)])
-    _, refined, _ = local._lloyd(data, starts, local.DEFAULT_TOL,
-                                 local.DEFAULT_MAX_ITER)
+    _, refined, _ = local._lloyd(data, local._dsq_sample(data, 5, (9,)),
+                                 local.DEFAULT_TOL, local.DEFAULT_MAX_ITER)
     assert local._has_equal_rows(refined).tolist() == [True, False, True,
                                                        False, False]
 
@@ -478,3 +498,61 @@ def test_approx_seed_memory_one_distance_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * block
+
+
+def test_lockstep_sampler_matches_scalar_oracle():
+    rng = np.random.default_rng(46)
+    raised = 0
+    for case in range(150):
+        n, width = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+        k = int(rng.integers(1, min(12, n) + 1))
+        if case % 5 == 0:
+            k = n = min(n, 12)              # every row is a center
+        data = _fuzz_rows(rng, n, width)
+        if case % 4 == 1:                   # fewer distinct rows than k
+            data = data[rng.integers(0, max(1, k // 2), size=n)]
+        if case % 2:
+            data = np.asfortranarray(data)
+        seed = (case, 11)
+        try:
+            expected = [scalar_dsq_sample(data, k, Stream(*seed, r))
+                        for r in range(local._SEED_RESTARTS)]
+        except ValueError as err:
+            raised += 1
+            with pytest.raises(ValueError, match=str(err)):
+                local._dsq_sample(data, k, seed)
+            continue
+        starts = local._dsq_sample(data, k, seed)
+        assert starts.shape == (local._SEED_RESTARTS, k, width)
+        for r, start in enumerate(expected):
+            assert starts[r].tobytes() == start.tobytes()
+    assert raised >= 10
+
+
+def test_wide_sq_distances_match_block_einsum():
+    rng = np.random.default_rng(47)
+    for case in range(120):
+        n, k = int(rng.integers(1, 90)), int(rng.integers(2, 12))
+        width = [k - 1, k, k + 1, 300][case % 4]
+        data = rng.normal(size=(n, width)) * 10.0
+        if case % 3 == 0:                   # integer grid: exact ties
+            data = rng.integers(-2, 3, size=(n, width)).astype(float)
+        centers = data[rng.integers(0, n, size=k)]
+        if case % 2:
+            data = np.asfortranarray(data)
+        diff = data[:, None, :] - centers[None, :, :]
+        np.testing.assert_array_equal(local._sq_distances(data, centers),
+                                      np.einsum("nkd,nkd->nk", diff, diff))
+
+
+def test_wide_sq_distances_memory_under_one_block():
+    rng = np.random.default_rng(48)
+    data, centers = rng.normal(size=(160, 300)), rng.normal(size=(8, 300))
+    block = 160 * 8 * 300 * 8
+    tracemalloc.start()
+    try:
+        local._sq_distances(data, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block / 4

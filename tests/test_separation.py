@@ -366,3 +366,27 @@ def test_row_norms_match_plain_norm_and_survive_extremes():
                        rtol=1e-13, atol=0)
     assert separation._row_norms(np.zeros((2, 3))).tolist() == [0.0, 0.0]
     assert separation._row_norms(np.full((1, 4), 1e308)).tolist() == [math.inf]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0 ** 600, 2.0 ** -600])
+def test_center_differences_are_scale_free(scale):
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(200, 6))
+    clustering = Clustering.from_labels(data, np.arange(200) % 3, 3)
+    partition = iid_partition(200, 4, seed=3)
+    base = separation_quantities(data, clustering, partition, c=5.0)
+    base_proximity = proximity_check(data, clustering)
+    assert base_proximity.bad_count == 200
+    report = separation_quantities(data * scale, clustering, partition, c=5.0)
+    proximity = proximity_check(data * scale, clustering)
+    assert proximity.bad_indices.tolist() == base_proximity.bad_indices.tolist()
+    assert not proximity.skipped_pairs
+    assert np.array_equal(report.active_ok, base.active_ok)
+    assert np.array_equal(report.inactive_ok, base.inactive_ok)
+    if math.frexp(scale)[0] == 0.5:     # a power of two scales exactly
+        assert report.pair_ratio.tobytes() == base.pair_ratio.tobytes()
+        assert proximity.margins.tobytes() == (base_proximity.margins
+                                               * scale).tobytes()
+    else:
+        np.testing.assert_allclose(report.pair_ratio, base.pair_ratio,
+                                   rtol=1e-12)
