@@ -4,17 +4,19 @@ Nothing here shares code with the package: the spectral oracle is a
 classical max-pivot Jacobi eigensolver on the full Gram matrix, the
 k-means oracle enumerates set partitions outright, the matching oracle
 tries every permutation, and the max-min oracle recomputes every distance
-at every step. Two references do share package code, because they must
+at every step. Some references do share package code, because they must
 reproduce the package bit for bit. The d-space device solve composes the
 package's own seeding, thresholding and Lloyd steps on projected d-space
 rows; the subspace-coordinate device solve must match it. The per-restart
 seeding draws each restart's k-means++ start one scalar draw at a time,
 refines it with its own single-start Lloyd and picks the best restart as
 ``approx_seed`` does; the lockstep sampler and the stacked multi-start
-solve must match it. The exact-path lemma audit takes the package's global fit,
-``operator_norm`` and scaled mean-shift norms, so that its bounds and norms
-are the package's to the bit; it differs only in taking the exact norm on
-every device.
+solve must match it. The two-pass k-means cost takes the package's
+``cluster_means`` and then gathers each cluster a second time; the
+one-gather cost must match it. The exact-path lemma audit takes the
+package's global fit, ``operator_norm`` and scaled mean-shift norms, so
+that its bounds and norms are the package's to the bit; it differs only
+in taking the exact norm on every device.
 """
 
 from __future__ import annotations
@@ -128,6 +130,19 @@ def naive_kmeans_cost(data: np.ndarray, labels: np.ndarray) -> float:
         for i in rows:
             diff = data[i] - mean
             total += float(diff @ diff)
+    return total
+
+
+def two_pass_kmeans_cost(data: np.ndarray, labels: np.ndarray) -> float:
+    """Cost from ``cluster_means``, then a second gather of each cluster."""
+    data = np.asarray(data, dtype=float)
+    present, labels = np.unique(np.asarray(labels, dtype=int),
+                                return_inverse=True)
+    means, _ = cluster_means(data, labels, present.size)
+    total = 0.0
+    for r in range(present.size):
+        diff = data[labels == r] - means[r]
+        total += float(np.einsum("nd,nd->", diff, diff))
     return total
 
 

@@ -1,9 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment
 
 from kfed.evaluation import cost_ratio_report, kmeans_cost, matched_accuracy
 from kfed.local import Clustering
-from oracles import brute_force_accuracy, naive_kmeans_cost
+from oracles import (brute_force_accuracy, naive_kmeans_cost,
+                     two_pass_kmeans_cost)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_cost_singletons_zero():
@@ -22,6 +33,21 @@ def test_cost_matches_naive_oracle():
     labels = rng.integers(0, 3, size=20)
     assert kmeans_cost(data, labels) == pytest.approx(
         naive_kmeans_cost(data, labels), abs=1e-10)
+
+
+def test_cost_bit_identical_to_two_pass_form():
+    # widths 1, 2..k and above k cover every branch of cluster_means
+    rng = np.random.default_rng(2021)
+    for case in range(300):
+        n = int(rng.integers(1, 80))
+        d = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-5, 4)
+        data = rng.normal(size=(n, d)) * scale + rng.normal(size=d) * scale
+        labels = rng.choice(3 * k, size=k, replace=False)[
+            rng.integers(0, k, size=n)]
+        assert kmeans_cost(data, labels) == two_pass_kmeans_cost(
+            data, labels), case
 
 
 def test_cost_accepts_clustering_objects():
@@ -79,6 +105,90 @@ def test_accuracy_pads_unequal_cluster_counts():
     assert result.accuracy == pytest.approx(0.5)
     # permutation is a bijection on the padded label range
     assert sorted(result.permutation) == sorted(set(result.permutation.values()))
+
+
+def _fuzzed_label_pair(rng, case: int):
+    """One label pair from a family chosen by ``case``."""
+    n = int(rng.integers(1, 50))
+    k = int(rng.integers(1, 8))
+    family = case % 5
+    truth = rng.integers(0, k, size=n)
+    if family == 0:  # independent labels: ties and clashes are common
+        return rng.integers(0, k, size=n), truth
+    if family == 1:  # near-permutation: a relabeling with a few rows moved
+        pred = rng.permutation(k)[truth]
+        moved = rng.random(n) < rng.choice([0.0, 0.05, 0.2])
+        pred[moved] = rng.integers(0, k, size=int(moved.sum()))
+        return pred, truth
+    if family == 2:  # padded: the two label ranges have different maxima
+        k_pred = k + int(rng.integers(1, 4))
+        pred = rng.permutation(k_pred)[:k][truth]
+        moved = rng.random(n) < 0.1
+        pred[moved] = rng.integers(0, k_pred, size=int(moved.sum()))
+        return (pred, truth) if case % 2 else (truth, pred)
+    if family == 3:  # all-zero rows: predicted labels skip values
+        return rng.choice(2 * k, size=k, replace=False)[truth], truth
+    # a single cluster on one side or both
+    return np.zeros(n, dtype=int), (truth if case % 2 else np.zeros_like(truth))
+
+
+def _oracle_matching(pred, truth):
+    size = int(max(pred.max(), truth.max())) + 1
+    table = np.zeros((size, size), dtype=np.int64)
+    for a, b in zip(pred, truth):
+        table[a, b] += 1
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    agreement = int(table[rows, cols].sum())
+    ranked = np.sort(table, axis=1)
+    tied = size > 1 and bool((ranked[:, -1] == ranked[:, -2]).any())
+    clashing = len(set(table.argmax(axis=1).tolist())) < size
+    return ({int(a): int(b) for a, b in zip(rows, cols)}, agreement,
+            tied or clashing)
+
+
+def test_accuracy_matches_assignment_solver_oracle(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linear_sum_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    rng = np.random.default_rng(17)
+    settled = sent = 0
+    for case in range(3000):
+        pred, truth = _fuzzed_label_pair(rng, case)
+        permutation, agreement, ambiguous = _oracle_matching(pred, truth)
+        before = len(calls)
+        result = matched_accuracy(pred, truth)
+        assert (len(calls) > before) == ambiguous, case
+        settled += not ambiguous
+        sent += ambiguous
+        assert result.permutation == permutation, case
+        assert result.misclassified == pred.size - agreement, case
+        assert result.accuracy == agreement / pred.size, case
+    assert settled > 500 and sent > 500, (settled, sent)
+
+
+def test_import_leaves_assignment_solver_unloaded():
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import kfed, kfed.cli\n"
+        "seen = ['scipy.optimize' in sys.modules]\n"
+        "truth = np.array([0, 1, 2, 0, 1, 2])\n"
+        "kfed.matched_accuracy((truth + 1) % 3, truth)\n"
+        "seen.append('scipy.optimize' in sys.modules)\n"
+        "kfed.matched_accuracy(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))\n"
+        "seen.append('scipy.optimize' in sys.modules)\n"
+        "print(json.dumps(seen))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    # after the import, after a settled matching, after a tied one
+    assert json.loads(proc.stdout) == [False, False, True]
 
 
 def test_accuracy_rejects_negative_labels():
