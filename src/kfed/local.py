@@ -148,6 +148,9 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     starts that moved come from one ``cluster_means`` call, start j's
     clusters numbered from j*k over a stacked copy of the rows (the rows
     themselves when there is only one start).
+
+    A step whose shift is NaN (a cluster mean that overflowed to inf, so
+    that no shift could ever drop below ``tol``) raises ``ValueError``.
     """
     centers = np.array(starts, dtype=float)
     runs, k, _ = centers.shape
@@ -179,6 +182,8 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
         updated = np.where(sizes.reshape(-1, k, 1) > 0,
                            means.reshape(current.shape), current)
         shift = np.sqrt(((updated - current) ** 2).sum(axis=2)).max(axis=1)
+        if np.isnan(shift).any():
+            raise ValueError("Lloyd center shift is NaN: a center is not finite")
         centers[moved] = updated
         active = moved[~(shift < tol)]
     return labels, centers, iterations
@@ -186,7 +191,10 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
 
 def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> Clustering:
-    """Run Lloyd steps from ``centers`` until movement drops below ``tol``."""
+    """Run Lloyd steps from ``centers`` until movement drops below ``tol``.
+
+    Raises ``ValueError`` once a center's shift is NaN (a non-finite center).
+    """
     data = validate_matrix(data, "data")
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 1:

@@ -109,7 +109,9 @@ def _fit_target(data: np.ndarray, clustering: Clustering) -> tuple:
     centers, sizes = cluster_means(data, labels, clustering.k)
     if not sizes.all():
         raise ValueError("empty cluster in target")
-    return data, labels, centers, sizes, operator_norm(data - centers[labels])
+    resid = centers[labels]
+    np.subtract(data, resid, out=resid)
+    return data, labels, centers, sizes, operator_norm(resid)
 
 
 def separation_quantities(data: np.ndarray, clustering: Clustering,
@@ -168,6 +170,13 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
     own mean by at least (1/sqrt(n_r) + 1/sqrt(n_s)) times the spectral
     norm of the centered data. Pairs with coincident means are skipped
     with a warning since the line is undefined.
+
+    All k x k mean gaps come from one stacked vector product, and each
+    cluster's projections onto all its lines from one stacked
+    matrix-vector product. These equal, bit for bit, the per-pair
+    ``np.linalg.norm(axis)`` and ``block @ unit`` they replace (a dot
+    product and a gemv per pair); the warnings and ``skipped_pairs``
+    follow the pairs (s, r), s < r, in row-major order.
     """
     k = clustering.k
     if k < 2:
@@ -175,33 +184,32 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
     data, labels, centers, sizes, op = _fit_target(data, clustering)
 
     scale = 1.0 / np.sqrt(sizes)
+    threshold = (scale[:, None] + scale[None, :]) * op
     # Mean gaps are taken on the power-of-two scaled centers, as in
-    # ``separation_quantities``, then scaled back.
+    # ``separation_quantities``, then scaled back. axes[s, r] points from
+    # mean s to mean r.
     scaled, exponent = unit_scaled(centers)
+    axes = scaled[None, :, :] - scaled[:, None, :]
+    gaps = _vector_norms(axes)
+    with np.errstate(over="ignore"):  # a gap beyond the float range is inf
+        far = np.ldexp(gaps, exponent)
+    lined = gaps != 0.0                 # no line through coincident means
+    np.fill_diagonal(lined, False)
+    skipped = [tuple(pair)
+               for pair in np.argwhere(np.triu(gaps == 0.0, 1)).tolist()]
+    for s, r in skipped:
+        warnings.warn(f"clusters {r} and {s} have coincident means; "
+                      "proximity pair skipped", RuntimeWarning)
     worst = np.full(data.shape[0], np.inf)
-    skipped: list[tuple[int, int]] = []
     for s in range(k):
         rows = np.flatnonzero(labels == s)
-        block = data[rows] - centers[s]
-        worst_s = np.full(rows.size, np.inf)
-        for r in range(k):
-            axis = scaled[r] - scaled[s]
-            gap = float(np.linalg.norm(axis))
-            if r == s or gap == 0.0:    # no line through the two means
-                if r > s:
-                    skipped.append((s, r))
-                    warnings.warn(
-                        f"clusters {r} and {s} have coincident means; "
-                        "proximity pair skipped", RuntimeWarning)
-                continue
-            coord = block @ (axis / gap)
-            try:
-                gap = math.ldexp(gap, exponent)
-            except OverflowError:       # a gap beyond the float range
-                gap = math.inf
-            margin = np.abs(coord - gap) - np.abs(coord)
-            np.minimum(worst_s, margin - (scale[r] + scale[s]) * op, out=worst_s)
-        worst[rows] = worst_s
+        others = np.flatnonzero(lined[s])
+        units = axes[s, others] / gaps[s, others, None]
+        coords = np.matmul(data[rows] - centers[s], units[:, :, None])[..., 0]
+        gap = far[s, others, None]
+        margins = np.abs(coords - gap) - np.abs(coords)
+        margins -= threshold[s, others, None]
+        worst[rows] = margins.min(axis=0, initial=np.inf)
     bad = np.flatnonzero(worst < 0)
     return ProximityReport(bad_count=int(bad.size), bad_indices=bad,
                            margins=worst, skipped_pairs=skipped)
@@ -212,6 +220,14 @@ def _exceeds(lhs: float, rhs: float) -> bool:
     return lhs > rhs + min(_AUDIT_SLACK, _AUDIT_REL * rhs)
 
 
+def _vector_norms(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each vector along the last axis of ``m``, to the
+    bit: the stacked product of each vector with itself is the dot product
+    that norm takes.
+    """
+    return np.sqrt(np.matmul(m[..., None, :], m[..., :, None]))[..., 0, 0]
+
+
 def _row_norms(m: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of ``m``, taken on the row scaled by the
     power of two that brings its largest entry into [0.5, 1), then scaled
@@ -219,7 +235,7 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     plain norm neither overflows nor underflows, and right where it would.
     """
     exponents = np.frexp(np.abs(m).max(axis=1))[1]
-    norms = [np.linalg.norm(row) for row in np.ldexp(m, -exponents[:, None])]
+    norms = _vector_norms(np.ldexp(m, -exponents[:, None]))
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         return np.ldexp(norms, exponents)
 
@@ -252,33 +268,48 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
     norm, an upper bound on its spectral norm, is already within the
     norm-change bound passes without an eigensolve; only the others take
     the exact ``operator_norm``.
+
+    Every (device, cluster) mean comes from one ``cluster_means`` call over
+    the devices' rows, concatenated in device order and each device's own
+    row order, so each mean is summed as the device's own call would sum
+    it; one ``_row_norms`` call gives every mean shift and one buffer holds
+    every device's residual. The certificates, any eigensolves and the
+    checks then run device by device, as do the violations they report.
     """
     data, labels, centers, _, op = _fit_target(data, clustering)
     k = clustering.k
 
+    sizes = [rows.size for rows in partition.device_rows]
+    # The empty array leaves a partition without devices concatenable.
+    order = np.concatenate([np.empty(0, dtype=int), *partition.device_rows])
+    groups = np.repeat(np.arange(len(sizes)) * k, sizes) + labels[order]
+    local_data = data[order]
+    local_means, local_sizes = cluster_means(local_data, groups, len(sizes) * k)
+    present = np.flatnonzero(local_sizes)      # by device, then cluster
+    clusters = present % k
+    shifts = _row_norms(local_means[present] - centers[clusters]).tolist()
+    bounds = (op / np.sqrt(local_sizes[present])).tolist()
+    firsts = np.searchsorted(present, np.arange(len(sizes) + 1) * k).tolist()
+    resid = local_means[groups]
+    np.subtract(local_data, resid, out=resid)
+
     audit = LemmaAudit(mean_shift_checks=0, norm_change_checks=0)
-    for z, rows in enumerate(partition.device_rows):
-        if rows.size == 0:
+    for z, block in enumerate(np.split(resid, np.cumsum(sizes)[:-1])):
+        if not len(block):
             continue
-        local_labels = labels[rows]
-        local_data = data[rows]
-        local_means, local_sizes = cluster_means(local_data, local_labels, k)
-        present = np.flatnonzero(local_sizes)
-        shifts = _row_norms(local_means[present] - centers[present])
-        for r, lhs in zip(present, shifts.tolist()):
-            rhs = op / math.sqrt(local_sizes[r])
+        for i in range(firsts[z], firsts[z + 1]):
             audit.mean_shift_checks += 1
-            if _exceeds(lhs, rhs):
+            if _exceeds(shifts[i], bounds[i]):
                 audit.violations.append({
-                    "kind": "mean_shift", "device": z, "cluster": int(r),
-                    "lhs": lhs, "rhs": rhs,
+                    "kind": "mean_shift", "device": z,
+                    "cluster": int(clusters[i]),
+                    "lhs": shifts[i], "rhs": bounds[i],
                 })
-        resid = local_data - local_means[local_labels]
-        rhs = 2.0 * math.sqrt(present.size) * op
+        rhs = 2.0 * math.sqrt(firsts[z + 1] - firsts[z]) * op
         audit.norm_change_checks += 1
-        if _frobenius_within(resid, rhs):
+        if _frobenius_within(block, rhs):
             continue
-        lhs = operator_norm(resid)
+        lhs = operator_norm(block)
         if _exceeds(lhs, rhs):
             audit.violations.append({
                 "kind": "norm_change", "device": z, "cluster": None,

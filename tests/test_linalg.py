@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from kfed.linalg import (operator_norm, pairwise_distances,
-                         top_k_projection, validate_matrix)
+                         top_k_projection, unit_scaled, validate_matrix)
 from helpers import projection
 from oracles import jacobi_spectral_norm, svd_truncation
 
@@ -34,6 +35,67 @@ def test_operator_norm_rejects_non_finite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         operator_norm(bad)
+
+
+def _with_entry(value):
+    m = np.arange(6.0).reshape(2, 3)
+    m[1, 1] = value
+    return m
+
+
+# input -> (operator_norm's error, unit_scaled's error or None if it returns)
+_BAD_INPUTS = {
+    "nan": (_with_entry(np.nan), "matrix contains non-finite values", None),
+    "pos_inf": (_with_entry(np.inf), "matrix contains non-finite values", None),
+    "neg_inf": (_with_entry(-np.inf), "matrix contains non-finite values", None),
+    "one_d": (np.array([1.0, -6.0, 2.0]), "matrix must be 2-D, got shape (3,)",
+              None),
+    "empty": (np.empty((0, 3)), "empty matrix",
+              "zero-size array to reduction operation maximum which has no "
+              "identity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_operator_norm_and_unit_scaled_on_bad_input(case):
+    m, norm_error, scaled_error = _BAD_INPUTS[case]
+    with pytest.raises(ValueError) as err:
+        operator_norm(m)
+    assert type(err.value) is ValueError and str(err.value) == norm_error
+    # validate_matrix names its input, bar in "empty matrix"
+    named = norm_error.replace("matrix must", "data must").replace(
+        "matrix contains", "data contains")
+    with pytest.raises(ValueError) as err:
+        validate_matrix(m, "data")
+    assert str(err.value) == named
+    if scaled_error is not None:
+        with pytest.raises(ValueError) as err:
+            unit_scaled(m)
+        assert type(err.value) is ValueError and str(err.value) == scaled_error
+        return
+    # not validated: a NaN or infinite magnitude gives exponent 0 and m as is
+    scaled, exponent = unit_scaled(m)
+    expected = 3 if case == "one_d" else 0
+    assert exponent == expected
+    assert scaled.tobytes() == np.ldexp(m, -expected).tobytes()
+
+
+def test_operator_norm_and_unit_scaled_on_zero_and_negative_extremes():
+    zeros = np.zeros((3, 2))
+    scaled, exponent = unit_scaled(zeros)
+    assert (exponent, scaled.tobytes()) == (0, zeros.tobytes())
+    assert operator_norm(zeros) == 0.0
+    # the largest magnitude is a negative entry: it sets the power
+    m = np.array([[-6.0, 0.0], [0.0, 1.0]])
+    scaled, exponent = unit_scaled(m)
+    assert exponent == 3 and scaled.tolist() == [[-0.75, 0.0], [0.0, 0.125]]
+    assert operator_norm(m) == 6.0
+    for big in (-1e300, -1e-300):
+        m = np.array([[big, 3.0 * abs(big) / 8.0], [abs(big) / 4.0, 0.0]])
+        scaled, exponent = unit_scaled(m)
+        assert exponent == math.frexp(big)[1] and scaled[0, 0] == math.frexp(big)[0]
+        assert operator_norm(m) == pytest.approx(np.linalg.norm(m / abs(big), 2)
+                                                 * abs(big), rel=1e-14)
 
 
 def test_operator_norm_seeded_matches_jacobi_oracle():

@@ -427,19 +427,24 @@ def test_multi_start_lloyd_matches_per_start_oracle():
 @pytest.mark.parametrize("case", ["zero_tol", "overflowing_mean"])
 def test_lloyd_repeated_labels_stop_only_where_the_shift_would(case):
     # Repeated labels give a zero shift, which stops a start only when
-    # 0 < tol; a mean that overflows to inf gives a NaN shift, which never
-    # stops it. Either way the start runs to max_iter, as the oracle does.
-    if case == "zero_tol":
-        data, tol = np.array([[0.0], [1.0], [10.0], [11.0]]), 0.0
-        starts = np.array([[[0.0], [10.0]]])
-    else:
+    # 0 < tol: with tol = 0 the start runs to max_iter, as the oracle does.
+    # A mean that overflows to inf gives a NaN shift, which could never
+    # stop it: that step raises instead.
+    if case == "overflowing_mean":
         data = np.array([[1.5e308], [1.6e308], [-1.0], [1.0]])
-        tol = local.DEFAULT_TOL
         starts = np.array([[[1e308], [0.0]]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        labels, centers, iterations = local._lloyd(data, starts, tol, 50)
-        ref_labels, ref_centers, ref_iter, _ = single_lloyd(data, starts[0], tol,
-                                                            max_iter=50)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="shift is NaN"):
+            local._lloyd(data, starts, local.DEFAULT_TOL, 50)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="shift is NaN"):
+            local.lloyd_iterate(data, starts[0], max_iter=50)
+        return
+    data, tol = np.array([[0.0], [1.0], [10.0], [11.0]]), 0.0
+    starts = np.array([[[0.0], [10.0]]])
+    labels, centers, iterations = local._lloyd(data, starts, tol, 50)
+    ref_labels, ref_centers, ref_iter, _ = single_lloyd(data, starts[0], tol,
+                                                        max_iter=50)
     assert iterations.tolist() == [ref_iter] == [50]
     assert labels[0].tolist() == ref_labels.tolist()
     assert centers[0].tobytes() == ref_centers.tobytes()

@@ -136,24 +136,41 @@ def _proximity_oracle(data, labels, k):
     return margins, sorted(bad)
 
 
-@pytest.mark.parametrize("k", [2, 4])
-def test_proximity_matches_scalar_oracle(k):
+def _proximity_instance(k):
+    """Rows for ``k`` clusters of 25 (or, at k=16, the diagnostics' width
+    d=100 with 50 rows each), with the coincident pairs (s, r) expected.
+
+    Coincident means come from a cluster that repeats another's rows.
+    """
     rng = np.random.default_rng(15)
+    if k == 16:
+        labels = np.repeat(np.arange(k), 50)
+        data = rng.normal(size=(800, 100)) + 1.1 * rng.normal(size=(k, 100))[labels]
+        for copy, source in ((14, 2), (7, 6)):
+            data[labels == copy] = data[labels == source]
+        return data, labels, [(2, 14), (6, 7)]
     data = np.concatenate([rng.normal(size=(25, 4)) + [6.0 * r, 0, 0, 0]
                            for r in range(min(k, 3))])
     if k == 4:  # cluster 3 repeats cluster 2's rows: coincident means
         data = np.concatenate([data, data[50:75]])
-    labels = np.repeat(np.arange(k), 25)
+    return data, np.repeat(np.arange(k), 25), [(2, 3)] if k == 4 else []
+
+
+@pytest.mark.parametrize("k", [2, 4, 16])
+def test_proximity_matches_scalar_oracle(k):
+    data, labels, coincident = _proximity_instance(k)
     clustering = Clustering.from_labels(data, labels, k)
-    if k == 4:
-        with pytest.warns(RuntimeWarning, match="clusters 3 and 2"):
-            report = proximity_check(data, clustering)
-        assert report.skipped_pairs == [(2, 3)]
-    else:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         report = proximity_check(data, clustering)
+    # one warning per skipped pair, in (s, r) row-major order
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, f"clusters {r} and {s} have coincident means; "
+                         "proximity pair skipped") for s, r in coincident]
+    assert report.skipped_pairs == coincident
 
     margins, bad = _proximity_oracle(data, labels, k)
-    assert np.array_equal(report.margins, margins)
+    assert report.margins.tobytes() == margins.tobytes()
     assert report.bad_indices.tolist() == bad
     assert 0 < report.bad_count == len(bad) < len(data)
 
@@ -285,9 +302,24 @@ def _wide_device_instance(devices=20, rows=20, d=500, k=4):
     return data, Clustering.from_labels(data, labels, k), part
 
 
+def _reordered_instance(seed, empty_at=None):
+    """The acceptance-01 instance with every device's rows listed in a
+    random order, and an empty device inserted at ``empty_at``."""
+    data, truth, partition = _acceptance_01_instance(seed)
+    rng = np.random.default_rng(seed)
+    rows = [rng.permutation(r) for r in partition.device_rows]
+    if empty_at is not None:
+        rows.insert(empty_at, np.empty(0, dtype=int))
+    return data, truth, _partition_from_lists(rows)
+
+
 _SHAPES = {"acceptance_01_seed0": lambda: _acceptance_01_instance(0),
            "acceptance_01_seed1": lambda: _acceptance_01_instance(1),
-           "wide_devices": _wide_device_instance}
+           "wide_devices": _wide_device_instance,
+           "unsorted_rows": lambda: _reordered_instance(0),
+           "empty_device": lambda: _reordered_instance(1, empty_at=7),
+           # audited with the global norm 100x too small (``_planted_norm_bug``)
+           "planted_violation": lambda: _reordered_instance(2, empty_at=3)}
 
 
 def _count_operator_norm(monkeypatch):
@@ -301,12 +333,27 @@ def _count_operator_norm(monkeypatch):
     return calls
 
 
+def _planted_norm_bug(monkeypatch, n_rows):
+    """``operator_norm`` that returns the global residual's norm 100x too small."""
+    real = separation.operator_norm
+    monkeypatch.setattr(separation, "operator_norm",
+                        lambda m: real(m) / (100.0 if len(m) == n_rows else 1.0))
+
+
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
-def test_audit_matches_exact_path_oracle(shape):
+def test_audit_matches_exact_path_oracle(monkeypatch, shape):
     data, truth, partition = _SHAPES[shape]()
+    planted = shape == "planted_violation"
+    if planted:
+        _planted_norm_bug(monkeypatch, len(data))
     audit = lemma_audit(data, truth, partition)
+    # counts, and every violation's kind, device, cluster and float bounds,
+    # in order
     assert audit == exact_lemma_audit(data, truth, partition)
-    assert audit.passed
+    assert audit.passed != planted
+    if planted:
+        assert {v["kind"] for v in audit.violations} == {"mean_shift",
+                                                         "norm_change"}
 
 
 @pytest.mark.parametrize("shape,per_device", [("acceptance_01_seed0", 0),
@@ -327,13 +374,6 @@ def test_audit_certificate_is_scale_free(monkeypatch, scale):
     calls = _count_operator_norm(monkeypatch)
     assert lemma_audit(data * scale, truth, partition).passed
     assert len(calls) == 1
-
-
-def _planted_norm_bug(monkeypatch, n_rows):
-    """``operator_norm`` that returns the global residual's norm 100x too small."""
-    real = separation.operator_norm
-    monkeypatch.setattr(separation, "operator_norm",
-                        lambda m: real(m) / (100.0 if len(m) == n_rows else 1.0))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-200, 1e200])
