@@ -1,13 +1,17 @@
 """Dense matrix primitives: spectral norm, truncated projection, and
 row-to-row Euclidean distances.
 
-Spectral quantities come from numpy's LAPACK symmetric eigensolver on
-the smaller Gram matrix: its top eigenvalue gives the operator norm, and
-its top-k eigenvectors the top-k subspace coordinates and projection.
-Results are deterministic on one machine and one BLAS/LAPACK build:
-equal inputs give bit-identical outputs there, while another build may
-differ in the last digits. Tests check both primitives against
-independent full-decomposition oracles.
+Spectral quantities come from the smaller Gram matrix of the input, formed
+after scaling the input by the power of two that brings its largest entry
+into [0.5, 1), so that the Gram neither overflows nor underflows. The
+operator norm is the root of the Gram's top eigenvalue from numpy's LAPACK
+symmetric eigensolver. The top-k eigenpairs behind the projection come
+from a certified block subspace iteration where the Gram is wide against
+k, and from that full eigensolver wherever the certificate cannot be given
+(see ``top_k_projection``). Results are deterministic on one machine and
+one BLAS/LAPACK build: equal inputs give bit-identical outputs there,
+while another build may differ in the last digits. Tests check both
+primitives against independent full-decomposition oracles.
 """
 
 from __future__ import annotations
@@ -15,6 +19,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .rng import Stream
+
+# Block subspace iteration for the top-k eigenpairs of a Gram matrix: the
+# block has _OVERSAMPLE * k columns, starts from normals of the fixed
+# stream _START_KEY (so equal inputs give equal bits) and takes
+# _BLOCK_STEPS products.
+_OVERSAMPLE = 2
+_BLOCK_STEPS = 3
+_START_KEY = 0x6B666564
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -52,6 +66,21 @@ def unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     return _scaled_by(m, max(m.max(), -m.min()))
 
 
+def _finite_scaled(m) -> tuple[np.ndarray, int]:
+    """``unit_scaled`` of ``m`` as a 2-D float array; raise unless ``m`` is
+    2-D, nonempty and finite.
+
+    The largest magnitude, ``max(m.max(), -m.min())``, both gives the power
+    and checks that every entry is finite (it is NaN or inf otherwise), in
+    place of ``validate_matrix``'s ``np.isfinite`` pass.
+    """
+    m = _as_matrix(m, "matrix")
+    largest = max(m.max(), -m.min())    # NaN if any entry is NaN
+    if not math.isfinite(largest):
+        raise ValueError("matrix contains non-finite values")
+    return _scaled_by(m, largest)
+
+
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value (spectral norm) of ``m``.
 
@@ -60,20 +89,14 @@ def operator_norm(m: np.ndarray) -> float:
     that brings its largest entry into [0.5, 1), and the root is scaled
     back by the same power. Both steps are exact (bar entries 2^1022 times
     below the largest, which cannot move the norm), and entries near 1e±300
-    neither overflow nor underflow in the Gram. The largest magnitude,
-    ``max(m.max(), -m.min())``, both gives the power and checks that every
-    entry is finite (it is NaN or inf otherwise), in place of
-    ``validate_matrix``'s ``np.isfinite`` pass. Squaring the matrix costs
+    neither overflow nor underflow in the Gram (``_finite_scaled``, which
+    also rejects a non-finite entry). Squaring the matrix costs
     accuracy only in the small singular values, so the largest agrees with
     ``np.linalg.norm(m, 2)``'s SVD to a few ulps (within 1e-15 relative on
     tall, wide, single-row and single-column matrices from 1e-300 to
     1e300), at a fraction of the SVD's time on tall matrices.
     """
-    m = _as_matrix(m, "matrix")
-    largest = max(m.max(), -m.min())    # NaN if any entry is NaN
-    if not math.isfinite(largest):
-        raise ValueError("matrix contains non-finite values")
-    m, exponent = _scaled_by(m, largest)
+    m, exponent = _finite_scaled(m)
     gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
     top = max(0.0, float(np.linalg.eigvalsh(gram)[-1]))
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
@@ -103,6 +126,42 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the positive semidefinite ``gram``, in
+    ascending order, and their eigenvectors: ``eigh(gram)``'s last k pairs.
+
+    Where the Gram is wide against the block (n >= 4·b, with b = 2k
+    columns), a block subspace iteration tries first: fixed normal start
+    columns, a bounded number of ``Q = qr(G Q)`` steps, then Rayleigh–Ritz
+    on the b x b matrix QᵀGQ, keeping its top k Ritz pairs (θ, V = QY).
+    Its result is taken only with a certificate that it is the exact
+    subspace to working precision. G is positive semidefinite, so by Ky
+    Fan λ_{k+1} <= τ = trace(G) − Σθ. When the gap δ = θ_k − τ is positive
+    and the residual ‖GV − VΘ‖_F is at most ε·δ, with ε = 4·n·eps,
+    Davis–Kahan bounds the sine of every angle between V's span and the
+    exact top-k eigenspace by ε. The iteration costs O(n²b) flops against
+    the full solve's O(n³). A narrow Gram, a tie or near-tie at the
+    boundary, a rank below k, or any failed certificate takes the full
+    ``np.linalg.eigh``.
+    """
+    n = gram.shape[0]
+    width = _OVERSAMPLE * k
+    if 4 * width <= n:
+        block = Stream(_START_KEY).normals((n, width))
+        for _ in range(_BLOCK_STEPS):
+            block = np.linalg.qr(gram @ block)[0]
+        image = gram @ block
+        ritz, small = np.linalg.eigh(block.T @ image)
+        ritz, small = ritz[-k:], small[:, -k:]
+        vectors = block @ small
+        gap = ritz[0] - (np.trace(gram) - ritz.sum())
+        residual = np.linalg.norm(image @ small - vectors * ritz)
+        if gap > 0.0 and residual <= 4.0 * n * np.finfo(float).eps * gap:
+            return ritz, vectors
+    values, vectors = np.linalg.eigh(gram)
+    return values[-k:], vectors[:, -k:]
+
+
 def top_k_projection(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``m`` in the top-k singular subspace: (coords, lift).
 
@@ -113,26 +172,37 @@ def top_k_projection(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Distances between rows of ``coords`` equal those between projected rows,
     so clustering can run in k dimensions instead of d.
 
-    One symmetric eigendecomposition of the smaller Gram matrix gives both.
-    With the right Gram MᵀM = VΛVᵀ, ``coords = M V`` and ``lift = Vᵀ``. With
-    the left Gram MMᵀ = UΛUᵀ, ``coords = U √Λ`` and ``lift = Λ^-½ Uᵀ M``.
-    A direction whose singular value is at or below the rank tolerance
-    (numpy's ``matrix_rank`` cutoff) carries no data: its coordinates and
-    lift row are zero, so a rank-deficient ``m`` never divides by zero.
-    Exact ties at the subspace boundary are broken by LAPACK's eigenvector
-    ordering; the subspace is unique whenever the boundary gap is.
+    Both come from the top k eigenpairs of the smaller Gram matrix of ``m``
+    scaled by the power of two that brings its largest entry into [0.5, 1)
+    (``_finite_scaled``). With the right Gram MᵀM = VΛVᵀ, ``coords = M V``
+    and ``lift = Vᵀ``. With the left Gram MMᵀ = UΛUᵀ, ``coords = U √Λ`` and
+    ``lift = Λ^-½ Uᵀ M``. ``coords`` are scaled back by the same power,
+    exactly, and ``lift`` does not depend on it, so data near 1e±300 neither
+    overflows nor underflows in the Gram. A direction whose singular value
+    is at or below the rank tolerance (numpy's ``matrix_rank`` cutoff)
+    carries no data: its coordinates and lift row are zero, so a
+    rank-deficient ``m`` never divides by zero.
+
+    The eigenpairs come from ``_top_eigenpairs``: a block subspace
+    iteration, accepted only with a gap certificate that its subspace is
+    the exact one to working precision, where the Gram is at least 8k wide;
+    a full ``np.linalg.eigh`` otherwise. On the certified path the subspace,
+    ``coords @ lift`` and the distances between rows of ``coords`` agree
+    with the full-eigh path to working precision, not bit for bit, and a
+    basis column may differ in sign. A boundary gap too small to certify
+    (an exact tie σ_k = σ_{k+1}, or rank below k) always takes the full
+    eigh, whose eigenvector ordering breaks exact ties; the subspace is
+    unique whenever the boundary gap is.
     """
-    m = validate_matrix(m)
+    m, exponent = _finite_scaled(m)
     n, d = m.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"projection rank k={k} outside [1, {min(n, d)}]")
     if d <= n:
-        # eigh returns eigenvalues in ascending order.
-        basis = np.linalg.eigh(m.T @ m)[1][:, -k:]
-        return m @ basis, basis.T
-    values, basis = np.linalg.eigh(m @ m.T)
-    basis = basis[:, -k:]
-    sigma = np.sqrt(np.clip(values[-k:], 0.0, None))
+        basis = _top_eigenpairs(m.T @ m, k)[1]
+        return np.ldexp(m @ basis, exponent), basis.T
+    values, basis = _top_eigenpairs(m @ m.T, k)
+    sigma = np.sqrt(np.clip(values, 0.0, None))
     sigma[sigma <= sigma[-1] * max(n, d) * np.finfo(float).eps] = 0.0
     inverse = np.divide(1.0, sigma, out=np.zeros(k), where=sigma > 0.0)
-    return basis * sigma, inverse[:, None] * (basis.T @ m)
+    return np.ldexp(basis * sigma, exponent), inverse[:, None] * (basis.T @ m)

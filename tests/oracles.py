@@ -16,7 +16,10 @@ solve must match it. The two-pass k-means cost takes the package's
 one-gather cost must match it. The exact-path lemma audit takes the
 package's global fit, ``operator_norm`` and scaled mean-shift norms, so
 that its bounds and norms are the package's to the bit; it differs only
-in taking the exact norm on every device.
+in taking the exact norm on every device. The full-eigh projection is
+the package's projection as it was before the certified block iteration
+and the power-of-two scaling: the certified path must match it to working
+precision, and the full-eigh fallback bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +73,22 @@ def svd_truncation(mat: np.ndarray, k: int) -> np.ndarray:
     """Best rank-k approximation from a dense full SVD."""
     u, s, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=False)
     return (u[:, :k] * s[:k]) @ vt[:k]
+
+
+def eigh_projection(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, lift) of the top-k projection from one full ``np.linalg.eigh``
+    of the smaller Gram matrix of the unscaled rows."""
+    mat = np.asarray(mat, dtype=float)
+    n, d = mat.shape
+    if d <= n:
+        basis = np.linalg.eigh(mat.T @ mat)[1][:, -k:]
+        return mat @ basis, basis.T
+    values, basis = np.linalg.eigh(mat @ mat.T)
+    basis = basis[:, -k:]
+    sigma = np.sqrt(np.clip(values[-k:], 0.0, None))
+    sigma[sigma <= sigma[-1] * max(n, d) * np.finfo(float).eps] = 0.0
+    inverse = np.divide(1.0, sigma, out=np.zeros(k), where=sigma > 0.0)
+    return basis * sigma, inverse[:, None] * (basis.T @ mat)
 
 
 def _canonical_labelings(n: int, k: int):

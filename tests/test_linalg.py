@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from kfed import datagen, linalg, local
 from kfed.linalg import (operator_norm, pairwise_distances,
                          top_k_projection, unit_scaled, validate_matrix)
-from helpers import projection
-from oracles import jacobi_spectral_norm, svd_truncation
+from kfed.rng import Stream
+from helpers import planted_instance, projection
+from oracles import eigh_projection, jacobi_spectral_norm, svd_truncation
 
 
 def _with_spectrum(rng, n, d, values):
@@ -209,6 +211,199 @@ def test_projection_rank_out_of_range(k):
     mat = np.ones((5, 3))
     with pytest.raises(ValueError, match="rank"):
         top_k_projection(mat, k)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**600, 2.0**-600],
+                         ids=["1e200", "1e-200", "2^600", "2^-600"])
+@pytest.mark.parametrize("case", ["noise", "gapped"])
+@pytest.mark.parametrize("shape", [(120, 40), (40, 120)],
+                         ids=["right_gram", "left_gram"])
+def test_projection_is_scale_free(shape, case, scale):
+    # An unscaled Gram squares these entries past the float range: to inf
+    # at 1e200 and 2^600, to 0 at 1e-200 and 2^-600. Normal rows take the
+    # full eigh; a planted gap takes the certified iteration.
+    rng = np.random.default_rng(60)
+    if case == "noise":
+        mat = rng.normal(size=shape)
+    else:
+        mat = _with_spectrum(rng, *shape, [10.0, 9.0, 8.0, 7.0] + [1e-4] * 36)
+    coords, lift = top_k_projection(mat, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled_coords, scaled_lift = top_k_projection(mat * scale, 4)
+    expected = (coords @ lift) * scale
+    assert np.abs(scaled_coords @ scaled_lift - expected).max() <= \
+        1e-14 * np.abs(expected).max()
+    if math.frexp(scale)[0] == 0.5:         # a power of two: exact
+        assert scaled_coords.tobytes() == (coords * scale).tobytes()
+        assert scaled_lift.tobytes() == lift.tobytes()
+
+
+# (planted_instance arguments, instances): the devices of table1_large
+# (160 x 300, k=8) take the left Gram, those of acceptance 01 (160 x 100,
+# k=4) the right; 40 devices each.
+DEVICE_SHAPES = {
+    "left_table1_large": (dict(k=64, d=300, per_cluster=100, m0=5,
+                               group_size=8), 1),
+    "right_acceptance_01": (dict(k=16, d=100, per_cluster=200, m0=5,
+                                 group_size=4), 2),
+}
+
+
+def _devices(shape):
+    kwargs, instances = DEVICE_SHAPES[shape]
+    for seed in range(instances):
+        _, data, _, partition = planted_instance(seed + 90, **kwargs)
+        for z, rows in enumerate(partition.device_rows):
+            yield z, data[rows], partition.k_per_device[z]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Input shapes of every ``np.linalg.eigh`` and ``np.linalg.qr`` call."""
+    calls = {"eigh": [], "qr": []}
+    for name, log in calls.items():
+        def counted(a, *args, _real=getattr(np.linalg, name), _log=log,
+                    **kwargs):
+            _log.append(a.shape)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", sorted(DEVICE_SHAPES))
+def test_certified_projection_matches_eigh_oracle(shape, solver_calls):
+    for _, rows, k in _devices(shape):
+        size = min(rows.shape)
+        solver_calls["eigh"].clear()
+        coords, lift = top_k_projection(rows, k)
+        assert (size, size) not in solver_calls["eigh"]     # certified
+        ref_coords, ref_lift = eigh_projection(rows, k)
+        # Sine of the largest principal angle between the two subspaces.
+        sine = np.linalg.norm(lift.T - ref_lift.T @ (ref_lift @ lift.T), 2)
+        assert sine <= 1e-12
+        assert np.abs(coords @ lift - ref_coords @ ref_lift).max() <= \
+            1e-12 * np.abs(rows).max()
+        scaled = unit_scaled(rows)[0]
+        gram = scaled.T @ scaled if rows.shape[1] <= rows.shape[0] \
+            else scaled @ scaled.T
+        ritz = linalg._top_eigenpairs(gram, k)[0]
+        exact = np.linalg.eigvalsh(gram)[-k:]
+        assert np.abs(ritz - exact).max() <= 1e-13 * exact.max()
+
+
+@pytest.mark.parametrize("shape", sorted(DEVICE_SHAPES))
+def test_local_cluster_matches_eigh_reference_projection(shape, monkeypatch):
+    # The certified coordinates move only in their last bits; seeding,
+    # thresholding and the raw-row Lloyd give the same bits as with the
+    # full-eigh projection.
+    for z, rows, k in _devices(shape):
+        result = local.local_cluster(rows, k, (5, z))
+        with monkeypatch.context() as patch:
+            patch.setattr(local, "top_k_projection", eigh_projection)
+            reference = local.local_cluster(rows, k, (5, z))
+        assert result.clusters.assignment.tobytes() == \
+            reference.clusters.assignment.tobytes()
+        assert result.centers.tobytes() == reference.centers.tobytes()
+        assert result.lloyd_iterations == reference.lloyd_iterations
+        assert result.unassigned_after_threshold == \
+            reference.unassigned_after_threshold
+
+
+def _exact_tie():
+    # One nonzero per column: the right Gram is diagonal, with an exact tie
+    # between its 4th and 5th largest entries.
+    values = np.concatenate([[10.0, 9.0, 8.0, 7.0, 7.0],
+                             np.linspace(3.0, 0.5, 55)])
+    mat = np.zeros((200, 60))
+    mat[np.random.default_rng(61).permutation(200)[:60], np.arange(60)] = values
+    return mat
+
+
+def _rank_deficient():
+    # Rank 3 < k from three distinct rows, each repeated, and zero rows;
+    # d > n, so the left Gram.
+    distinct = np.random.default_rng(62).normal(size=(3, 200))
+    return np.vstack([np.tile(distinct, (15, 1)), np.zeros((15, 200))])
+
+
+def _slow_convergence():
+    # λ_5..λ_9 sum to 44.4 < λ_4 = 49, so the Ky Fan gap is positive, but
+    # with λ_9/λ_4 = 0.18 three steps leave the residual far above ε·δ.
+    return _with_spectrum(np.random.default_rng(67), 200, 60,
+                          [10.0, 9.0, 8.0, 7.0] + [2.98] * 5 + [1e-3] * 51)
+
+
+# name -> (rows, k, whether the iteration is tried before the full eigh)
+FALLBACKS = {
+    "exact_tie": (_exact_tie(), 4, True),
+    "slow_convergence": (_slow_convergence(), 4, True),
+    "rank_deficient": (_rank_deficient(), 4, True),
+    "k_full_right": (np.random.default_rng(63).normal(size=(30, 12)), 12,
+                     False),
+    "k_full_left": (np.random.default_rng(64).normal(size=(12, 30)), 12,
+                    False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_projection_falls_back_to_full_eigh(case, solver_calls):
+    mat, k, tried = FALLBACKS[case]
+    size = min(mat.shape)
+    coords, lift = top_k_projection(mat, k)
+    assert solver_calls["eigh"].count((size, size)) == 1
+    assert len(solver_calls["qr"]) == (linalg._BLOCK_STEPS if tried else 0)
+    ref_coords, ref_lift = eigh_projection(mat, k)
+    assert coords.tobytes() == ref_coords.tobytes()
+    assert lift.tobytes() == ref_lift.tobytes()
+
+
+def test_top_eigenvector_hidden_from_start_block_takes_full_eigh(solver_calls):
+    # The top eigenvector u is orthogonal to the fixed start block, so the
+    # iteration converges, to working precision, onto the next four
+    # eigenvectors. Their residual alone would pass; the Ky Fan bound
+    # τ = trace − Σθ = 8 lies above θ_k = 1.5 and sends it to the full eigh.
+    n, k = 40, 4
+    start = Stream(linalg._START_KEY).normals(
+        (n, linalg._OVERSAMPLE * k))
+    span = np.linalg.qr(start)[0]
+    rng = np.random.default_rng(66)
+    u = rng.normal(size=n)
+    u -= span @ (span.T @ u)
+    u /= np.linalg.norm(u)
+    basis = np.linalg.qr(np.column_stack([u, rng.normal(size=(n, 8))]))[0]
+    basis[:, 0] = u
+    gram = (basis * [4.0, 3.0, 2.5, 2.0, 1.5, 1.0, 1.0, 1.0, 1.0]) @ basis.T
+    gram = (gram + gram.T) / 2.0
+    solver_calls["qr"].clear()
+    values, vectors = linalg._top_eigenpairs(gram, k)
+    assert solver_calls["eigh"].count((n, n)) == 1
+    assert len(solver_calls["qr"]) == linalg._BLOCK_STEPS
+    assert np.allclose(values, [2.0, 2.5, 3.0, 4.0], rtol=0.0, atol=1e-13)
+    assert abs(np.linalg.norm(vectors.T @ u) - 1.0) <= 1e-13
+
+
+def test_projection_narrow_gram_makes_no_attempt(solver_calls):
+    # A lowsep_iid device: 120 rows of d=50 and k=16, so a 50 x 50 right
+    # Gram, narrower than four 32-column blocks.
+    spec = datagen.MixtureSpec(k=16, d=50, n=2400, sigma_max=1.0, seed=65,
+                               mean_mode="sigma", c=4.0, m0=5.0)
+    data, _ = datagen.generate_mixture(spec)
+    rows = data[datagen.iid_partition(2400, 20, 65).device_rows[0]]
+    coords, lift = top_k_projection(rows, 16)
+    assert solver_calls == {"eigh": [(50, 50)], "qr": []}
+    ref_coords, ref_lift = eigh_projection(rows, 16)
+    assert coords.tobytes() == ref_coords.tobytes()
+    assert lift.tobytes() == ref_lift.tobytes()
+
+
+@pytest.mark.parametrize("shape", sorted(DEVICE_SHAPES))
+def test_certified_projection_is_deterministic(shape):
+    _, rows, k = next(_devices(shape))
+    first = top_k_projection(rows, k)
+    again = top_k_projection(rows.copy(), k)
+    assert [part.tobytes() for part in first] == \
+        [part.tobytes() for part in again]
 
 
 def test_pairwise_distances_match_broadcast_norm():
