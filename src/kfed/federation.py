@@ -7,9 +7,15 @@ resulting center groups induce a clustering of every row in the network.
 Late-arriving devices are labeled against the retained group means
 without contacting anyone else.
 
-Every distance goes through ``linalg.pairwise_distances``, one seed or
-group mean at a time, so the aggregator's working memory is
-O(uploads x d), not O(uploads x k x d).
+Farthest-point seeding takes its distances from
+``linalg.pairwise_distances``, one seed at a time. Nearest-seed and
+nearest-group-mean labels (``one_round_lloyd``, ``assign_new_device``)
+come from one certified matrix product (``linalg._nearest``), with that
+per-seed exact kernel as the fallback wherever a rounding bound cannot
+settle a row's argmin, so the labels and their tie-breaks are the exact
+kernel's. Either way the aggregator's working memory is
+O(uploads x (d + k)), not O(uploads x k x d), and the distance count
+stays k per labeled upload.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import DevicePartition
-from .linalg import pairwise_distances, validate_matrix
+from .linalg import _nearest, pairwise_distances, validate_matrix
 from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
 
 WIRE_SCHEMA_VERSION = 1
@@ -145,6 +151,15 @@ def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[i
     return stacked, provenance
 
 
+def _nearest_point(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest point, ties to the lowest index: bit for
+    bit ``pairwise_distances(rows, points).argmin(axis=1)``, from
+    ``linalg._nearest``'s certified product where it settles every row."""
+    rows, points = np.asarray(rows, dtype=float), np.asarray(points, dtype=float)
+    return _nearest(rows, points, pairwise_distances,
+                    np.einsum("nd,nd->n", rows, rows))
+
+
 def farthest_point_init(all_centers: list[DeviceCenters], k: int,
                         start_device: int | None = None, *,
                         accounting: OpsAccounting) -> FarthestInit:
@@ -195,7 +210,7 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     stacked, provenance = _flatten(all_centers)
     k = init.points.shape[0]
     # ties resolve to the lowest group index
-    nearest = pairwise_distances(stacked, init.points).argmin(axis=1)
+    nearest = _nearest_point(stacked, init.points)
     accounting.pairwise_distance_count += stacked.shape[0] * k
     tau: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for flat_idx, group in enumerate(nearest):
@@ -226,7 +241,7 @@ def assign_new_device(cluster_means: np.ndarray, centers: np.ndarray, *,
             f"device data has dimension {centers.shape[1]}, "
             f"aggregation state has {cluster_means.shape[1]}")
     accounting.pairwise_distance_count += centers.shape[0] * cluster_means.shape[0]
-    return pairwise_distances(centers, cluster_means).argmin(axis=1)
+    return _nearest_point(centers, cluster_means)
 
 
 def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,

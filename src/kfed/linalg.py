@@ -1,5 +1,5 @@
-"""Dense matrix primitives: spectral norm, truncated projection, and
-row-to-row Euclidean distances.
+"""Dense matrix primitives: spectral norm, truncated projection,
+row-to-row Euclidean distances and certified nearest-row labels.
 
 Spectral quantities come from the smaller Gram matrix of the input, formed
 after scaling the input by the power of two that brings its largest entry
@@ -12,10 +12,17 @@ k, and from that full eigensolver wherever the certificate cannot be given
 one BLAS/LAPACK build: equal inputs give bit-identical outputs there,
 while another build may differ in the last digits. Tests check both
 primitives against independent full-decomposition oracles.
+
+Nearest-row labels (``_nearest``) come from one matrix product,
+‖a‖² − 2·a·bᵀ + ‖b‖², accepted row by row only where a rounding bound
+proves that the caller's exact distance kernel has the same argmin; any
+call with a row the bound cannot settle runs that exact kernel instead,
+so the labels, tie-breaks included, are the exact kernel's bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +36,10 @@ from .rng import Stream
 _OVERSAMPLE = 2
 _BLOCK_STEPS = 3
 _START_KEY = 0x6B666564
+
+# Unit roundoff and the smallest subnormal of float64, for _nearest's bound.
+_UNIT = 2.0 ** -53
+_TINY = 2.0 ** -1074
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -126,14 +137,79 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _nearest(a: np.ndarray, b: np.ndarray, exact, a_sq: np.ndarray
+             ) -> np.ndarray:
+    """Index of the nearest row of ``b`` for each row of ``a``: bit for bit
+    ``exact(a, b).argmin(axis=1)``, ties to the lowest index.
+
+    ``exact`` is a distance kernel that forms each entry as the sum of
+    squared differences (``local._sq_distances``), or its correctly rounded
+    square root (``pairwise_distances``); ``a_sq`` holds the rows' squared
+    norms, summed in any order.
+
+    One product gives F = ‖a_i‖² − 2·a_i·b_j + ‖b_j‖² for every pair, and
+    row i takes F's argmin when its two smallest entries differ by more
+    than τ_i = 5·γ_{w+4}·R_i + (4w+8)·2⁻¹⁰⁷⁴, where w is the row width,
+    R_i = (‖a_i‖ + max_j‖b_j‖)², γ_m = m·u/(1−m·u) and u = 2⁻⁵³. The bound:
+    with D the exact squared distance, the exact kernel's sum of w squared
+    differences is within γ_{w+2}·D of D (one rounding per difference and
+    per square, w−1 in the sum), and a rounded root r has r² within
+    γ_{w+4}·D of D. F is within γ_{w+2}·(‖a‖+‖b‖)² <= γ_{w+2}·R of D in
+    any summation order, with or without FMA (the products ‖a‖², a·b and
+    ‖b‖² each within γ_w of their absolute sums, two roundings to combine
+    them). So a gap above 4·γ_{w+4}·R in F is a gap above 0 in the exact
+    kernel's values, which then have a unique minimum at F's argmin; the
+    fifth γ covers rounding τ, R and the gap themselves. Underflow adds at
+    most 2⁻¹⁰⁷⁵ to each product (a sum or difference that underflows is
+    exact): over the two entries compared, 6w in F (the doubled a·b and
+    ‖b‖²; ‖a_i‖² is common to both) and 2w in the exact kernel, so
+    4w·2⁻¹⁰⁷⁴ in all, and the 8 covers the roundings that scale them.
+
+    If F or 2·R is not finite anywhere, or any row fails the test, the
+    whole call runs ``exact``. The bound is computed with floating-point
+    warnings off, so every warning or error at extreme scales comes from
+    the exact kernel.
+    """
+    k, width = b.shape
+    m = width + 4
+    gamma = m * _UNIT / (1.0 - m * _UNIT)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        b_sq = np.einsum("kd,kd->k", b, b)
+        f = a @ b.T
+        f *= -2.0
+        f += a_sq[:, None]
+        f += b_sq
+        reach = np.sqrt(a_sq) + math.sqrt(b_sq.max())
+        bound = reach * reach
+        tau = 5.0 * gamma * bound + (4 * width + 8) * _TINY
+        gap = np.inf
+        if k > 1:
+            low = np.partition(f, 1, axis=1)
+            gap = low[:, 1] - low[:, 0]
+        if (np.isfinite(f).all() and np.isfinite(2.0 * bound).all()
+                and (gap > tau).all()):
+            return f.argmin(axis=1)
+    return exact(a, b).argmin(axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _start_block(n: int, width: int) -> np.ndarray:
+    """The subspace iteration's read-only (n, width) start: normals of
+    ``Stream(_START_KEY)``, drawn once per shape."""
+    block = Stream(_START_KEY).normals((n, width))
+    block.flags.writeable = False
+    return block
+
+
 def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues of the positive semidefinite ``gram``, in
     ascending order, and their eigenvectors: ``eigh(gram)``'s last k pairs.
 
     Where the Gram is wide against the block (n >= 4·b, with b = 2k
     columns), a block subspace iteration tries first: fixed normal start
-    columns, a bounded number of ``Q = qr(G Q)`` steps, then Rayleigh–Ritz
-    on the b x b matrix QᵀGQ, keeping its top k Ritz pairs (θ, V = QY).
+    columns (``_start_block``, cached per shape), a bounded number of
+    ``Q = qr(G Q)`` steps, then Rayleigh–Ritz on the b x b matrix QᵀGQ,
+    keeping its top k Ritz pairs (θ, V = QY).
     Its result is taken only with a certificate that it is the exact
     subspace to working precision. G is positive semidefinite, so by Ky
     Fan λ_{k+1} <= τ = trace(G) − Σθ. When the gap δ = θ_k − τ is positive
@@ -147,7 +223,7 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = gram.shape[0]
     width = _OVERSAMPLE * k
     if 4 * width <= n:
-        block = Stream(_START_KEY).normals((n, width))
+        block = _start_block(n, width)
         for _ in range(_BLOCK_STEPS):
             block = np.linalg.qr(gram @ block)[0]
         image = gram @ block

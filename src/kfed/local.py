@@ -17,7 +17,11 @@ table of distances. One Lloyd loop serves both the seeding restarts and
 the final solve: it takes a stack of starts, iterates them together (each
 stops at its own convergence step), and takes every step's means in one
 ``cluster_means`` call, which on these narrow rows is a single
-``np.bincount``.
+``np.bincount``. On raw rows wider than k, the final solve's
+nearest-center labels come from one certified matrix product
+(``linalg._nearest``), with the exact per-center ``_sq_distances`` as the
+fallback wherever a rounding bound cannot settle a row, so every label
+and tie-break is that exact kernel's.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import top_k_projection, validate_matrix
+from .linalg import _nearest, top_k_projection, validate_matrix
 from .rng import Stream
 
 DEFAULT_TOL = 1e-7
@@ -105,11 +109,12 @@ def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     ``threshold_assign``'s three-times test depend on those last bits.
     On rows no wider than k (the seeding coordinates) it is
     ``einsum("nkd,nkd->nk")`` over the (n, k, w) block, which is faster
-    there than a loop. On wider rows (the raw-row Lloyd) it takes one
-    center at a time: the difference goes into one reused (n, w) buffer
-    laid out like ``data``, and ``einsum("nd,nd->n")`` adds the same
-    products in the same order as the block would, without ever holding
-    the block.
+    there than a loop. On wider rows it takes one center at a time: the
+    difference goes into one reused (n, w) buffer laid out like ``data``,
+    and ``einsum("nd,nd->n")`` adds the same products in the same order as
+    the block would, without ever holding the block. The raw-row Lloyd
+    calls it only as ``linalg._nearest``'s exact fallback: its labels come
+    from a certified matrix product wherever a rounding bound settles them.
     """
     n, width = data.shape
     k = centers.shape[0]
@@ -153,8 +158,11 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     that no shift could ever drop below ``tol``) raises ``ValueError``.
     """
     centers = np.array(starts, dtype=float)
-    runs, k, _ = centers.shape
+    runs, k, width = centers.shape
     n = data.shape[0]
+    # wide rows (the raw-row Lloyd) take certified labels; narrow rows
+    # (the seeding coordinates) keep the (n, k, w) block, faster there
+    data_sq = np.einsum("nd,nd->n", data, data) if width > k else None
     stacked = np.tile(data, (runs, 1)) if runs > 1 else data
     labels = np.zeros((runs, n), dtype=int)
     iterations = np.zeros(runs, dtype=int)
@@ -165,7 +173,10 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
         iterations[active] = step
         moved = []
         for r in active:
-            nearest = _sq_distances(data, centers[r]).argmin(axis=1)
+            if data_sq is None:
+                nearest = _sq_distances(data, centers[r]).argmin(axis=1)
+            else:
+                nearest = _nearest(data, centers[r], _sq_distances, data_sq)
             if (step > 1 and 0.0 < tol and np.array_equal(nearest, labels[r])
                     and np.isfinite(centers[r]).all()):
                 continue

@@ -5,9 +5,10 @@ import pytest
 
 from kfed.datagen import DevicePartition
 from kfed.evaluation import matched_accuracy
-from kfed.federation import (DeviceCenters, OpsAccounting, assign_new_device,
-                             farthest_point_init, one_round_lloyd, record_run,
-                             replay_run, run_kfed)
+from kfed.federation import (DeviceCenters, FarthestInit, OpsAccounting,
+                             assign_new_device, farthest_point_init,
+                             one_round_lloyd, record_run, replay_run, run_kfed)
+from kfed.linalg import pairwise_distances
 from kfed.local import local_cluster
 from kfed.separation import separation_quantities
 from helpers import init_planted_clusters, planted_instance
@@ -159,6 +160,40 @@ def test_aggregator_memory_linear_in_uploads():
                         accounting=OpsAccounting()) < 8 * stacked.nbytes
     assert _traced_peak(one_round_lloyd, uploads, init,
                         accounting=OpsAccounting()) < 8 * stacked.nbytes
+
+
+def test_round_and_late_join_match_pairwise_argmin_oracle():
+    rng = np.random.default_rng(74)
+    for case in range(90):
+        d, k = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        scale = [1.0, 1e150, 1e-150][case % 3]
+        uploads = []
+        for z in range(int(rng.integers(1, 6))):
+            centers = rng.normal(size=(int(rng.integers(1, 5)), d)) * 2.0
+            if case % 2:                    # integer grid: exact ties
+                centers = np.round(centers)
+            uploads.append(_dc(z, centers * scale))
+        stacked = np.concatenate([dc.centers for dc in uploads])
+        picks = rng.integers(0, stacked.shape[0], size=k)  # may repeat
+        init = FarthestInit(points=stacked[picks], provenance=[])
+        acc = OpsAccounting()
+        induced = one_round_lloyd(uploads, init, accounting=acc)
+        expected = pairwise_distances(stacked, init.points).argmin(axis=1)
+        offsets = np.cumsum([0] + [dc.k_z for dc in uploads])
+        labels = np.full(stacked.shape[0], -1)
+        for group, members in enumerate(induced.tau):
+            for z, i in members:
+                labels[offsets[z] + i] = group
+        assert labels.tolist() == expected.tolist()
+        assert acc.pairwise_distance_count == stacked.shape[0] * k
+
+        late = rng.normal(size=(int(rng.integers(1, 6)), d)) * 2.0
+        late = (np.round(late) if case % 2 else late) * scale
+        acc = OpsAccounting()
+        got = assign_new_device(induced.cluster_means, late, accounting=acc)
+        oracle = pairwise_distances(late, induced.cluster_means).argmin(axis=1)
+        assert got.tolist() == oracle.tolist()
+        assert acc.pairwise_distance_count == late.shape[0] * k
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,69 @@ def test_pairwise_distances_match_broadcast_norm():
         np.testing.assert_array_equal(pairwise_distances(a, b), expected)
 
 
+def _spy(kernel, calls):
+    """``kernel``, recording the shape of each call in ``calls``."""
+    def exact(a, b):
+        calls.append(a.shape)
+        return kernel(a, b)
+    return exact
+
+
+def test_nearest_matches_exact_argmin():
+    rng = np.random.default_rng(72)
+    paths = {"certified": 0, "fallback": 0}
+    for case in range(480):
+        width = case % 40 + 1
+        k = 1 if case % 10 == 0 else int(rng.integers(2, 10))
+        n = int(rng.integers(1, 50))
+        if case % 3 == 0:                   # integer grid: exact ties
+            centers = rng.integers(-3, 4, size=(k, width)).astype(float)
+        else:
+            centers = rng.normal(size=(k, width))
+        if k > 1 and case % 4 == 1:         # duplicate centers
+            centers[-1] = centers[0]
+        rows = rng.normal(size=(n, width)) * 2.0
+        if k > 1 and case % 5 < 3:          # midpoints, exact or nudged
+            pair = rng.integers(0, k, size=(n, 2))
+            nudge = [0.0, 1e-12, -1e-12][case % 5]
+            near = (centers[pair[:, 0]] + centers[pair[:, 1]]) / 2.0 \
+                + nudge * (centers[pair[:, 0]] - centers[pair[:, 1]])
+            planted = rng.random(n) < 0.5
+            rows[planted] = near[planted]
+        scale = [1.0, 1.0, 1e150, 1e-150][case // 3 % 4]
+        rows, centers = rows * scale, centers * scale
+        if case % 2:
+            rows = np.asfortranarray(rows)
+        for kernel in (local._sq_distances, pairwise_distances):
+            calls = []
+            got = linalg._nearest(rows, centers, _spy(kernel, calls),
+                                  np.einsum("nd,nd->n", rows, rows))
+            assert (got == kernel(rows, centers).argmin(axis=1)).all()
+            paths["fallback" if calls else "certified"] += 1
+    assert paths["certified"] >= 300 and paths["fallback"] >= 100
+    # Squares that overflow, or that all underflow to zero, always fall back.
+    for scale in (2.0 ** 600, 2.0 ** -600, 1e200):
+        rows = rng.normal(size=(30, 7)) * scale
+        centers = rows[:4] * 0.5
+        for kernel in (local._sq_distances, pairwise_distances):
+            calls = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = linalg._nearest(rows, centers, _spy(kernel, calls),
+                                      np.einsum("nd,nd->n", rows, rows))
+                assert (got == kernel(rows, centers).argmin(axis=1)).all()
+            assert calls == [rows.shape]
+
+
+def test_start_block_is_cached_and_read_only():
+    first = linalg._start_block(40, 8)
+    assert first is linalg._start_block(40, 8)
+    assert first.tobytes() == linalg._start_block.__wrapped__(40, 8).tobytes()
+    assert first.tobytes() == Stream(linalg._START_KEY).normals((40, 8)).tobytes()
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+
+
 def test_norm_ordering():
     for seed in range(30):
         mat = np.random.default_rng(seed).normal(size=(6, 4))

@@ -561,3 +561,28 @@ def test_wide_sq_distances_memory_under_one_block():
     finally:
         tracemalloc.stop()
     assert peak < block / 4
+
+
+def test_wide_lloyd_at_extreme_scale_fails_as_the_exact_kernel(monkeypatch):
+    # Squares near 1e400 overflow: the certified labels step aside for the
+    # exact kernel (its einsum overflows to inf without a warning), and the
+    # first center shift raises the warning it always raised.
+    rng = np.random.default_rng(73)
+    data = rng.normal(size=(40, 12)) * 1e200
+    centers = data[:3].copy()
+    exact_calls = []
+    exact = local._sq_distances
+    monkeypatch.setattr(local, "_sq_distances",
+                        lambda a, b: exact_calls.append(a.shape) or exact(a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(exact(data, centers)).any()
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in square$"):
+            lloyd_iterate(data, centers)
+    assert exact_calls == [data.shape]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = lloyd_iterate(data, centers)
+        ref_labels, ref_centers, _, _ = single_lloyd(data, centers)
+    assert got.assignment.tobytes() == ref_labels.tobytes()
+    assert got.centers.tobytes() == ref_centers.tobytes()
