@@ -303,7 +303,8 @@ def profile_instance(data, truth, partition, c, m0, out_dir: Path, tag: str,
 # the config: every key with its type and default, read once
 
 # Types: "int" (>= 0), "count" (an int >= 1), "number" (a finite JSON number,
-# kept as written: c prints as the config spells it), "number>=0", "str",
+# kept as written: c prints as the config spells it), "number>=0",
+# "number>0" (the separation constant c, positive as in the paper), "str",
 # "[int]" (a list) or an "a|b" choice. Nested keys are written "mixture.k";
 # ... is required.
 _SCHEMA = {
@@ -311,8 +312,8 @@ _SCHEMA = {
     "experiment": ("|".join(EXPERIMENTS), ...),
     "out": ("str", "results"),
     "seeds": ("[int]", [0]),
-    "c": ("number", 100.0),
-    "c_values": ("[number]", None),           # c_sweep only
+    "c": ("number>0", 100.0),
+    "c_values": ("[number>0]", None),         # c_sweep only
     "m0": ("number>=0", None),                # None: the profile estimates it
     "tol": ("number>=0", DEFAULT_TOL),
     "z_iid": ("count", None),                 # None: as many as structured
@@ -332,6 +333,7 @@ _IS = {"int": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 
        "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
                             and abs(v) <= sys.float_info.max),  # not NaN or inf
        "number>=0": lambda v: _IS["number"](v) and v >= 0,
+       "number>0": lambda v: _IS["number"](v) and v > 0,
        "str": lambda v: isinstance(v, str)}
 
 
@@ -627,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the configured experiment")
     add_common(run)
-    run.add_argument("--c", type=_flag("number"), help="separation constant override")
+    run.add_argument("--c", type=_flag("number>0"), help="separation constant override")
     run.add_argument("--tol", type=_flag("number>=0"), help="Lloyd tolerance override")
     run.add_argument("--exclude-devices", type=_device_list,
                      help="comma list of device ids to drop")
@@ -644,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--partition", required=True)
     prof.add_argument("--k", type=_flag("count"),
                       help="expected cluster count for label validation")
-    prof.add_argument("--c", type=_flag("number"))
+    prof.add_argument("--c", type=_flag("number>0"))
     prof.add_argument("--m0", type=_flag("number>=0"))
     prof.add_argument("--out")
     prof.set_defaults(func=cmd_profile)

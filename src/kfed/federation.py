@@ -7,15 +7,18 @@ resulting center groups induce a clustering of every row in the network.
 Late-arriving devices are labeled against the retained group means
 without contacting anyone else.
 
-Farthest-point seeding takes its distances from
-``linalg.pairwise_distances``, one seed at a time. Nearest-seed and
-nearest-group-mean labels (``one_round_lloyd``, ``assign_new_device``)
-come from one certified matrix product (``linalg._nearest``), with that
-per-seed exact kernel as the fallback wherever a rounding bound cannot
-settle a row's argmin, so the labels and their tie-breaks are the exact
-kernel's. Either way the aggregator's working memory is
-O(uploads x (d + k)), not O(uploads x k x d), and the distance count
-stays k per labeled upload.
+Every distance the aggregator uses comes from a matrix product, kept
+only where the rounding bound of ``linalg._rounding_bound`` proves that
+the exact per-seed kernel, ``linalg.pairwise_distances``, gives the same
+decision, tie-breaks included; otherwise that kernel runs. Farthest-point
+seeding takes one product per step (``_certified_max_min``) and falls
+back to the exact seeding as a whole (``_exact_max_min``). Nearest-seed
+and nearest-group-mean labels (``one_round_lloyd``, ``assign_new_device``)
+come from one product per call (``linalg._nearest``). Either way the
+aggregator's working memory is O(uploads x (d + k)), not
+O(uploads x k x d), and the distance count is what the exact path
+measures: open uploads times newest seeds per seeding step, and k per
+labeled upload.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import DevicePartition
-from .linalg import _nearest, pairwise_distances, validate_matrix
+from .linalg import (_nearest, _rounding_bound, pairwise_distances,
+                     validate_matrix)
 from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
 
 WIRE_SCHEMA_VERSION = 1
@@ -160,6 +164,78 @@ def _nearest_point(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
                     np.einsum("nd,nd->n", rows, rows))
 
 
+def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int
+                   ) -> tuple[list[int], int]:
+    """Gonzalez's max-min picks after ``chosen`` until there are k, from
+    ``pairwise_distances``; and the distance count (open uploads times
+    newest choices, per step).
+
+    Each open upload keeps its distance to the nearest chosen center,
+    refreshed only against the newest choice, and the first maximum (the
+    lowest (device_id, index)) is picked.
+    """
+    candidates = np.delete(np.arange(stacked.shape[0]), chosen)
+    nearest = np.full(candidates.size, np.inf)
+    picks, new, count = [], list(chosen), 0
+    while len(chosen) + len(picks) < k:
+        dist = pairwise_distances(stacked[candidates], stacked[new])
+        count += dist.size
+        nearest = np.minimum(nearest, dist.min(axis=1))
+        pick = int(nearest.argmax())
+        new = [int(candidates[pick])]
+        picks += new
+        candidates = np.delete(candidates, pick)
+        nearest = np.delete(nearest, pick)
+    return picks, count
+
+
+def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
+                       ) -> tuple[list[int], int] | None:
+    """``_exact_max_min``'s picks and count from one product per step, or
+    None where a rounding bound cannot prove a step's pick.
+
+    A step's product gives F, the squared distances of every upload to
+    the newest choices, with the error bound e of
+    ``linalg._rounding_bound``. Each open upload i keeps m_i = min F and
+    E_i = max e over the chosen centers, so its exact squared distance to
+    the chosen set lies in [m_i − E_i, m_i + E_i], and the root is
+    monotone. F's max-min pick t is then the exact one when
+    m_t − E_t > m_i + E_i for every other open i. A step where that fails
+    (an exact tie always does), or where F is not finite, gives None.
+    Chosen uploads hold m = −inf, so they are never picked or compared.
+    The bound is float64's, so uploads of any other dtype give None.
+    """
+    if stacked.dtype != np.float64:
+        return None
+    sq = np.einsum("nd,nd->n", stacked, stacked)
+    norm = np.sqrt(sq)
+    nearest = np.full(stacked.shape[0], np.inf)
+    nearest[chosen] = -np.inf
+    slack = np.zeros(stacked.shape[0])
+    picks, new, count = [], list(chosen), 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        while len(chosen) + len(picks) < k:
+            count += (stacked.shape[0] - len(chosen) - len(picks)) * len(new)
+            f = stacked @ stacked[new].T
+            f *= -2.0
+            f += sq[:, None]
+            f += sq[new]
+            np.minimum(nearest, f.min(axis=1), out=nearest)
+            np.maximum(slack, _rounding_bound(norm[:, None], norm[new],
+                                              stacked.shape[1]).max(axis=1),
+                       out=slack)
+            pick = int(nearest.argmax())
+            upper = nearest + slack
+            upper[pick] = -np.inf
+            if not (np.isfinite(f).all()
+                    and nearest[pick] - slack[pick] > upper.max()):
+                return None
+            nearest[pick] = -np.inf
+            new = [pick]
+            picks += new
+    return picks, count
+
+
 def farthest_point_init(all_centers: list[DeviceCenters], k: int,
                         start_device: int | None = None, *,
                         accounting: OpsAccounting) -> FarthestInit:
@@ -167,7 +243,10 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
 
     Starts from every center of one device (lowest id unless overridden)
     and repeatedly adds the center farthest from the chosen set. Ties go
-    to the lexicographically smallest (device_id, local index).
+    to the lexicographically smallest (device_id, local index). The picks
+    come from one certified product per step where its rounding bound
+    settles every step of float64 uploads (``_certified_max_min``), and
+    from exact distances otherwise; both count the distances the exact path measures.
     """
     if not all_centers or sum(dc.k_z for dc in all_centers) < k:
         raise ValueError("network has fewer than k device centers")
@@ -179,20 +258,10 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
         raise ValueError(f"start device {start_device} submitted no centers")
     if len(chosen) > k:
         raise ValueError("start device has more centers than requested groups")
-    # Gonzalez's update: each open upload keeps its distance to the nearest
-    # chosen center, refreshed only against the newest choice.
-    candidates = np.delete(np.arange(stacked.shape[0]), chosen)
-    nearest = np.full(candidates.size, np.inf)
-    new = list(chosen)
-    while len(chosen) < k:
-        dist = pairwise_distances(stacked[candidates], stacked[new])
-        accounting.pairwise_distance_count += dist.size
-        nearest = np.minimum(nearest, dist.min(axis=1))
-        pick = int(nearest.argmax())  # first maximum: lowest (device_id, index)
-        new = [int(candidates[pick])]
-        chosen += new
-        candidates = np.delete(candidates, pick)
-        nearest = np.delete(nearest, pick)
+    picks, count = (_certified_max_min(stacked, chosen, k)
+                    or _exact_max_min(stacked, chosen, k))
+    accounting.pairwise_distance_count += count
+    chosen += picks
     return FarthestInit(points=stacked[chosen],
                         provenance=[provenance[i] for i in chosen])
 

@@ -13,11 +13,14 @@ one BLAS/LAPACK build: equal inputs give bit-identical outputs there,
 while another build may differ in the last digits. Tests check both
 primitives against independent full-decomposition oracles.
 
-Nearest-row labels (``_nearest``) come from one matrix product,
-‖a‖² − 2·a·bᵀ + ‖b‖², accepted row by row only where a rounding bound
-proves that the caller's exact distance kernel has the same argmin; any
-call with a row the bound cannot settle runs that exact kernel instead,
-so the labels, tie-breaks included, are the exact kernel's bit for bit.
+Nearest-row labels (``_nearest``, and ``_nearest_each`` for several
+center sets at once) come from one matrix product, ‖a‖² − 2·a·bᵀ + ‖b‖²,
+accepted only where a rounding bound proves that the caller's exact
+distance kernel has the same argmin; a center set with a row the bound
+cannot settle runs that exact kernel instead, so the labels, tie-breaks
+included, are the exact kernel's bit for bit. That bound,
+``_rounding_bound``, is the one every certified distance in the package
+uses.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ _OVERSAMPLE = 2
 _BLOCK_STEPS = 3
 _START_KEY = 0x6B666564
 
-# Unit roundoff and the smallest subnormal of float64, for _nearest's bound.
+# Unit roundoff and the smallest subnormal of float64, for _rounding_bound.
 _UNIT = 2.0 ** -53
 _TINY = 2.0 ** -1074
 
@@ -137,59 +140,89 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _rounding_bound(a_norm, b_norm, width: int):
+    """Error bound e = 5·γ_{w+4}·(‖a‖ + ‖b‖)² + (4w+8)·2⁻¹⁰⁷⁴ between a
+    squared distance from one matrix product and an exact kernel's, for
+    rows of width w with norms ``a_norm`` and ``b_norm`` (broadcast).
+
+    The product form is F = ‖a‖² − 2·a·b + ‖b‖². The exact kernel forms
+    its value K as the sum of squared differences (``local._sq_distances``),
+    or as that sum's correctly rounded root r (``pairwise_distances``),
+    when K = r². With D the exact squared distance, R = (‖a‖ + ‖b‖)² >= D,
+    γ_m = m·u/(1−m·u) and u = 2⁻⁵³: the sum of w squared differences is
+    within γ_{w+2}·D of D (one rounding per difference and per square, w−1
+    in the sum), and r² is within γ_{w+4}·D of D. F is within γ_{w+2}·R of
+    D in any summation order, with or without FMA (the products ‖a‖², a·b
+    and ‖b‖² each within γ_w of their absolute sums, two roundings to
+    combine them). So |F − K| <= 2·γ_{w+4}·R. Underflow adds at most
+    2⁻¹⁰⁷⁵ to each product (a sum or difference that underflows is
+    exact): 4w in F (‖a‖², the doubled a·b and ‖b‖²) and w in K, so
+    2.5w·2⁻¹⁰⁷⁴ in one |F − K|.
+
+    Two uses follow. Where two entries of one row are compared, their
+    ‖a‖² is one computed value, whose error cancels: a gap in F above e,
+    taken at the larger ‖b‖, is above 4·γ_{w+4}·R + 4w·2⁻¹⁰⁷⁴ and so a gap
+    of the same sign in K. And each K lies in [F − e, F + e]. In both the
+    spare γ covers rounding e, R, the gaps and the sums F ± e, and the 8
+    the roundings that scale the underflow terms.
+
+    e is inf wherever 2·R overflows, so no test against e passes where
+    the exact kernel's squares could overflow, and NaN wherever a norm is
+    NaN. Compute it with floating-point warnings off.
+    """
+    m = width + 4
+    gamma = m * _UNIT / (1.0 - m * _UNIT)
+    reach = a_norm + b_norm
+    return 2.5 * gamma * (2.0 * (reach * reach)) + (4 * width + 8) * _TINY
+
+
+def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray
+                  ) -> np.ndarray:
+    """Labels (R, n): row r is bit for bit ``exact(a, centers[r]).argmin(axis=1)``
+    for each of R center sets in ``centers`` (R, k, w), ties to the lowest
+    index.
+
+    ``exact`` is a distance kernel as in ``_rounding_bound``; ``a_sq``
+    holds the rows' squared norms, summed in any order. One product of
+    ``a`` against all R·k centers gives F = ‖a_i‖² − 2·a_i·c + ‖c‖² for
+    every pair, and set r takes F's argmin on every row when each row's
+    two smallest entries in that set differ by more than
+    ``_rounding_bound`` at the row's norm and the set's largest center
+    norm. A set with a row that fails, or with a non-finite F, runs
+    ``exact`` alone. The bound is computed with floating-point warnings
+    off, so every warning or error at extreme scales comes from the exact
+    kernel.
+    """
+    runs, k, width = centers.shape
+    n = a.shape[0]
+    flat = centers.reshape(runs * k, width)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        c_sq = np.einsum("kd,kd->k", flat, flat)
+        f = a @ flat.T
+        f *= -2.0
+        f += a_sq[:, None]
+        f += c_sq
+        f = f.reshape(n, runs, k)
+        labels = f.argmin(axis=2).T
+        tau = _rounding_bound(np.sqrt(a_sq)[:, None],
+                              np.sqrt(c_sq.reshape(runs, k).max(axis=1)), width)
+        gap = np.inf
+        if k > 1:
+            low = np.partition(f, 1, axis=2)
+            gap = low[..., 1] - low[..., 0]
+        settled = np.isfinite(f).all(axis=(0, 2)) & (gap > tau).all(axis=0)
+    for r in np.flatnonzero(~settled):
+        labels[r] = exact(a, centers[r]).argmin(axis=1)
+    return labels
+
+
 def _nearest(a: np.ndarray, b: np.ndarray, exact, a_sq: np.ndarray
              ) -> np.ndarray:
     """Index of the nearest row of ``b`` for each row of ``a``: bit for bit
-    ``exact(a, b).argmin(axis=1)``, ties to the lowest index.
-
-    ``exact`` is a distance kernel that forms each entry as the sum of
-    squared differences (``local._sq_distances``), or its correctly rounded
-    square root (``pairwise_distances``); ``a_sq`` holds the rows' squared
-    norms, summed in any order.
-
-    One product gives F = ‖a_i‖² − 2·a_i·b_j + ‖b_j‖² for every pair, and
-    row i takes F's argmin when its two smallest entries differ by more
-    than τ_i = 5·γ_{w+4}·R_i + (4w+8)·2⁻¹⁰⁷⁴, where w is the row width,
-    R_i = (‖a_i‖ + max_j‖b_j‖)², γ_m = m·u/(1−m·u) and u = 2⁻⁵³. The bound:
-    with D the exact squared distance, the exact kernel's sum of w squared
-    differences is within γ_{w+2}·D of D (one rounding per difference and
-    per square, w−1 in the sum), and a rounded root r has r² within
-    γ_{w+4}·D of D. F is within γ_{w+2}·(‖a‖+‖b‖)² <= γ_{w+2}·R of D in
-    any summation order, with or without FMA (the products ‖a‖², a·b and
-    ‖b‖² each within γ_w of their absolute sums, two roundings to combine
-    them). So a gap above 4·γ_{w+4}·R in F is a gap above 0 in the exact
-    kernel's values, which then have a unique minimum at F's argmin; the
-    fifth γ covers rounding τ, R and the gap themselves. Underflow adds at
-    most 2⁻¹⁰⁷⁵ to each product (a sum or difference that underflows is
-    exact): over the two entries compared, 6w in F (the doubled a·b and
-    ‖b‖²; ‖a_i‖² is common to both) and 2w in the exact kernel, so
-    4w·2⁻¹⁰⁷⁴ in all, and the 8 covers the roundings that scale them.
-
-    If F or 2·R is not finite anywhere, or any row fails the test, the
-    whole call runs ``exact``. The bound is computed with floating-point
-    warnings off, so every warning or error at extreme scales comes from
-    the exact kernel.
-    """
-    k, width = b.shape
-    m = width + 4
-    gamma = m * _UNIT / (1.0 - m * _UNIT)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        b_sq = np.einsum("kd,kd->k", b, b)
-        f = a @ b.T
-        f *= -2.0
-        f += a_sq[:, None]
-        f += b_sq
-        reach = np.sqrt(a_sq) + math.sqrt(b_sq.max())
-        bound = reach * reach
-        tau = 5.0 * gamma * bound + (4 * width + 8) * _TINY
-        gap = np.inf
-        if k > 1:
-            low = np.partition(f, 1, axis=1)
-            gap = low[:, 1] - low[:, 0]
-        if (np.isfinite(f).all() and np.isfinite(2.0 * bound).all()
-                and (gap > tau).all()):
-            return f.argmin(axis=1)
-    return exact(a, b).argmin(axis=1)
+    ``exact(a, b).argmin(axis=1)``, ties to the lowest index, from one
+    certified product where it settles every row (``_nearest_each`` with
+    one center set); ``exact`` on the whole call otherwise."""
+    return _nearest_each(a, b[None], exact, a_sq)[0]
 
 
 @functools.lru_cache(maxsize=4)

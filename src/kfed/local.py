@@ -17,11 +17,11 @@ table of distances. One Lloyd loop serves both the seeding restarts and
 the final solve: it takes a stack of starts, iterates them together (each
 stops at its own convergence step), and takes every step's means in one
 ``cluster_means`` call, which on these narrow rows is a single
-``np.bincount``. On raw rows wider than k, the final solve's
-nearest-center labels come from one certified matrix product
-(``linalg._nearest``), with the exact per-center ``_sq_distances`` as the
-fallback wherever a rounding bound cannot settle a row, so every label
-and tie-break is that exact kernel's.
+``np.bincount``. Each step labels all its active starts from one
+certified matrix product (``linalg._nearest_each``); a start with a row
+that the rounding bound cannot settle takes its labels from the exact
+``_sq_distances`` instead, so every label and tie-break is that exact
+kernel's.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _nearest, top_k_projection, validate_matrix
+from .linalg import _nearest_each, top_k_projection, validate_matrix
 from .rng import Stream
 
 DEFAULT_TOL = 1e-7
@@ -112,9 +112,11 @@ def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     there than a loop. On wider rows it takes one center at a time: the
     difference goes into one reused (n, w) buffer laid out like ``data``,
     and ``einsum("nd,nd->n")`` adds the same products in the same order as
-    the block would, without ever holding the block. The raw-row Lloyd
-    calls it only as ``linalg._nearest``'s exact fallback: its labels come
-    from a certified matrix product wherever a rounding bound settles them.
+    the block would, without ever holding the block. Lloyd, on the seeding
+    coordinates and on the raw rows alike, calls it only as
+    ``linalg._nearest_each``'s exact fallback for one start: its labels
+    come from a certified matrix product wherever a rounding bound settles
+    them.
     """
     n, width = data.shape
     k = centers.shape[0]
@@ -152,7 +154,9 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     ``tol``; otherwise the start takes the step as usual. The means of the
     starts that moved come from one ``cluster_means`` call, start j's
     clusters numbered from j*k over a stacked copy of the rows (the rows
-    themselves when there is only one start).
+    themselves when there is only one start). Every step's labels, for all
+    active starts, come from ``linalg._nearest_each``: one certified
+    product, with ``_sq_distances`` for a start it cannot settle.
 
     A step whose shift is NaN (a cluster mean that overflowed to inf, so
     that no shift could ever drop below ``tol``) raises ``ValueError``.
@@ -160,9 +164,7 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     centers = np.array(starts, dtype=float)
     runs, k, width = centers.shape
     n = data.shape[0]
-    # wide rows (the raw-row Lloyd) take certified labels; narrow rows
-    # (the seeding coordinates) keep the (n, k, w) block, faster there
-    data_sq = np.einsum("nd,nd->n", data, data) if width > k else None
+    data_sq = np.einsum("nd,nd->n", data, data)
     stacked = np.tile(data, (runs, 1)) if runs > 1 else data
     labels = np.zeros((runs, n), dtype=int)
     iterations = np.zeros(runs, dtype=int)
@@ -171,20 +173,15 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
         if not active.size:
             break
         iterations[active] = step
-        moved = []
-        for r in active:
-            if data_sq is None:
-                nearest = _sq_distances(data, centers[r]).argmin(axis=1)
-            else:
-                nearest = _nearest(data, centers[r], _sq_distances, data_sq)
-            if (step > 1 and 0.0 < tol and np.array_equal(nearest, labels[r])
-                    and np.isfinite(centers[r]).all()):
-                continue
-            labels[r] = nearest
-            moved.append(r)
-        if not moved:
+        nearest = _nearest_each(data, centers[active], _sq_distances, data_sq)
+        moved = active
+        if step > 1 and 0.0 < tol:
+            repeat = ((nearest == labels[active]).all(axis=1)
+                      & np.isfinite(centers[active]).all(axis=(1, 2)))
+            moved, nearest = active[~repeat], nearest[~repeat]
+        if not moved.size:
             break
-        moved = np.array(moved)
+        labels[moved] = nearest
         offsets = np.arange(moved.size)[:, None] * k
         means, sizes = cluster_means(stacked[:moved.size * n],
                                      (labels[moved] + offsets).ravel(),

@@ -679,7 +679,8 @@ def _exit_code(argv: list[str]) -> int:
 # "{tmp}" stands for an existing directory.
 @pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a"),
                                         ("--tol", "-1"), ("--c", "nan"),
-                                        ("--c", "inf"), ("--seed", "-1"),
+                                        ("--c", "inf"), ("--c", "0"),
+                                        ("--c", "-10"), ("--seed", "-1"),
                                         ("--seeds", "-1..0"), ("--seeds", "0..-1"),
                                         ("--seeds", "0..x"),
                                         ("--exclude-devices", "-5"),
@@ -745,6 +746,10 @@ CONFIG_DEFECTS = {
     "weights_element": ("mixture.weights", [0.25, 0.25, 0.25, "x"],
                         "mixture.weights", {}),
     "c_nan": ("c", float("nan"), "c", {}),
+    "c_zero": ("c", 0, "c", {}),
+    "c_negative": ("c", -10, "c", {}),
+    "c_values_nonpositive": ("c_values", [4.5, 0], "c_values",
+                             {"experiment": "c_sweep"}),
     "mode_unknown": ("partition.mode", "bogus", "partition.mode", {}),
     "iid_without_Z": ("partition", {"mode": "iid"}, "partition.Z", {}),
     "weights_length": ("mixture.weights", [0.5, 0.5], "mixture.weights", {}),
@@ -786,12 +791,15 @@ def test_malformed_config_exits_2_before_writing(tmp_path, capsys, defect):
 def test_config_grid_builds_or_exits_2(tmp_path):
     # Every config load_config accepts builds for seed 0 at each of its c
     # values; a sample of the rejected ones exits 2 with nothing written.
+    # A nonpositive c is always rejected.
     accepted, rejected = 0, []
     grid = itertools.product((1, 4), (3, 12), (1, 6), (None, -1.0, 0, 0.5, 2),
                              ({"mode": "structured"}, {"mode": "iid", "Z": 3}),
-                             ("auto", "sigma"), (0.0, 1.0))
-    for i, (k, d, per_cluster, m0, partition, mean_mode, sigma) in enumerate(grid):
-        cfg = {"version": 1, "experiment": "c_sweep", "c_values": [-1, 0, 4.5, 100],
+                             ("auto", "sigma"), (0.0, 1.0),
+                             ([1e-3, 4.5, 100], [-1, 4.5], [100, 0]))
+    for i, (k, d, per_cluster, m0, partition, mean_mode, sigma,
+            c_values) in enumerate(grid):
+        cfg = {"version": 1, "experiment": "c_sweep", "c_values": c_values,
                "mixture": {"k": k, "d": d, "per_cluster": per_cluster,
                            "sigma_max": sigma, "mean_mode": mean_mode},
                "partition": partition}
@@ -804,6 +812,7 @@ def test_config_grid_builds_or_exits_2(tmp_path):
         except cli.ConfigError:
             rejected.append(cfg_path)
             continue
+        assert min(c_values) > 0
         accepted += 1
         for c in loaded["c_values"]:
             cli.make_instance(loaded, 0, c)
@@ -942,7 +951,8 @@ def test_profile_k_above_labels_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--m0", "-1"), ("--m0", "nan"),
                                         ("--m0", "inf"), ("--c", "nan"),
-                                        ("--c", "inf")])
+                                        ("--c", "inf"), ("--c", "0"),
+                                        ("--c", "-1")])
 def test_malformed_profile_flag_exits_2(tmp_path, flag, value):
     files = _profile_files(tmp_path)
     out = tmp_path / "prof"

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kfed import federation
 from kfed.datagen import DevicePartition
 from kfed.evaluation import matched_accuracy
 from kfed.federation import (DeviceCenters, FarthestInit, OpsAccounting,
@@ -89,6 +90,112 @@ def test_init_matches_max_min_oracle():
             open_uploads = range(total - s, total - k, -1)
             assert acc.pairwise_distance_count == sum(
                 n * (s if step == 0 else 1) for step, n in enumerate(open_uploads))
+
+
+def _init_paths(monkeypatch):
+    """Record each exact ``pairwise_distances`` call the init makes."""
+    calls = []
+    exact = federation.pairwise_distances
+    monkeypatch.setattr(federation, "pairwise_distances",
+                        lambda a, b: calls.append(a.shape) or exact(a, b))
+    return calls
+
+
+def _check_init(uploads, start, calls, expected=None):
+    """Every k's provenance and distance count against the exact path and,
+    where given, the oracle's full max-min order; returns the paths taken."""
+    stacked, provenance = federation._flatten(uploads)
+    chosen = [i for i, (z, _) in enumerate(provenance) if z == start]
+    total, s = len(provenance), len(chosen)
+    taken = []
+    for k in range(s, total + 1):
+        calls.clear()
+        acc = OpsAccounting()
+        init = farthest_point_init(uploads, k, start_device=start, accounting=acc)
+        if k > s:
+            taken.append("exact" if calls else "certified")
+        picks, count = federation._exact_max_min(stacked, chosen, k)
+        assert init.provenance == [provenance[i] for i in chosen + picks]
+        if expected is not None:
+            assert init.provenance == expected[:k]
+        assert acc.pairwise_distance_count == count == sum(
+            n * (s if step == 0 else 1)
+            for step, n in enumerate(range(total - s, total - k, -1)))
+    return taken
+
+
+def test_init_certified_and_exact_paths_match_max_min_oracle(monkeypatch):
+    # One product per step settles the pick only where a rounding bound
+    # proves it; ties, duplicates and squares out of range take the exact
+    # path. Both agree with the oracle, whatever the width and scale.
+    calls = _init_paths(monkeypatch)
+    rng = np.random.default_rng(32)
+    paths = {"certified": 0, "exact": 0}
+    for trial in range(160):
+        width = trial % 40 + 1
+        kind = trial % 4
+        z_count = int(rng.integers(2, 5))
+        sizes = rng.integers(1, 4, size=z_count)
+        start = int(rng.integers(0, z_count))
+        sizes[start] = rng.integers(2, 4)          # several start centers
+        if kind == 0:                              # fuzzed, at a range of scales
+            scale = [1.0, 1e150, 1e-150][trial // 4 % 3]
+            uploads = [_dc(z, rng.normal(size=(m, width)) * scale)
+                       for z, m in enumerate(sizes)]
+        elif kind == 1:                            # integer grid: exact ties
+            uploads = [_dc(z, rng.integers(0, 3, size=(m, width)))
+                       for z, m in enumerate(sizes)]
+        elif kind == 2:                            # duplicate uploads
+            base = rng.normal(size=(3, width))
+            uploads = [_dc(z, base[rng.permutation(3)[:m]])
+                       for z, m in enumerate(sizes)]
+        else:
+            # Exact ties far from the origin: unit steps along a few axes
+            # from one point near 1024, so every exact distance to it is 1
+            # while the product's squared norms near 1e6 round apart.
+            origin = 1024.0 + rng.integers(0, 512, size=width) / 1024.0
+            axes = rng.permutation(width)[:3]
+            steps = [origin + sign * np.eye(width)[j]
+                     for j in axes for sign in (1.0, -1.0)]
+            uploads = [_dc(0, [origin, origin + 0.5]),
+                       _dc(1, steps[:len(steps) // 2]),
+                       _dc(2, steps[len(steps) // 2:])]
+            start = 0
+        expected = greedy_max_min([(dc.device_id, dc.centers) for dc in uploads],
+                                  sum(dc.k_z for dc in uploads), start)
+        for path in _check_init(uploads, start, calls, expected):
+            paths[path] += 1
+    assert paths["certified"] >= 200 and paths["exact"] >= 300
+    # Squares that overflow (F is not finite), or that all underflow to
+    # zero (every step a tie), always take the exact path.
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        uploads = [_dc(z, rng.normal(size=(3, 5)) * scale) for z in range(3)]
+        with np.errstate(over="ignore"):
+            taken = _check_init(uploads, 0, calls)
+        assert taken == ["exact"] * 6
+
+
+def test_init_non_float64_uploads_take_the_exact_path(monkeypatch):
+    # The rounding bound is float64's: integer and float32 uploads are
+    # picked by the exact kernel, as they always were. In float32 the
+    # squares near 2^28 round to 32, so a product would rank the 2.875
+    # step above the 3.875 one.
+    calls = _init_paths(monkeypatch)
+    rng = np.random.default_rng(33)
+    cases = [[np.array([[16384.0]]), np.array([[16387.875]]),
+              np.array([[16381.125]])]]
+    cases += [[rng.integers(-5, 6, size=(int(m), 3)) for m in sizes]
+              for sizes in rng.integers(1, 4, size=(5, 3))]
+    for centers in cases:
+        for dtype in (np.int64, np.float32):
+            uploads = [DeviceCenters(device_id=z, centers=c.astype(dtype),
+                                     local_assignment=np.empty(0, dtype=int))
+                       for z, c in enumerate(centers)]
+            taken = _check_init(uploads, 0, calls)
+            assert set(taken) <= {"exact"}
+    init = farthest_point_init(uploads, sum(dc.k_z for dc in uploads),
+                               accounting=OpsAccounting())
+    assert init.points.dtype == np.float32
 
 
 def test_init_too_few_centers():
@@ -392,6 +499,29 @@ def test_record_replay_round_trip(tmp_path):
     second = tmp_path / "again.jsonl"
     record_run(second, run_kfed(partition, data, seed=13))
     assert log.read_bytes() == second.read_bytes()
+
+
+def test_replay_round_trip_on_certified_and_exact_init(tmp_path, monkeypatch):
+    # The log and the replayed distance count are the same whether the
+    # init is certified or, with its rounding bound made to fail, exact.
+    _, data, truth, partition = planted_instance(15, k=6, d=20, per_cluster=24,
+                                                 m0=2, group_size=3)
+    calls = _init_paths(monkeypatch)
+    logs, audits = {}, {}
+    for path in ("certified", "exact"):
+        if path == "exact":
+            monkeypatch.setattr(federation, "_rounding_bound",
+                                lambda a, b, width: np.full(np.broadcast(a, b).shape,
+                                                            np.inf))
+        calls.clear()
+        run = run_kfed(partition, data, seed=15)
+        logs[path] = tmp_path / f"{path}.jsonl"
+        record_run(logs[path], run)
+        audits[path] = replay_run(logs[path])
+        assert bool(calls) == (path == "exact")
+        assert audits[path]["distance_count"] == run.accounting.pairwise_distance_count
+    assert logs["certified"].read_bytes() == logs["exact"].read_bytes()
+    assert audits["certified"] == audits["exact"]
 
 
 def test_replay_detects_tampering(tmp_path):

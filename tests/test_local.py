@@ -383,9 +383,17 @@ def _fuzz_rows(rng, n, width):
     return np.round(data) if rng.random() < 0.3 else data
 
 
-def test_multi_start_lloyd_matches_per_start_oracle():
+def test_multi_start_lloyd_matches_per_start_oracle(monkeypatch):
     rng = np.random.default_rng(42)
     iteration_spreads = emptied = raised = 0
+    # Each step labels all active starts from one certified product; a start
+    # the bound cannot settle takes the exact _sq_distances alone.
+    exact_calls = []
+    exact = local._sq_distances
+    monkeypatch.setattr(local, "_sq_distances",
+                        lambda a, b: exact_calls.append(b.copy()) or exact(a, b))
+    certified = {"narrow": 0, "wide": 0}
+    fallbacks = mixed = 0
     for case in range(220):
         n, width = int(rng.integers(5, 401)), int(rng.integers(1, 34))
         k = int(rng.integers(1, min(16, n) + 1))
@@ -400,9 +408,35 @@ def test_multi_start_lloyd_matches_per_start_oracle():
             data[rng.integers(0, n, size=k)] if rng.random() < 0.5
             else lo + (hi - lo + 1.0) * rng.uniform(-0.5, 1.5, size=(k, width))
             for _ in range(runs)])
+        plant = np.random.default_rng([42, case])
+        forced = None
+        if case % 3 == 1 and k > 1:
+            # Rows at midpoints of two centers of one start, exact or
+            # nudged; and one start whose first center repeats as its last
+            # and sits on a row, a tie at distance 0 that it cannot certify.
+            rows = plant.choice(n, size=max(1, n // 4), replace=False)
+            r = int(plant.integers(0, runs))
+            a, b = plant.integers(0, k, size=(2, rows.size))
+            nudge = plant.choice([0.0, 1e-12, -1e-12])
+            data[rows] = ((starts[r, a] + starts[r, b]) / 2.0
+                          + nudge * (starts[r, a] - starts[r, b]))
+            forced = int(plant.integers(0, runs))
+            starts[forced, -1] = starts[forced, 0]
+            data[rows[0]] = starts[forced, 0]
+        elif case % 3 == 2 and k > 2:
+            # A collapsed start: two equal centers far from every row.
+            starts[int(plant.integers(0, runs)), -2:] = np.abs(data).max() * 1e6 + 1.0
         max_iter = 2 if case % 7 == 0 else local.DEFAULT_MAX_ITER
+        exact_calls.clear()
         labels, centers, iterations = local._lloyd(data, starts, local.DEFAULT_TOL,
                                                    max_iter)
+        # every start is labeled once per step it takes
+        certified["narrow" if width <= k else "wide"] += (int(iterations.sum())
+                                                         - len(exact_calls))
+        fallbacks += len(exact_calls)
+        if forced is not None:
+            assert any(np.array_equal(c, starts[forced]) for c in exact_calls)
+            mixed += len(exact_calls) < iterations.sum()
         assert labels.shape == (runs, n) and centers.shape == (runs, k, width)
         for r in range(runs):
             ref_labels, ref_centers, ref_iter, ref_emptied = single_lloyd(
@@ -422,6 +456,8 @@ def test_multi_start_lloyd_matches_per_start_oracle():
             continue
         assert approx_seed(data, k, seed).tobytes() == expected.tobytes()
     assert iteration_spreads >= 50 and emptied >= 20 and raised >= 1
+    assert certified["narrow"] >= 600 and certified["wide"] >= 1500
+    assert fallbacks >= 300 and mixed >= 40
 
 
 @pytest.mark.parametrize("case", ["zero_tol", "overflowing_mean"])
