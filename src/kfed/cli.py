@@ -312,7 +312,7 @@ _SCHEMA = {
     "experiment": ("|".join(EXPERIMENTS), ...),
     "out": ("str", "results"),
     "seeds": ("[int]", [0]),
-    "c": ("number>0", 100.0),
+    "c": ("number>0", separation.DEFAULT_C),
     "c_values": ("[number>0]", None),         # c_sweep only
     "m0": ("number>=0", None),                # None: the profile estimates it
     "tol": ("number>=0", DEFAULT_TOL),

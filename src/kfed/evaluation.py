@@ -8,6 +8,8 @@ import numpy as np
 
 from .local import Clustering
 
+_DEGENERATE_EPS = 1e-12   # random cost within this of the oracle's has no ratio
+
 
 @dataclass
 class EvalResult:
@@ -89,9 +91,9 @@ def matched_accuracy(pred, truth) -> EvalResult:
 
 
 def cost_ratio_report(oracle_cost: float, structured_cost: float,
-                      random_cost: float, eps: float = 1e-12) -> CostRatio:
+                      random_cost: float) -> CostRatio:
     """(structured - oracle) / (random - oracle); below 1 favors structured."""
-    if random_cost <= oracle_cost + eps:
+    if random_cost <= oracle_cost + _DEGENERATE_EPS:
         return CostRatio(ratio=None, degenerate=True,
                          note="degenerate: random matches oracle")
     return CostRatio(ratio=(structured_cost - oracle_cost)

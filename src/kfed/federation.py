@@ -14,7 +14,7 @@ decision, tie-breaks included; otherwise that kernel runs. Farthest-point
 seeding takes one product per step (``_certified_max_min``) and falls
 back to the exact seeding as a whole (``_exact_max_min``). Nearest-seed
 and nearest-group-mean labels (``one_round_lloyd``, ``assign_new_device``)
-come from one product per call (``linalg._nearest``). Either way the
+come from one product per call (``linalg._nearest_each``). Either way the
 aggregator's working memory is O(uploads x (d + k)), not
 O(uploads x k x d), and the distance count is what the exact path
 measures: open uploads times newest seeds per seeding step, and k per
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import DevicePartition
-from .linalg import (_nearest, _rounding_bound, pairwise_distances,
+from .linalg import (_nearest_each, _rounding_bound, pairwise_distances,
                      validate_matrix)
 from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
 
@@ -158,10 +158,10 @@ def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[i
 def _nearest_point(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Index of each row's nearest point, ties to the lowest index: bit for
     bit ``pairwise_distances(rows, points).argmin(axis=1)``, from
-    ``linalg._nearest``'s certified product where it settles every row."""
+    ``linalg._nearest_each``'s certified product where it settles every row."""
     rows, points = np.asarray(rows, dtype=float), np.asarray(points, dtype=float)
-    return _nearest(rows, points, pairwise_distances,
-                    np.einsum("nd,nd->n", rows, rows))
+    return _nearest_each(rows, points[None], pairwise_distances,
+                         np.einsum("nd,nd->n", rows, rows))[0]
 
 
 def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int

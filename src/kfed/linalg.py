@@ -13,8 +13,8 @@ one BLAS/LAPACK build: equal inputs give bit-identical outputs there,
 while another build may differ in the last digits. Tests check both
 primitives against independent full-decomposition oracles.
 
-Nearest-row labels (``_nearest``, and ``_nearest_each`` for several
-center sets at once) come from one matrix product, ‖a‖² − 2·a·bᵀ + ‖b‖²,
+Nearest-row labels (``_nearest_each``, for one or several center sets at
+once) come from one matrix product, ‖a‖² − 2·a·bᵀ + ‖b‖²,
 accepted only where a rounding bound proves that the caller's exact
 distance kernel has the same argmin; a center set with a row the bound
 cannot settle runs that exact kernel instead, so the labels, tie-breaks
@@ -63,26 +63,11 @@ def validate_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _scaled_by(m: np.ndarray, top) -> tuple[np.ndarray, int]:
-    """``m`` scaled by 2^-e, where ``top`` = f·2^e with f in [0.5, 1); and e."""
-    exponent = int(np.frexp(top)[1])
-    return np.ldexp(m, -exponent), exponent
-
-
-def unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``m`` scaled by the power of two that brings its largest entry into
-    [0.5, 1), and that power's exponent (0 for an all-zero ``m``).
-
-    The largest magnitude is ``max(m.max(), -m.min())``; a NaN or infinite
-    one gives exponent 0, and so ``m`` unchanged. Exact, bar entries 2^1022
-    times below the largest, which underflow.
-    """
-    return _scaled_by(m, max(m.max(), -m.min()))
-
-
 def _finite_scaled(m) -> tuple[np.ndarray, int]:
-    """``unit_scaled`` of ``m`` as a 2-D float array; raise unless ``m`` is
-    2-D, nonempty and finite.
+    """``m`` as a 2-D float array scaled by the power of two that brings its
+    largest entry into [0.5, 1), exactly bar entries 2^1022 times below it,
+    and that power's exponent (0 for an all-zero ``m``); raise unless ``m``
+    is 2-D, nonempty and finite.
 
     The largest magnitude, ``max(m.max(), -m.min())``, both gives the power
     and checks that every entry is finite (it is NaN or inf otherwise), in
@@ -92,7 +77,8 @@ def _finite_scaled(m) -> tuple[np.ndarray, int]:
     largest = max(m.max(), -m.min())    # NaN if any entry is NaN
     if not math.isfinite(largest):
         raise ValueError("matrix contains non-finite values")
-    return _scaled_by(m, largest)
+    exponent = int(np.frexp(largest)[1])
+    return np.ldexp(m, -exponent), exponent
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -214,15 +200,6 @@ def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray
     for r in np.flatnonzero(~settled):
         labels[r] = exact(a, centers[r]).argmin(axis=1)
     return labels
-
-
-def _nearest(a: np.ndarray, b: np.ndarray, exact, a_sq: np.ndarray
-             ) -> np.ndarray:
-    """Index of the nearest row of ``b`` for each row of ``a``: bit for bit
-    ``exact(a, b).argmin(axis=1)``, ties to the lowest index, from one
-    certified product where it settles every row (``_nearest_each`` with
-    one center set); ``exact`` on the whole call otherwise."""
-    return _nearest_each(a, b[None], exact, a_sq)[0]
 
 
 @functools.lru_cache(maxsize=4)

@@ -264,6 +264,8 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     data = validate_matrix(projected)
     if not isinstance(seed, tuple):
         seed = (int(seed),)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if data.shape[0] < k:
         raise ValueError("insufficient distinct points")
     labels, refined, _ = _lloyd(data, _dsq_sample(data, k, seed), tol,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import DevicePartition, estimate_m0
-from .linalg import operator_norm, unit_scaled
+from .linalg import _finite_scaled, operator_norm
 from .local import Clustering, cluster_means
 
 DEFAULT_C = 100.0
@@ -117,17 +117,22 @@ def _fit_target(data: np.ndarray, clustering: Clustering) -> tuple:
 def separation_quantities(data: np.ndarray, clustering: Clustering,
                           partition: DevicePartition, c: float = DEFAULT_C,
                           m0: float | None = None) -> SeparationReport:
-    """Compute every separation scale and per-pair requirement check."""
+    """Compute every separation scale and per-pair requirement check.
+
+    A device that holds no rows is skipped, as in ``lemma_audit``.
+    """
     data, labels, centers, sizes, op = _fit_target(data, clustering)
     k = clustering.k
 
     counts = partition.counts_by_cluster(labels, k)
+    device_sizes = counts.sum(axis=1)
+    if not device_sizes.any():
+        raise ValueError("partition holds no rows")
+    n_min_device = int(device_sizes[device_sizes > 0].min())
     present = counts > 0                # (devices, k)
     k_prime = int(present.sum(axis=1).max())
     if m0 is None:
         m0 = estimate_m0(counts)
-    device_sizes = counts.sum(axis=1)
-    n_min_device = int(device_sizes.min())
 
     tilde_delta = math.sqrt(k) * op / np.sqrt(sizes)
     delta = k_prime * op / np.sqrt(sizes)
@@ -135,7 +140,7 @@ def separation_quantities(data: np.ndarray, clustering: Clustering,
 
     # Differences of the power-of-two scaled centers neither overflow nor
     # underflow when squared; scaling back is exact.
-    scaled, exponent = unit_scaled(centers)
+    scaled, exponent = _finite_scaled(centers)
     diff = scaled[:, None, :] - scaled[None, :, :]
     with np.errstate(over="ignore"):  # a distance beyond the float range is inf
         dist = np.ldexp(np.sqrt(np.einsum("rsd,rsd->rs", diff, diff)), exponent)
@@ -188,7 +193,7 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
     # Mean gaps are taken on the power-of-two scaled centers, as in
     # ``separation_quantities``, then scaled back. axes[s, r] points from
     # mean s to mean r.
-    scaled, exponent = unit_scaled(centers)
+    scaled, exponent = _finite_scaled(centers)
     axes = scaled[None, :, :] - scaled[:, None, :]
     gaps = _vector_norms(axes)
     with np.errstate(over="ignore"):  # a gap beyond the float range is inf

@@ -467,6 +467,10 @@ REPLAY_DEFECTS = {
     "repeated_device_id": (lambda lines: _edit_upload(
         lines, 2, lambda b: b.update(device_id=json.loads(lines[1])["device_id"])),
         "uploaded twice"),
+    "truncated": (lambda lines: lines.__delitem__(slice(2, None)),
+                  "message log is truncated"),
+    "unsupported_schema": (lambda lines: _edit_upload(
+        lines, 0, lambda b: b.update(schema=2)), "unsupported wire schema"),
 }
 
 
@@ -482,7 +486,8 @@ def test_replay_rejects_malformed_log(tmp_path, capsys, defect):
     log.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert cli.main(["replay", "--log", str(log)]) == cli.EXIT_PIPELINE
-    assert reason in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert reason in err and len(err.splitlines()) == 1
 
 
 def _first_pair(tau, pick, swap):
@@ -881,6 +886,8 @@ INPUT_DEFECTS = {
         t, lambda m: _replace_row(m, 5, 5.5))),
     "profile_partition_row_bool": ("partition", lambda t: _edit_partition(
         t, lambda m: _replace_row(m, 1, True))),
+    "profile_partition_not_object": ("partition", lambda t: json.dumps(
+        list(json.loads(t).values()))),
 }
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from kfed import datagen, linalg, local
-from kfed.linalg import (operator_norm, pairwise_distances,
-                         top_k_projection, unit_scaled, validate_matrix)
+from kfed.linalg import (_finite_scaled, operator_norm, pairwise_distances,
+                         top_k_projection, validate_matrix)
 from kfed.rng import Stream
 from helpers import planted_instance, projection
 from oracles import eigh_projection, jacobi_spectral_norm, svd_truncation
@@ -45,56 +45,44 @@ def _with_entry(value):
     return m
 
 
-# input -> (operator_norm's error, unit_scaled's error or None if it returns)
+# input -> the error operator_norm and _finite_scaled raise
 _BAD_INPUTS = {
-    "nan": (_with_entry(np.nan), "matrix contains non-finite values", None),
-    "pos_inf": (_with_entry(np.inf), "matrix contains non-finite values", None),
-    "neg_inf": (_with_entry(-np.inf), "matrix contains non-finite values", None),
-    "one_d": (np.array([1.0, -6.0, 2.0]), "matrix must be 2-D, got shape (3,)",
-              None),
-    "empty": (np.empty((0, 3)), "empty matrix",
-              "zero-size array to reduction operation maximum which has no "
-              "identity"),
+    "nan": (_with_entry(np.nan), "matrix contains non-finite values"),
+    "pos_inf": (_with_entry(np.inf), "matrix contains non-finite values"),
+    "neg_inf": (_with_entry(-np.inf), "matrix contains non-finite values"),
+    "one_d": (np.array([1.0, -6.0, 2.0]), "matrix must be 2-D, got shape (3,)"),
+    "empty": (np.empty((0, 3)), "empty matrix"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_operator_norm_and_unit_scaled_on_bad_input(case):
-    m, norm_error, scaled_error = _BAD_INPUTS[case]
-    with pytest.raises(ValueError) as err:
-        operator_norm(m)
-    assert type(err.value) is ValueError and str(err.value) == norm_error
+    m, error = _BAD_INPUTS[case]
+    for check in (operator_norm, _finite_scaled):
+        with pytest.raises(ValueError) as err:
+            check(m)
+        assert type(err.value) is ValueError and str(err.value) == error
     # validate_matrix names its input, bar in "empty matrix"
-    named = norm_error.replace("matrix must", "data must").replace(
+    named = error.replace("matrix must", "data must").replace(
         "matrix contains", "data contains")
     with pytest.raises(ValueError) as err:
         validate_matrix(m, "data")
     assert str(err.value) == named
-    if scaled_error is not None:
-        with pytest.raises(ValueError) as err:
-            unit_scaled(m)
-        assert type(err.value) is ValueError and str(err.value) == scaled_error
-        return
-    # not validated: a NaN or infinite magnitude gives exponent 0 and m as is
-    scaled, exponent = unit_scaled(m)
-    expected = 3 if case == "one_d" else 0
-    assert exponent == expected
-    assert scaled.tobytes() == np.ldexp(m, -expected).tobytes()
 
 
 def test_operator_norm_and_unit_scaled_on_zero_and_negative_extremes():
     zeros = np.zeros((3, 2))
-    scaled, exponent = unit_scaled(zeros)
+    scaled, exponent = _finite_scaled(zeros)
     assert (exponent, scaled.tobytes()) == (0, zeros.tobytes())
     assert operator_norm(zeros) == 0.0
     # the largest magnitude is a negative entry: it sets the power
     m = np.array([[-6.0, 0.0], [0.0, 1.0]])
-    scaled, exponent = unit_scaled(m)
+    scaled, exponent = _finite_scaled(m)
     assert exponent == 3 and scaled.tolist() == [[-0.75, 0.0], [0.0, 0.125]]
     assert operator_norm(m) == 6.0
     for big in (-1e300, -1e-300):
         m = np.array([[big, 3.0 * abs(big) / 8.0], [abs(big) / 4.0, 0.0]])
-        scaled, exponent = unit_scaled(m)
+        scaled, exponent = _finite_scaled(m)
         assert exponent == math.frexp(big)[1] and scaled[0, 0] == math.frexp(big)[0]
         assert operator_norm(m) == pytest.approx(np.linalg.norm(m / abs(big), 2)
                                                  * abs(big), rel=1e-14)
@@ -284,7 +272,7 @@ def test_certified_projection_matches_eigh_oracle(shape, solver_calls):
         assert sine <= 1e-12
         assert np.abs(coords @ lift - ref_coords @ ref_lift).max() <= \
             1e-12 * np.abs(rows).max()
-        scaled = unit_scaled(rows)[0]
+        scaled = _finite_scaled(rows)[0]
         gram = scaled.T @ scaled if rows.shape[1] <= rows.shape[0] \
             else scaled @ scaled.T
         ritz = linalg._top_eigenpairs(gram, k)[0]
@@ -461,8 +449,8 @@ def test_nearest_matches_exact_argmin():
             rows = np.asfortranarray(rows)
         for kernel in (local._sq_distances, pairwise_distances):
             calls = []
-            got = linalg._nearest(rows, centers, _spy(kernel, calls),
-                                  np.einsum("nd,nd->n", rows, rows))
+            got = linalg._nearest_each(rows, centers[None], _spy(kernel, calls),
+                                       np.einsum("nd,nd->n", rows, rows))[0]
             assert (got == kernel(rows, centers).argmin(axis=1)).all()
             paths["fallback" if calls else "certified"] += 1
     assert paths["certified"] >= 300 and paths["fallback"] >= 100
@@ -473,8 +461,9 @@ def test_nearest_matches_exact_argmin():
         for kernel in (local._sq_distances, pairwise_distances):
             calls = []
             with np.errstate(over="ignore", invalid="ignore"):
-                got = linalg._nearest(rows, centers, _spy(kernel, calls),
-                                      np.einsum("nd,nd->n", rows, rows))
+                got = linalg._nearest_each(
+                    rows, centers[None], _spy(kernel, calls),
+                    np.einsum("nd,nd->n", rows, rows))[0]
                 assert (got == kernel(rows, centers).argmin(axis=1)).all()
             assert calls == [rows.shape]
 

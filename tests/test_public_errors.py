@@ -1,0 +1,118 @@
+"""Input errors of public entry points that no other test reaches, by exact
+type and message."""
+
+import numpy as np
+import pytest
+
+from kfed import datagen, evaluation, federation, local
+from kfed.datagen import DevicePartition, MixtureSpec, PartitionSpec
+from kfed.local import Clustering
+from kfed.rng import Stream
+
+_ROWS = np.arange(12.0).reshape(4, 3) ** 2
+
+
+def _truth() -> Clustering:
+    return Clustering.from_labels(_ROWS, np.array([0, 0, 1, 1]), 2)
+
+
+def _uploads(rows=None) -> list[federation.DeviceCenters]:
+    """Device 0 uploads three centers, device 1 one; ``rows`` per device."""
+    return [federation.DeviceCenters(
+        device_id=z, centers=_ROWS[first:last], local_assignment=np.zeros(1, int),
+        rows=None if rows is None else np.array([z]))
+        for z, (first, last) in enumerate([(0, 3), (3, 4)])]
+
+
+def _init(uploads, k: int, start=None):
+    return federation.farthest_point_init(
+        uploads, k, start, accounting=federation.OpsAccounting())
+
+
+def _spec(**fields) -> MixtureSpec:
+    return MixtureSpec(**{"k": 2, "d": 3, "n": 8, "sigma_max": 1.0, "seed": 0,
+                          **fields})
+
+
+# case -> (the call, its exact message)
+PUBLIC_ERRORS = {
+    "lloyd_iterate_no_center": (
+        lambda: local.lloyd_iterate(_ROWS, np.empty((0, 3))),
+        "need at least one initial center"),
+    "approx_seed_rows_below_k": (
+        lambda: local.approx_seed(_ROWS, 5, 0), "insufficient distinct points"),
+    "approx_seed_k_zero": (
+        lambda: local.approx_seed(_ROWS, 0, 0), "k must be at least 1"),
+    "local_cluster_rows_below_k": (
+        lambda: local.local_cluster(_ROWS, 5, 0), "insufficient distinct points"),
+    "local_cluster_k_zero": (
+        lambda: local.local_cluster(_ROWS, 0, 0), "k must be at least 1"),
+    "init_start_device_missing": (
+        lambda: _init(_uploads(), 2, start=7), "start device 7 submitted no centers"),
+    "init_start_device_too_many": (
+        lambda: _init(_uploads(), 2, start=0),
+        "start device has more centers than requested groups"),
+    "one_round_lloyd_no_rows": (
+        lambda: federation.one_round_lloyd(
+            _uploads(), _init(_uploads(), 4), n_total=2,
+            accounting=federation.OpsAccounting()),
+        "no row indices known for device 0"),
+    "assign_new_device_width": (
+        lambda: federation.assign_new_device(
+            _ROWS[:2], np.zeros((1, 4)), accounting=federation.OpsAccounting()),
+        "device data has dimension 4, aggregation state has 3"),
+    "run_kfed_unannotated": (
+        lambda: federation.run_kfed(
+            DevicePartition(device_rows=[np.arange(4)]), _ROWS, 0),
+        "partition needs k and per-device cluster counts"),
+    "estimate_m0_no_rows": (
+        lambda: datagen.estimate_m0(np.zeros((2, 3), dtype=int)),
+        "partition holds no rows"),
+    "validate_k_per_device_above_k": (
+        lambda: DevicePartition(device_rows=[np.arange(4)], k=2,
+                                k_per_device=[3]).validate(4),
+        "a device requests more clusters than exist globally"),
+    "resolve_means_k_above_d": (
+        lambda: datagen.resolve_means(_spec(k=4)),
+        "automatic mean placement needs k <= d"),
+    "resolve_means_unknown_mode": (
+        lambda: datagen.resolve_means(_spec(mean_mode="grid")),
+        "unknown mean mode 'grid'"),
+    "generate_mixture_negative_sigma": (
+        lambda: datagen.generate_mixture(_spec(sigma_max=-1.0)),
+        "sigma_max must be nonnegative"),
+    "structured_partition_not_structured": (
+        lambda: datagen.structured_partition(_truth(), PartitionSpec(mode="iid")),
+        "partition spec is not structured"),
+    "structured_partition_no_m0": (
+        lambda: datagen.structured_partition(
+            _truth(), PartitionSpec(mode="structured")),
+        "structured partitions need m0 >= 1"),
+    "structured_partition_m0_above_share": (
+        lambda: datagen.structured_partition(
+            _truth(), PartitionSpec(mode="structured", m0=3)),
+        "m0=3 exceeds the smallest per-device share for clusters [0, 1]"),
+    "iid_partition_rows_below_devices": (
+        lambda: datagen.iid_partition(2, 3, 0), "need at least one row per device"),
+    "iid_partition_no_device": (
+        lambda: datagen.iid_partition(2, 0, 0), "need at least one device"),
+    "kmeans_cost_short_labels": (
+        lambda: evaluation.kmeans_cost(_ROWS, [0, 1]),
+        "labels do not cover the data rows"),
+    "matched_accuracy_lengths_differ": (
+        lambda: evaluation.matched_accuracy([0, 1], [0, 1, 1]),
+        "clusterings cover different row sets"),
+    "matched_accuracy_negative_label": (
+        lambda: evaluation.matched_accuracy([0, -1], [0, 1]),
+        "labels must be nonnegative; restrict to covered rows"),
+    "stream_integers_zero_bound": (
+        lambda: Stream(0).integers(3, 0), "bound must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PUBLIC_ERRORS))
+def test_public_entry_rejects_bad_input(case):
+    call, message = PUBLIC_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

@@ -51,6 +51,21 @@ def test_pair_status_depends_only_on_partition():
     assert not rep_b.pair_active[0, 1]
 
 
+def test_empty_device_is_skipped_as_in_the_audit():
+    data, clustering = _two_cluster_instance()
+    alone = separation_quantities(data, clustering,
+                                  _partition_from_lists([range(40)]))
+    part = _partition_from_lists([[], range(40)])
+    report = separation_quantities(data, clustering, part)
+    assert report.n_min_device == 40
+    assert report.to_json_dict() == alone.to_json_dict()
+    assert lemma_audit(data, clustering, part).passed
+    for m0 in (None, 2.0):
+        with pytest.raises(ValueError, match="^partition holds no rows$"):
+            separation_quantities(data, clustering,
+                                  _partition_from_lists([[], []]), m0=m0)
+
+
 def test_planted_instance_meets_requirements():
     _, data, truth, part = planted_instance(4)
     report = separation_quantities(data, truth, part, c=100.0)
