@@ -539,7 +539,7 @@ def cmd_profile(args) -> int:
     k = args.k if args.k is not None else int(labels.max()) + 1
     try:
         truth = Clustering.from_labels(data, labels, k)
-    except ValueError as err:  # a cluster in [0, k) without rows
+    except ValueError as err:  # a label outside [0, k), or a cluster without rows
         raise ConfigError(f"{args.labels}: {err}") from err
     partition = _read(datagen.load_partition_json, args.partition, data.shape[0])
     partition.annotate_from_labels(labels, k)

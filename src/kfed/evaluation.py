@@ -48,12 +48,15 @@ def kmeans_cost(data: np.ndarray, clustering) -> float:
     labels = _labels_of(clustering)
     if labels.shape[0] != data.shape[0]:
         raise ValueError("labels do not cover the data rows")
-    present, labels = np.unique(labels, return_inverse=True)
-    total = 0.0
-    for r in range(present.size):  # cluster by cluster keeps the sum's bits
-        block = data[labels == r]
-        diff = block - block.mean(axis=0)  # the mean cluster_means returns
-        total += float(np.einsum("nd,nd->", diff, diff))
+    _, labels, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    # One stable sort lists each cluster's rows in row order, as a mask would.
+    order = np.argsort(labels, kind="stable")
+    total, start = 0.0, 0
+    for stop in np.cumsum(sizes):  # cluster by cluster keeps the sum's bits
+        block = data[order[start:stop]]
+        block -= block.mean(axis=0)  # the mean cluster_means returns
+        total += float(np.einsum("nd,nd->", block, block))
+        start = stop
     return total
 
 
@@ -71,6 +74,8 @@ def matched_accuracy(pred, truth) -> EvalResult:
     true_labels = _labels_of(truth)
     if pred_labels.shape != true_labels.shape:
         raise ValueError("clusterings cover different row sets")
+    if not pred_labels.size:
+        raise ValueError("clusterings are empty")
     if pred_labels.min(initial=0) < 0 or true_labels.min(initial=0) < 0:
         raise ValueError("labels must be nonnegative; restrict to covered rows")
     n = pred_labels.shape[0]

@@ -160,8 +160,8 @@ def _nearest_point(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     bit ``pairwise_distances(rows, points).argmin(axis=1)``, from
     ``linalg._nearest_each``'s certified product where it settles every row."""
     rows, points = np.asarray(rows, dtype=float), np.asarray(points, dtype=float)
-    return _nearest_each(rows, points[None], pairwise_distances,
-                         np.einsum("nd,nd->n", rows, rows))[0]
+    return _nearest_each(rows[None], points[None, None], pairwise_distances,
+                         np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
 
 
 def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int
@@ -305,6 +305,7 @@ def assign_new_device(cluster_means: np.ndarray, centers: np.ndarray, *,
     device.
     """
     cluster_means = validate_matrix(cluster_means, "group means")
+    centers = validate_matrix(centers, "device centers")
     if centers.shape[1] != cluster_means.shape[1]:
         raise ValueError(
             f"device data has dimension {centers.shape[1]}, "
@@ -331,14 +332,15 @@ def run_kfed(partition: DevicePartition, data: np.ndarray, seed: int,
     accounting = OpsAccounting()
     device_centers: dict[int, DeviceCenters] = {}
     local_results: dict[int, LocalResult] = {}
-    for z in participants:
-        rows = partition.device_rows[z]
-        result = local_cluster(data[rows], partition.k_per_device[z],
-                               (seed, z), tol=tol)
+    results = local_cluster(data, [partition.k_per_device[z] for z in participants],
+                            [(seed, z) for z in participants], tol=tol,
+                            devices=[partition.device_rows[z] for z in participants])
+    for z, result in zip(participants, results):
         local_results[z] = result
         device_centers[z] = DeviceCenters(
             device_id=z, centers=result.centers,
-            local_assignment=result.clusters.assignment, rows=rows)
+            local_assignment=result.clusters.assignment,
+            rows=partition.device_rows[z])
         accounting.messages.append(Message("up", z, 8 * result.centers.size))
 
     uploads = [device_centers[z] for z in participants]

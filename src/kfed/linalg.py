@@ -13,14 +13,14 @@ one BLAS/LAPACK build: equal inputs give bit-identical outputs there,
 while another build may differ in the last digits. Tests check both
 primitives against independent full-decomposition oracles.
 
-Nearest-row labels (``_nearest_each``, for one or several center sets at
-once) come from one matrix product, ‖a‖² − 2·a·bᵀ + ‖b‖²,
-accepted only where a rounding bound proves that the caller's exact
-distance kernel has the same argmin; a center set with a row the bound
-cannot settle runs that exact kernel instead, so the labels, tie-breaks
-included, are the exact kernel's bit for bit. That bound,
-``_rounding_bound``, is the one every certified distance in the package
-uses.
+Nearest-row labels (``_nearest_each``, for several center sets on each of
+several row matrices at once) come from one matrix product per row
+matrix, ‖a‖² − 2·a·bᵀ + ‖b‖², accepted only where a rounding bound proves
+that the caller's exact distance kernel has the same argmin; a center set
+with a row the bound cannot settle runs that exact kernel instead, so the
+labels, tie-breaks included, are the exact kernel's bit for bit. That
+bound, ``_rounding_bound``, is the one every certified distance in the
+package uses.
 """
 
 from __future__ import annotations
@@ -162,43 +162,49 @@ def _rounding_bound(a_norm, b_norm, width: int):
     return 2.5 * gamma * (2.0 * (reach * reach)) + (4 * width + 8) * _TINY
 
 
-def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray
-                  ) -> np.ndarray:
-    """Labels (R, n): row r is bit for bit ``exact(a, centers[r]).argmin(axis=1)``
-    for each of R center sets in ``centers`` (R, k, w), ties to the lowest
-    index.
+def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
+                  live: np.ndarray | None = None) -> np.ndarray:
+    """Labels (D, R, n): entry [m, r] is bit for bit
+    ``exact(a[m], centers[m, r]).argmin(axis=1)`` for each of D row
+    matrices in ``a`` (D, n, w) and R center sets per matrix in ``centers``
+    (D, R, k, w), ties to the lowest index.
 
     ``exact`` is a distance kernel as in ``_rounding_bound``; ``a_sq``
-    holds the rows' squared norms, summed in any order. One product of
-    ``a`` against all R·k centers gives F = ‖a_i‖² − 2·a_i·c + ‖c‖² for
-    every pair, and set r takes F's argmin on every row when each row's
-    two smallest entries in that set differ by more than
-    ``_rounding_bound`` at the row's norm and the set's largest center
-    norm. A set with a row that fails, or with a non-finite F, runs
-    ``exact`` alone. The bound is computed with floating-point warnings
-    off, so every warning or error at extreme scales comes from the exact
-    kernel.
+    (D, n) holds the rows' squared norms, summed in any order. One product
+    per matrix against all its R·k centers, (D, n, w) @ (D, w, R·k), gives
+    F = ‖a_i‖² − 2·a_i·c + ‖c‖² for every pair, and set [m, r] takes F's
+    argmin on every row when each row's two smallest entries in that set
+    differ by more than ``_rounding_bound`` at the row's norm and the set's
+    largest center norm. A set with a row that fails, or with a non-finite
+    F, runs ``exact`` alone; where the boolean (D, R) ``live`` is given,
+    only its true sets do, and the labels of the others are F's argmin.
+    The bound is computed with floating-point warnings off, so every
+    warning or error at extreme scales comes from the exact kernel.
     """
-    runs, k, width = centers.shape
-    n = a.shape[0]
-    flat = centers.reshape(runs * k, width)
+    devices, runs, k, width = centers.shape
+    n = a.shape[1]
+    flat = centers.reshape(devices, runs * k, width)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        c_sq = np.einsum("kd,kd->k", flat, flat)
-        f = a @ flat.T
+        c_sq = np.einsum("mkd,mkd->mk", flat, flat)
+        f = a @ flat.transpose(0, 2, 1)
         f *= -2.0
-        f += a_sq[:, None]
-        f += c_sq
-        f = f.reshape(n, runs, k)
-        labels = f.argmin(axis=2).T
-        tau = _rounding_bound(np.sqrt(a_sq)[:, None],
-                              np.sqrt(c_sq.reshape(runs, k).max(axis=1)), width)
+        f += a_sq[:, :, None]
+        f += c_sq[:, None, :]
+        f = f.reshape(devices, n, runs, k)
+        labels = f.argmin(axis=3).transpose(0, 2, 1)
+        tau = _rounding_bound(
+            np.sqrt(a_sq)[:, :, None],
+            np.sqrt(c_sq.reshape(devices, runs, k).max(axis=2))[:, None, :], width)
+        finite = np.isfinite(f).all(axis=(1, 3))
         gap = np.inf
         if k > 1:
-            low = np.partition(f, 1, axis=2)
-            gap = low[..., 1] - low[..., 0]
-        settled = np.isfinite(f).all(axis=(0, 2)) & (gap > tau).all(axis=0)
-    for r in np.flatnonzero(~settled):
-        labels[r] = exact(a, centers[r]).argmin(axis=1)
+            f.partition(1, axis=3)      # in place: the labels are taken
+            gap = f[..., 1] - f[..., 0]
+        settled = finite & (gap > tau).all(axis=1)
+    if live is not None:
+        settled |= ~live
+    for m, r in zip(*np.nonzero(~settled)):
+        labels[m, r] = exact(a[m], centers[m, r]).argmin(axis=1)
     return labels
 
 

@@ -22,6 +22,18 @@ certified matrix product (``linalg._nearest_each``); a start with a row
 that the rounding bound cannot settle takes its labels from the exact
 ``_sq_distances`` instead, so every label and tie-break is that exact
 kernel's.
+
+``local_cluster`` also solves many devices in one call. Each device
+projects alone. Then each group of devices with equal (rows, projection
+rank, k) runs the k-means++ sampler, the seeding Lloyd with its choice
+of restart, and the threshold once, over a stack with a leading device
+axis: on coordinates a few columns wide numpy's per-call overhead, not
+arithmetic, sets the cost of those stages. Last, each device runs its
+raw-row Lloyd alone. Every output is bit for bit the one-device call's:
+each row's squares add in the order they would alone, the threshold
+takes each device's distances from its own (n, k, w) block, one device
+at a time (never a (D, n, k, w) block), and each restart's cost is its
+own sum.
 """
 
 from __future__ import annotations
@@ -56,9 +68,12 @@ class Clustering:
     def from_labels(cls, data: np.ndarray, labels: np.ndarray, k: int) -> "Clustering":
         """Build a clustering from a label vector, centers = cluster means.
 
-        A label in [0, k) that does not occur is an error.
+        A label outside [0, k), or one in it that does not occur, is an error.
         """
         labels = np.asarray(labels, dtype=int)
+        outside = labels[(labels < 0) | (labels >= k)]
+        if outside.size:
+            raise ValueError(f"label {int(outside[0])} outside [0, {k})")
         centers, sizes = cluster_means(np.asarray(data, dtype=float), labels, k)
         if not sizes.all():
             raise ValueError(f"cluster {int(sizes.argmin())} has no members")
@@ -137,13 +152,28 @@ def _assignment_cost(data: np.ndarray, labels: np.ndarray,
     return float(np.einsum("nd,nd->", diff, diff))
 
 
+def _moved_means(rows: np.ndarray, labels: np.ndarray, current: np.ndarray
+                 ) -> np.ndarray:
+    """The next centers of S starts (S, k, w) from their (S, n) labels over
+    ``rows``, which hold each start's n rows in turn: one ``cluster_means``
+    call, start j's clusters numbered from j*k. A cluster without members
+    keeps its current center."""
+    count, k, width = current.shape
+    offsets = np.arange(count)[:, None] * k
+    means, sizes = cluster_means(rows.reshape(-1, width),
+                                 (labels + offsets).ravel(), count * k)
+    return np.where(sizes.reshape(-1, k, 1) > 0, means.reshape(current.shape),
+                    current)
+
+
 def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd iterations from each of R (k, w) starts, all run together.
+    """Lloyd iterations on each of D row matrices ``data`` (D, n, w) from
+    each of its R (k, w) starts ``starts`` (D, R, k, w), all run together.
 
-    Returns labels (R, n), centers (R, k, w) and iterations (R,). Each
-    start follows exactly the path it would follow alone and stops at its
-    own step, once its largest center shift drops below ``tol``.
+    Returns labels (D, R, n), centers (D, R, k, w) and iterations (D, R).
+    Each start follows exactly the path it would follow alone and stops at
+    its own step, once its largest center shift drops below ``tol``.
     Nearest-center ties go to the lowest cluster index. A cluster that
     loses all members keeps its previous center. The returned centers are
     exactly the means of the returned assignment (for nonempty clusters).
@@ -151,49 +181,65 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     A start whose labels repeat the previous step's stops at that step
     without taking means: they would equal its centers bit for bit, so its
     shift is exactly 0. That holds for finite centers and a positive
-    ``tol``; otherwise the start takes the step as usual. The means of the
-    starts that moved come from one ``cluster_means`` call, start j's
-    clusters numbered from j*k over a stacked copy of the rows (the rows
-    themselves when there is only one start). Every step's labels, for all
-    active starts, come from ``linalg._nearest_each``: one certified
-    product, with ``_sq_distances`` for a start it cannot settle.
+    ``tol``; otherwise the start takes the step as usual. The means come
+    from ``cluster_means`` with the j-th start of a call's clusters
+    numbered from j*k: on one matrix, one call over as many copies of its
+    rows (tiled once) as starts moved; on a stack, one call per restart
+    index, over the matrices whose start moved (the stack itself when all
+    did), so that no copy outgrows the stack. Every step's labels come
+    from ``linalg._nearest_each``: one certified product per matrix
+    against the restarts active on any matrix, with ``_sq_distances`` for
+    an active start it cannot settle.
 
     A step whose shift is NaN (a cluster mean that overflowed to inf, so
     that no shift could ever drop below ``tol``) raises ``ValueError``.
     """
     centers = np.array(starts, dtype=float)
-    runs, k, width = centers.shape
-    n = data.shape[0]
-    data_sq = np.einsum("nd,nd->n", data, data)
-    stacked = np.tile(data, (runs, 1)) if runs > 1 else data
-    labels = np.zeros((runs, n), dtype=int)
-    iterations = np.zeros(runs, dtype=int)
-    active = np.arange(runs)
+    devices, runs, k, width = centers.shape
+    n = data.shape[1]
+    data_sq = np.einsum("mnd,mnd->mn", data, data)
+    # one matrix's rows, once per restart (the rows themselves for one)
+    tiled = np.tile(data[0], (runs, 1)) if devices == 1 < runs else data[0]
+    labels = np.zeros((devices, runs, n), dtype=int)
+    iterations = np.zeros((devices, runs), dtype=int)
+    # start s = m*runs + r is restart r on matrix m; the flat views share memory
+    flat_centers = centers.reshape(-1, k, width)
+    flat_labels, flat_iterations = labels.reshape(-1, n), iterations.reshape(-1)
+    active = np.arange(devices * runs)
     for step in range(1, max_iter + 1):
         if not active.size:
             break
-        iterations[active] = step
-        nearest = _nearest_each(data, centers[active], _sq_distances, data_sq)
-        moved = active
+        flat_iterations[active] = step
+        live = np.zeros((devices, runs), dtype=bool)
+        live.flat[active] = True
+        # the restarts active on any matrix, for every matrix
+        on = np.flatnonzero(live.any(axis=0))
+        live = live[:, on]
+        nearest = _nearest_each(data, centers[:, on], _sq_distances, data_sq,
+                                live)[live]
+        current = flat_centers[active]
         if step > 1 and 0.0 < tol:
-            repeat = ((nearest == labels[active]).all(axis=1)
-                      & np.isfinite(centers[active]).all(axis=(1, 2)))
-            moved, nearest = active[~repeat], nearest[~repeat]
-        if not moved.size:
+            repeat = ((nearest == flat_labels[active]).all(axis=1)
+                      & np.isfinite(current).all(axis=(1, 2)))
+            active, nearest, current = (active[~repeat], nearest[~repeat],
+                                        current[~repeat])
+        if not active.size:
             break
-        labels[moved] = nearest
-        offsets = np.arange(moved.size)[:, None] * k
-        means, sizes = cluster_means(stacked[:moved.size * n],
-                                     (labels[moved] + offsets).ravel(),
-                                     moved.size * k)
-        current = centers[moved]
-        updated = np.where(sizes.reshape(-1, k, 1) > 0,
-                           means.reshape(current.shape), current)
+        flat_labels[active] = nearest
+        if devices == 1:    # every moved start at once, on the tiled rows
+            updated = _moved_means(tiled[:active.size * n], nearest, current)
+        else:               # one restart at a time: no copy outgrows the stack
+            device, run = np.divmod(active, runs)
+            updated = np.empty_like(current)
+            for r in np.unique(run):
+                at = np.flatnonzero(run == r)
+                rows = data if at.size == devices else data[device[at]]
+                updated[at] = _moved_means(rows, nearest[at], current[at])
         shift = np.sqrt(((updated - current) ** 2).sum(axis=2)).max(axis=1)
         if np.isnan(shift).any():
             raise ValueError("Lloyd center shift is NaN: a center is not finite")
-        centers[moved] = updated
-        active = moved[~(shift < tol)]
+        flat_centers[active] = updated
+        active = active[~(shift < tol)]
     return labels, centers, iterations
 
 
@@ -207,8 +253,12 @@ def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TO
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("need at least one initial center")
-    labels, final, _ = _lloyd(data, centers[None], tol, max_iter)
-    return Clustering(assignment=labels[0], centers=final[0], k=centers.shape[0])
+    if centers.shape[1] != data.shape[1]:
+        raise ValueError(f"centers have width {centers.shape[1]}, "
+                         f"data rows have width {data.shape[1]}")
+    labels, final, _ = _lloyd(data[None], centers[None, None], tol, max_iter)
+    return Clustering(assignment=labels[0, 0], centers=final[0, 0],
+                      k=centers.shape[0])
 
 
 def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
@@ -221,36 +271,58 @@ def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
     return np.triu(equal, 1).any(axis=(-2, -1))
 
 
-def _dsq_sample(data: np.ndarray, k: int, seed: tuple) -> np.ndarray:
-    """k-means++ starts for every seeding restart: (R, k, w) D^2-sampled rows.
+def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
+    """k-means++ starts for every seeding restart of each of D row matrices
+    ``data`` (D, n, w): (D, R, k, w) D^2-sampled rows.
 
-    Restart r draws from ``Stream(*seed, r)``: its first uniform picks the
-    first row, as ``integers(1, n)`` would, and each later one serves one
-    D^2 step. One ``uniforms(k)`` call yields the values that k one-value
-    calls would, since Philox's raw stream does not depend on how it is
-    chunked. The restarts step together over one (R, n) table of squared
-    distances to their nearest chosen row; the (R, n, w) differences keep
-    ``data``'s memory layout, so each row's squares add in the order one
-    restart's (n, w) differences would. A step picks, per restart, the
-    number of cumulative weights not above u times their total: that is
+    Restart r of matrix m draws from ``Stream(*seeds[m], r)``: its first
+    uniform picks the first row, as ``integers(1, n)`` would, and each
+    later one serves one D^2 step. One ``uniforms(k)`` call yields the
+    values that k one-value calls would, since Philox's raw stream does not
+    depend on how it is chunked. The restarts step together over one
+    (D, R, n) table of squared distances to their nearest chosen row; the
+    (D, R, n, w) differences keep ``data``'s memory layout, so each row's
+    squares add in the order one restart's (n, w) differences would on its
+    own matrix. A step picks, per restart, the number of cumulative
+    weights not above u times their total: that is
     ``searchsorted(cdf, u, side="right")`` on the nondecreasing cdf,
     capped at n-1.
     """
-    n = data.shape[0]
-    draws = np.stack([Stream(*seed, r).uniforms(k) for r in range(_SEED_RESTARTS)])
-    picks = np.empty((_SEED_RESTARTS, k), dtype=np.int64)
-    picks[:, 0] = np.minimum((draws[:, 0] * n).astype(np.int64), n - 1)
-    d2 = ((data - data[picks[:, 0], None]) ** 2).sum(axis=2)
+    devices, n, _ = data.shape
+    draws = np.array([[Stream(*seed, r).uniforms(k) for r in range(_SEED_RESTARTS)]
+                      for seed in seeds])
+    picks = np.empty((devices, _SEED_RESTARTS, k), dtype=np.int64)
+    picks[..., 0] = np.minimum((draws[..., 0] * n).astype(np.int64), n - 1)
+    owner = np.arange(devices)[:, None]
+
+    def sq_to(chosen: np.ndarray) -> np.ndarray:
+        diff = data[:, None] - chosen[:, :, None]
+        return np.square(diff, out=diff).sum(axis=3)
+
+    d2 = sq_to(data[owner, picks[..., 0]])
     for j in range(1, k):
         # All weights are zero once every distinct row has been chosen.
-        if not d2.any(axis=1).all():
+        if not d2.any(axis=2).all():
             raise ValueError("insufficient distinct points")
-        cdf = np.cumsum(d2, axis=1)
-        u = draws[:, j] * cdf[:, -1]
-        picks[:, j] = np.minimum(n - np.count_nonzero(cdf > u[:, None], axis=1),
-                                 n - 1)
-        d2 = np.minimum(d2, ((data - data[picks[:, j], None]) ** 2).sum(axis=2))
-    return data[picks]
+        cdf = np.cumsum(d2, axis=2)
+        u = draws[..., j] * cdf[..., -1]
+        picks[..., j] = np.minimum(n - np.count_nonzero(cdf > u[..., None], axis=2),
+                                   n - 1)
+        np.minimum(d2, sq_to(data[owner, picks[..., j]]), out=d2)
+    return data[owner[..., None], picks]
+
+
+def _stack(m) -> np.ndarray:
+    """``m`` as a finite float stack of row matrices, (D, n, w): a 2-D ``m``
+    is one matrix (a view of it), a 3-D one a stack; raise otherwise."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 3:
+        if not m.size:
+            raise ValueError("empty matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix contains non-finite values")
+        return m
+    return validate_matrix(m)[None]
 
 
 def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -260,74 +332,150 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     Restarts whose refined centers collapse (two equal rows) are skipped.
     Comfortably within the 10x-of-optimal budget the pipeline assumes;
     tests enforce that factor against an exhaustive oracle at small sizes.
+
+    A 3-D ``projected`` is a stack of D devices' rows, (D, n, w), and
+    ``seed`` is then a list of D per-device seeds: the result is (D, k, w),
+    device by device bit for bit what the 2-D call on its rows gives, and
+    one failing device fails the call.
     """
-    data = validate_matrix(projected)
-    if not isinstance(seed, tuple):
-        seed = (int(seed),)
+    stacked = np.ndim(projected) == 3
+    stack = _stack(projected)
+    if stacked and not isinstance(seed, list):
+        raise ValueError("a stack needs a list of per-device seeds")
+    seeds = seed if stacked else [seed]
+    if len(seeds) != stack.shape[0]:
+        raise ValueError("need one seed per device")
+    seeds = [s if isinstance(s, tuple) else (int(s),) for s in seeds]
     if k < 1:
         raise ValueError("k must be at least 1")
-    if data.shape[0] < k:
+    if stack.shape[1] < k:
         raise ValueError("insufficient distinct points")
-    labels, refined, _ = _lloyd(data, _dsq_sample(data, k, seed), tol,
+    labels, refined, _ = _lloyd(stack, _dsq_sample(stack, k, seeds), tol,
                                 DEFAULT_MAX_ITER)
-    best_cost = np.inf
-    best_centers: np.ndarray | None = None
-    for restart in np.flatnonzero(~_has_equal_rows(refined)):
-        cost = _assignment_cost(data, labels[restart], refined[restart])
-        if cost < best_cost:
-            best_cost = cost
-            best_centers = refined[restart]
-    if best_centers is None:
-        raise ValueError("seeding collapsed on every restart")
-    return best_centers
+    collapsed = _has_equal_rows(refined)
+    best = np.empty((stack.shape[0], k, stack.shape[2]))
+    for m, rows in enumerate(stack):
+        best_cost = np.inf
+        for restart in np.flatnonzero(~collapsed[m]):
+            cost = _assignment_cost(rows, labels[m, restart], refined[m, restart])
+            if cost < best_cost:
+                best_cost = cost
+                best[m] = refined[m, restart]
+        if best_cost == np.inf:
+            raise ValueError("seeding collapsed on every restart")
+    return best if stacked else best[0]
 
 
-def threshold_assign(projected, centers: np.ndarray
-                     ) -> tuple[list[np.ndarray], np.ndarray]:
+def threshold_assign(projected, centers: np.ndarray) -> tuple[list, np.ndarray]:
     """Keep points decisively closest to one center; average what remains.
 
     Row i lands in set r when its distance to center r is at most a third
     of its distance to every other center. The sets are pairwise disjoint;
     a point near the midpoint of two centers lands in none. Empty sets
-    fall back to the input center so all k centers stay alive.
+    fall back to the input center so all k centers stay alive. Returns the
+    k sets of row indices and the (k, w) centers.
+
+    A 3-D ``projected`` (D, n, w) with centers (D, k, w) thresholds D
+    devices at once: it returns each device's list of sets and the
+    (D, k, w) centers, device by device bit for bit what the 2-D call
+    gives.
     """
-    data = validate_matrix(projected)
+    stacked = np.ndim(projected) == 3
+    data = _stack(projected)
     centers = np.asarray(centers, dtype=float)
-    k = centers.shape[0]
-    if _has_equal_rows(centers):
+    devices, n, width = data.shape
+    shape = centers.shape
+    if not stacked:
+        centers = centers[None]
+    if centers.ndim != 3 or centers.shape[::2] != (devices, width):
+        raise ValueError(f"centers of shape {shape} do not fit rows of shape "
+                         f"{np.shape(projected)}")
+    k = centers.shape[1]
+    if _has_equal_rows(centers).any():
         raise ValueError("centers must be distinct")
-    dist = np.sqrt(_sq_distances(data, centers))
-    nearest = dist.argmin(axis=1)
-    rows = np.arange(data.shape[0])
-    d_near = dist[rows, nearest]
-    rest = dist.copy()
-    rest[rows, nearest] = np.inf
-    keep = 3.0 * d_near <= rest.min(axis=1)
-    sets = [np.flatnonzero(keep & (nearest == r)) for r in range(k)]
-    means, sizes = cluster_means(data[keep], nearest[keep], k)
-    return sets, np.where(sizes[:, None] > 0, means, centers)
+    dist = np.empty((devices, n, k))
+    for m in range(devices):        # one (n, k, w) block at a time
+        dist[m] = _sq_distances(data[m], centers[m])
+    np.sqrt(dist, out=dist)
+    nearest = dist.argmin(axis=2)
+    at = (np.arange(devices)[:, None], np.arange(n), nearest)
+    d_near = dist[at]
+    dist[at] = np.inf
+    keep = 3.0 * d_near <= dist.min(axis=2)
+    kept = np.where(keep, nearest, k)       # k: in no set
+    sets = [[np.flatnonzero(row == r) for r in range(k)] for row in kept]
+    owner = np.arange(devices)[:, None] * k
+    means, sizes = cluster_means(data[keep], (nearest + owner)[keep], devices * k)
+    theta = np.where(sizes[:, None] > 0, means,
+                     centers.reshape(-1, width)).reshape(centers.shape)
+    return (sets, theta) if stacked else (sets[0], theta[0])
 
 
-def local_cluster(data: np.ndarray, k: int, seed,
-                  tol: float = DEFAULT_TOL) -> LocalResult:
+def local_cluster(data: np.ndarray, k, seed, tol: float = DEFAULT_TOL,
+                  devices=None) -> LocalResult | list[LocalResult]:
     """Full device solve: project, seed, threshold, then Lloyd on raw rows.
 
     Seeding and thresholding run in the top-k subspace coordinates; the
     thresholded centers are lifted to d-space to start Lloyd.
+
+    With ``devices``, a sequence of row-index arrays into ``data``, it
+    solves every device ``data[devices[i]]`` with its own ``k[i]`` and
+    ``seed[i]`` (``k`` and ``seed`` must be as long as ``devices``) and
+    returns the list of their results, each bit for bit
+    what the one-device call on those rows gives. Every device projects
+    alone; the devices with equal (rows, projection rank, k) then seed and
+    threshold as one stack, and each runs its raw-row Lloyd on rows it
+    gathers again, so no stack of raw rows is ever held. Should any of
+    that fail, every device is solved alone, in order, so the error raised
+    is the one the first failing device raises alone.
     """
-    data = validate_matrix(data, "device data")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if data.shape[0] < k:
-        raise ValueError("insufficient distinct points")
-    k_eff = min(k, min(data.shape))
-    coords, lift = top_k_projection(data, k_eff)
-    seeded = approx_seed(coords, k, seed, tol=tol)
-    sets, theta = threshold_assign(coords, seeded)
-    labels, centers, iterations = _lloyd(data, (theta @ lift)[None], tol,
-                                         DEFAULT_MAX_ITER)
-    unassigned = data.shape[0] - sum(s.size for s in sets)
-    return LocalResult(clusters=Clustering(assignment=labels[0],
-                                           centers=centers[0], k=k),
-                       unassigned_after_threshold=unassigned,
-                       lloyd_iterations=int(iterations[0]))
+    if devices is None:
+        return _solve(lambda i: data, [k], [seed], tol)[0]
+    if not len(k) == len(seed) == len(devices):
+        raise ValueError(f"{len(devices)} devices need as many k and seeds, "
+                         f"got {len(k)} and {len(seed)}")
+    try:
+        return _solve(lambda i: data[devices[i]], k, seed, tol)
+    except Exception:  # re-raised below by the first device that fails alone
+        return [local_cluster(data[rows], k_z, s, tol=tol)
+                for rows, k_z, s in zip(devices, k, seed)]
+
+
+def _solve(rows_of, ks, seeds, tol: float) -> list[LocalResult]:
+    """``local_cluster`` on every device i, whose rows ``rows_of(i)`` gathers."""
+    count = len(ks)
+    coords, lifts, groups = [], [], {}
+    for i in range(count):
+        data = validate_matrix(rows_of(i), "device data")
+        if ks[i] < 1:
+            raise ValueError("k must be at least 1")
+        if data.shape[0] < ks[i]:
+            raise ValueError("insufficient distinct points")
+        coord, lift = top_k_projection(data, min(ks[i], min(data.shape)))
+        coords.append(coord)
+        lifts.append(lift)
+        groups.setdefault((coord.shape, ks[i]), []).append(i)
+    unassigned, theta = [0] * count, [None] * count
+    for members in groups.values():
+        # A C-ordered copy: each row's sums then add in one order, whatever
+        # the layout the projection returned.
+        stack = np.stack([coords[i] for i in members])
+        for i in members:
+            coords[i] = None        # the stack holds them now
+        seeded = approx_seed(stack, ks[members[0]], [seeds[i] for i in members],
+                             tol=tol)
+        for i, sets, device_theta in zip(members, *threshold_assign(stack, seeded)):
+            unassigned[i] = stack.shape[1] - sum(s.size for s in sets)
+            theta[i] = device_theta
+    results = []
+    for i in range(count):
+        data = np.asarray(rows_of(i), dtype=float)
+        start = theta[i] @ lifts[i]
+        labels, centers, iterations = _lloyd(data[None], start[None, None], tol,
+                                             DEFAULT_MAX_ITER)
+        results.append(LocalResult(
+            clusters=Clustering(assignment=labels[0, 0], centers=centers[0, 0],
+                                k=ks[i]),
+            unassigned_after_threshold=unassigned[i],
+            lloyd_iterations=int(iterations[0, 0])))
+    return results

@@ -12,8 +12,9 @@ seeding draws each restart's k-means++ start one scalar draw at a time,
 refines it with its own single-start Lloyd and picks the best restart as
 ``approx_seed`` does; the lockstep sampler and the stacked multi-start
 solve must match it. The two-pass k-means cost takes the package's
-``cluster_means`` and then gathers each cluster a second time; the
-one-gather cost must match it. The exact-path lemma audit takes the
+``cluster_means`` and then gathers each cluster a second time, and the
+masked cost gathers each cluster with a boolean mask; the one-gather
+cost must match both. The exact-path lemma audit takes the
 package's global fit, ``operator_norm`` and scaled mean-shift norms, so
 that its bounds and norms are the package's to the bit; it differs only
 in taking the exact norm on every device. The full-eigh projection is
@@ -149,6 +150,19 @@ def naive_kmeans_cost(data: np.ndarray, labels: np.ndarray) -> float:
         for i in rows:
             diff = data[i] - mean
             total += float(diff @ diff)
+    return total
+
+
+def masked_kmeans_cost(data: np.ndarray, labels: np.ndarray) -> float:
+    """Cost cluster by cluster, each gathered with a boolean mask."""
+    data = np.asarray(data, dtype=float)
+    present, labels = np.unique(np.asarray(labels, dtype=int),
+                                return_inverse=True)
+    total = 0.0
+    for r in range(present.size):
+        block = data[labels == r]
+        diff = block - block.mean(axis=0)
+        total += float(np.einsum("nd,nd->", diff, diff))
     return total
 
 

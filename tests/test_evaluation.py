@@ -11,8 +11,8 @@ from scipy.optimize import linear_sum_assignment
 
 from kfed.evaluation import cost_ratio_report, kmeans_cost, matched_accuracy
 from kfed.local import Clustering
-from oracles import (brute_force_accuracy, naive_kmeans_cost,
-                     two_pass_kmeans_cost)
+from oracles import (brute_force_accuracy, masked_kmeans_cost,
+                     naive_kmeans_cost, two_pass_kmeans_cost)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,6 +48,24 @@ def test_cost_bit_identical_to_two_pass_form():
             rng.integers(0, k, size=n)]
         assert kmeans_cost(data, labels) == two_pass_kmeans_cost(
             data, labels), case
+
+
+def test_cost_bit_identical_to_masked_per_cluster_form():
+    # Sorted gathers list each cluster's rows in row order, as a mask does:
+    # sparse and negative labels, Fortran-ordered rows, a single cluster,
+    # and the benchmark's 6400 x 300 shape at k = 64.
+    rng = np.random.default_rng(2022)
+    for case in range(200):
+        n, d, k = int(rng.integers(1, 300)), int(rng.integers(1, 40)), \
+            int(rng.integers(1, 20))
+        if case == 0:
+            n, d, k = 6400, 300, 64
+        data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        labels = rng.choice(np.arange(-3, 4 * k), size=k, replace=False)[
+            rng.integers(0, k, size=n)]
+        if case % 2:
+            data = np.asfortranarray(data)
+        assert kmeans_cost(data, labels) == masked_kmeans_cost(data, labels), case
 
 
 def test_cost_accepts_clustering_objects():

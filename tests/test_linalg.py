@@ -449,8 +449,9 @@ def test_nearest_matches_exact_argmin():
             rows = np.asfortranarray(rows)
         for kernel in (local._sq_distances, pairwise_distances):
             calls = []
-            got = linalg._nearest_each(rows, centers[None], _spy(kernel, calls),
-                                       np.einsum("nd,nd->n", rows, rows))[0]
+            got = linalg._nearest_each(rows[None], centers[None, None],
+                                       _spy(kernel, calls),
+                                       np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
             assert (got == kernel(rows, centers).argmin(axis=1)).all()
             paths["fallback" if calls else "certified"] += 1
     assert paths["certified"] >= 300 and paths["fallback"] >= 100
@@ -462,8 +463,8 @@ def test_nearest_matches_exact_argmin():
             calls = []
             with np.errstate(over="ignore", invalid="ignore"):
                 got = linalg._nearest_each(
-                    rows, centers[None], _spy(kernel, calls),
-                    np.einsum("nd,nd->n", rows, rows))[0]
+                    rows[None], centers[None, None], _spy(kernel, calls),
+                    np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
                 assert (got == kernel(rows, centers).argmin(axis=1)).all()
             assert calls == [rows.shape]
 

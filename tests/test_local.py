@@ -1,11 +1,14 @@
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kfed import local
+from kfed.datagen import DevicePartition
 from kfed.evaluation import kmeans_cost, matched_accuracy
+from kfed.federation import run_kfed
 from kfed.linalg import operator_norm
 from kfed.local import (Clustering, approx_seed, cluster_means, lloyd_iterate,
                         local_cluster, threshold_assign)
@@ -428,8 +431,8 @@ def test_multi_start_lloyd_matches_per_start_oracle(monkeypatch):
             starts[int(plant.integers(0, runs)), -2:] = np.abs(data).max() * 1e6 + 1.0
         max_iter = 2 if case % 7 == 0 else local.DEFAULT_MAX_ITER
         exact_calls.clear()
-        labels, centers, iterations = local._lloyd(data, starts, local.DEFAULT_TOL,
-                                                   max_iter)
+        labels, centers, iterations = (out[0] for out in local._lloyd(
+            data[None], starts[None], local.DEFAULT_TOL, max_iter))
         # every start is labeled once per step it takes
         certified["narrow" if width <= k else "wide"] += (int(iterations.sum())
                                                          - len(exact_calls))
@@ -471,14 +474,15 @@ def test_lloyd_repeated_labels_stop_only_where_the_shift_would(case):
         starts = np.array([[[1e308], [0.0]]])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="shift is NaN"):
-            local._lloyd(data, starts, local.DEFAULT_TOL, 50)
+            local._lloyd(data[None], starts[None], local.DEFAULT_TOL, 50)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="shift is NaN"):
             local.lloyd_iterate(data, starts[0], max_iter=50)
         return
     data, tol = np.array([[0.0], [1.0], [10.0], [11.0]]), 0.0
     starts = np.array([[[0.0], [10.0]]])
-    labels, centers, iterations = local._lloyd(data, starts, tol, 50)
+    labels, centers, iterations = (out[0] for out in local._lloyd(
+        data[None], starts[None], tol, 50))
     ref_labels, ref_centers, ref_iter, _ = single_lloyd(data, starts[0], tol,
                                                         max_iter=50)
     assert iterations.tolist() == [ref_iter] == [50]
@@ -496,7 +500,8 @@ def _collapse_restarts(monkeypatch, which):
     def collapsing(sample):
         def patched(data, k, seed):
             starts = sample(data, k, seed)
-            starts[sorted(which), -2:] = np.abs(data).max() * 1e6 + 1.0
+            # the restart axis is third from last in both samplers' starts
+            starts[..., sorted(which), -2:, :] = np.abs(data).max() * 1e6 + 1.0
             return starts
         return patched
     monkeypatch.setattr(local, "_dsq_sample", collapsing(local._dsq_sample))
@@ -510,9 +515,9 @@ def test_approx_seed_skips_collapsed_restart(monkeypatch):
     expected, collapsed = per_restart_seed(data, 5, (9,))
     assert collapsed == [0, 2]
     assert approx_seed(data, 5, 9).tobytes() == expected.tobytes()
-    _, refined, _ = local._lloyd(data, local._dsq_sample(data, 5, (9,)),
+    _, refined, _ = local._lloyd(data[None], local._dsq_sample(data[None], 5, [(9,)]),
                                  local.DEFAULT_TOL, local.DEFAULT_MAX_ITER)
-    assert local._has_equal_rows(refined).tolist() == [True, False, True,
+    assert local._has_equal_rows(refined[0]).tolist() == [True, False, True,
                                                        False, False]
 
 
@@ -561,9 +566,9 @@ def test_lockstep_sampler_matches_scalar_oracle():
         except ValueError as err:
             raised += 1
             with pytest.raises(ValueError, match=str(err)):
-                local._dsq_sample(data, k, seed)
+                local._dsq_sample(data[None], k, [seed])
             continue
-        starts = local._dsq_sample(data, k, seed)
+        starts = local._dsq_sample(data[None], k, [seed])[0]
         assert starts.shape == (local._SEED_RESTARTS, k, width)
         for r, start in enumerate(expected):
             assert starts[r].tobytes() == start.tobytes()
@@ -622,3 +627,148 @@ def test_wide_lloyd_at_extreme_scale_fails_as_the_exact_kernel(monkeypatch):
         ref_labels, ref_centers, _, _ = single_lloyd(data, centers)
     assert got.assignment.tobytes() == ref_labels.tobytes()
     assert got.centers.tobytes() == ref_centers.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# many devices in one local_cluster call
+
+
+def _network(rng, case):
+    """One data matrix split into devices: several of one shape, which stack,
+    and a few ragged ones; in every third case a third of each device's rows
+    sit on midpoints of two of its other rows, which a start holding both
+    as centers cannot certify."""
+    d, k = int(rng.integers(2, 30)), int(rng.integers(1, 7))
+    n = int(rng.integers(max(k, 6), 50))
+    sizes = [n] * int(rng.integers(3, 7))
+    sizes += [int(s) for s in rng.integers(k, 50, size=int(rng.integers(0, 3)))]
+    order = rng.permutation(sum(sizes))
+    devices = np.split(order, np.cumsum(sizes)[:-1])
+    data = np.empty((order.size, d))
+    for rows in devices:
+        block = _fuzz_rows(rng, rows.size, d)
+        if case % 3 == 0:
+            a, b = rng.integers(0, rows.size, size=(2, rows.size // 3))
+            block[rng.choice(rows.size, rows.size // 3, replace=False)] = \
+                (block[a] + block[b]) / 2.0
+        data[rows] = block
+    return data, devices, [k] * len(devices)
+
+
+def test_stacked_local_cluster_matches_one_device_calls(monkeypatch):
+    rng = np.random.default_rng(74)
+    # Spies: how each stage was called, and the exact fallbacks of every
+    # _nearest_each call on a stack.
+    stacks = []
+    seed = local.approx_seed
+
+    def seed_spy(projected, *args, **kwargs):
+        stacks.append(np.shape(projected)[0])
+        return seed(projected, *args, **kwargs)
+    monkeypatch.setattr(local, "approx_seed", seed_spy)
+    stacked_fallbacks = []
+    nearest = local._nearest_each
+
+    def counting(a, centers, exact, a_sq, live=None):
+        count = []
+        labels = nearest(a, centers, lambda x, c: count.append(1) or exact(x, c),
+                         a_sq, live)
+        if a.shape[0] > 1:
+            stacked_fallbacks.append((len(count), int(live.sum())))
+        return labels
+    monkeypatch.setattr(local, "_nearest_each", counting)
+    # Collapsed restarts: 0 and 2 start with two equal far rows.
+    collapse = [False]
+    sample = local._dsq_sample
+
+    def sampler(data, k, seeds):
+        starts = sample(data, k, seeds)
+        if collapse[0] and k > 2:
+            starts[:, [0, 2], -2:] = (np.abs(data).max(axis=(1, 2)) * 1e6
+                                      + 1.0)[:, None, None, None]
+        return starts
+    monkeypatch.setattr(local, "_dsq_sample", sampler)
+    # One device's projection comes back Fortran-ordered.
+    fortran_row = [None]
+    project = local.top_k_projection
+
+    def projection_spy(m, k):
+        coords, lift = project(m, k)
+        if fortran_row[0] is not None and np.array_equal(m[0], fortran_row[0]):
+            coords = np.asfortranarray(coords)
+        return coords, lift
+    monkeypatch.setattr(local, "top_k_projection", projection_spy)
+
+    compared = raised = 0
+    for case in range(60):
+        data, devices, ks = _network(rng, case)
+        if case % 7 == 3 and ks[1] > 1:
+            data[devices[1]] = data[devices[1][0]]  # one distinct row
+        if case % 2:
+            data = np.asfortranarray(data)
+        collapse[0] = case % 4 == 1
+        fortran_row[0] = data[devices[0][0]] if case % 5 == 2 else None
+        seeds = [(case, z) for z in range(len(devices))]
+        try:
+            expected = [local_cluster(data[rows], k, s)
+                        for rows, k, s in zip(devices, ks, seeds)]
+        except (ValueError, RuntimeWarning) as err:
+            raised += 1
+            with pytest.raises(type(err)) as got:
+                local_cluster(data, ks, seeds, devices=devices)
+            assert str(got.value) == str(err)
+            continue
+        stacks.clear()
+        results = local_cluster(data, ks, seeds, devices=devices)
+        # one seeding call per group of equal (rows, rank, k), none re-solved
+        groups = Counter((rows.size, min(k, rows.size, data.shape[1]), k)
+                         for rows, k in zip(devices, ks))
+        assert sorted(stacks) == sorted(groups.values())
+        for got, ref in zip(results, expected, strict=True):
+            assert got.clusters.assignment.tobytes() == ref.clusters.assignment.tobytes()
+            assert got.centers.tobytes() == ref.centers.tobytes()
+            assert got.lloyd_iterations == ref.lloyd_iterations
+            assert got.unassigned_after_threshold == ref.unassigned_after_threshold
+            compared += 1
+    mixed = sum(0 < fell < live for fell, live in stacked_fallbacks)
+    assert compared >= 250 and raised >= 3 and mixed >= 20
+
+
+def test_stacked_failure_raises_the_first_failing_devices_error():
+    # Device 1 has two distinct rows for k = 4, which the sampler finds at
+    # its second pick; device 3's squares overflow at the first. On one
+    # stack device 3 fails first, yet the call raises device 1's error, as
+    # solving the devices one by one does.
+    rng = np.random.default_rng(75)
+    data = rng.normal(size=(120, 12)) + np.repeat(np.eye(4, 12) * 20.0, 30, axis=0)
+    devices = np.split(np.arange(120), 4)
+    data[devices[1]] = np.tile(data[devices[1][:2]], (15, 1))
+    data[devices[3]] *= 1e200
+    partition = DevicePartition(device_rows=devices, k=4, k_per_device=[4] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in square$"):
+            local_cluster(data[devices[3]], 4, (0, 3))
+        with pytest.raises(ValueError) as err:
+            run_kfed(partition, data, seed=0)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "insufficient distinct points"
+
+
+def test_stacked_stages_hold_no_per_center_block():
+    # 40 devices of 160 rows, k = w = 16: a (D, n, k, w) difference block
+    # would take 12.5 MiB. The stacked seeding and threshold peak at about
+    # 0.7 of that; their largest temporary is the seeding Lloyd's
+    # (D, n, R·k) product, R = 5, a third of a block.
+    rng = np.random.default_rng(76)
+    stack = rng.normal(size=(40, 160, 16)) + np.eye(16)[rng.integers(0, 16, (40, 160))] * 30
+    seeds = [(9, z) for z in range(40)]
+    block = 40 * 160 * 16 * 16 * 8
+    tracemalloc.start()
+    try:
+        seeded = approx_seed(stack, 16, seeds)
+        threshold_assign(stack, seeded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block

@@ -36,6 +36,12 @@ def _spec(**fields) -> MixtureSpec:
 
 # case -> (the call, its exact message)
 PUBLIC_ERRORS = {
+    "from_labels_label_outside_k": (
+        lambda: Clustering.from_labels(_ROWS, np.array([0, 1, 2, 1]), 2),
+        "label 2 outside [0, 2)"),
+    "lloyd_iterate_center_width": (
+        lambda: local.lloyd_iterate(_ROWS, np.zeros((2, 4))),
+        "centers have width 4, data rows have width 3"),
     "lloyd_iterate_no_center": (
         lambda: local.lloyd_iterate(_ROWS, np.empty((0, 3))),
         "need at least one initial center"),
@@ -43,6 +49,19 @@ PUBLIC_ERRORS = {
         lambda: local.approx_seed(_ROWS, 5, 0), "insufficient distinct points"),
     "approx_seed_k_zero": (
         lambda: local.approx_seed(_ROWS, 0, 0), "k must be at least 1"),
+    "approx_seed_stack_seed_count": (
+        lambda: local.approx_seed(np.stack([_ROWS, _ROWS]), 2, [0]),
+        "need one seed per device"),
+    "approx_seed_stack_tuple_seed": (
+        lambda: local.approx_seed(np.stack([_ROWS, _ROWS]), 2, (1, 2)),
+        "a stack needs a list of per-device seeds"),
+    "threshold_assign_stack_flat_centers": (
+        lambda: local.threshold_assign(np.stack([_ROWS, _ROWS]), _ROWS[:2]),
+        "centers of shape (2, 3) do not fit rows of shape (2, 4, 3)"),
+    "local_cluster_devices_outnumber_seeds": (
+        lambda: local.local_cluster(_ROWS, [1, 1, 1], [0, 1],
+                                    devices=[[0, 1], [2], [3]]),
+        "3 devices need as many k and seeds, got 3 and 2"),
     "local_cluster_rows_below_k": (
         lambda: local.local_cluster(_ROWS, 5, 0), "insufficient distinct points"),
     "local_cluster_k_zero": (
@@ -61,6 +80,10 @@ PUBLIC_ERRORS = {
         lambda: federation.assign_new_device(
             _ROWS[:2], np.zeros((1, 4)), accounting=federation.OpsAccounting()),
         "device data has dimension 4, aggregation state has 3"),
+    "assign_new_device_flat_centers": (
+        lambda: federation.assign_new_device(
+            _ROWS[:2], np.zeros(3), accounting=federation.OpsAccounting()),
+        "device centers must be 2-D, got shape (3,)"),
     "run_kfed_unannotated": (
         lambda: federation.run_kfed(
             DevicePartition(device_rows=[np.arange(4)]), _ROWS, 0),
@@ -102,6 +125,8 @@ PUBLIC_ERRORS = {
     "matched_accuracy_lengths_differ": (
         lambda: evaluation.matched_accuracy([0, 1], [0, 1, 1]),
         "clusterings cover different row sets"),
+    "matched_accuracy_empty": (
+        lambda: evaluation.matched_accuracy([], []), "clusterings are empty"),
     "matched_accuracy_negative_label": (
         lambda: evaluation.matched_accuracy([0, -1], [0, 1]),
         "labels must be nonnegative; restrict to covered rows"),
