@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,13 +46,27 @@ def config_hash(cfg: dict) -> str:
     return _sha256(cfg)
 
 
-def make_instance(cfg: dict, seed: int, c):
-    """Generate (spec, data, truth, partition) for one seed of a loaded config."""
-    mixture, partition = cfg["mixture"], cfg["partition"]
-    spec = MixtureSpec(
+def _mixture_spec(cfg: dict, seed: int, c) -> MixtureSpec:
+    mixture = cfg["mixture"]
+    return MixtureSpec(
         k=mixture["k"], d=mixture["d"], n=mixture["per_cluster"] * mixture["k"],
         sigma_max=float(mixture["sigma_max"]), seed=seed, weights=mixture["weights"],
         mean_mode=mixture["mean_mode"], c=float(c), m0=mixture["m0"])
+
+
+def _check_finite_mixture(cfg: dict, c, given: str) -> None:
+    """Raise unless the mixture at separation ``c`` (named ``given``) is
+    finite for every seed (``datagen.mixture_bound``)."""
+    if not math.isfinite(datagen.mixture_bound(_mixture_spec(cfg, 0, c))):
+        raise ConfigError(f"{given} with mixture.sigma_max = "
+                          f"{cfg['mixture']['sigma_max']} puts the mixture "
+                          f"or its cluster sums beyond the float range")
+
+
+def make_instance(cfg: dict, seed: int, c):
+    """Generate (spec, data, truth, partition) for one seed of a loaded config."""
+    partition = cfg["partition"]
+    spec = _mixture_spec(cfg, seed, c)
     data, truth = datagen.generate_mixture(spec)
     if partition["mode"] == "structured":
         devices = datagen.structured_partition(truth, PartitionSpec(
@@ -407,6 +422,9 @@ def load_config(path) -> dict:
                           f"the {n} rows")
     if cfg["experiment"] == "cost_ratio" and (cfg["z_iid"] or 0) > n:
         raise ConfigError(f"config key z_iid = {cfg['z_iid']} exceeds the {n} rows")
+    _check_finite_mixture(cfg, cfg["c"], f"config key c = {cfg['c']}")
+    for c in cfg["c_values"] or []:
+        _check_finite_mixture(cfg, c, f"config key c_values entry {c}")
     return cfg
 
 
@@ -490,6 +508,8 @@ def cmd_run(args) -> int:
                               f"--{dest.replace('_', '-')}")
     if cfg["c_values"] and args.c is not None:
         raise ConfigError("--c conflicts with the config's c_values")
+    if args.c is not None:
+        _check_finite_mixture(cfg, args.c, f"--c {args.c}")
     c_values = cfg["c_values"] or [args.c if args.c is not None else cfg["c"]]
     seeds = _seeds_from(cfg, args)
     if args.record and len(seeds) * len(c_values) > 1:

@@ -28,6 +28,8 @@ from .rng import Stream
 
 _NOISE_STREAM = 23
 _DEVICE_STREAM = 37
+# Above every |normal| that Stream.normals draws (see mixture_bound).
+_NORMAL_BOUND = 8.6
 
 
 @dataclass
@@ -155,12 +157,30 @@ def auto_separation_distance(spec: MixtureSpec) -> float:
     return max(requested, with_margin)
 
 
-def resolve_means(spec: MixtureSpec) -> np.ndarray:
+def mean_spacing(spec: MixtureSpec) -> float:
+    """The distance between every two means that ``resolve_means`` places."""
     if spec.mean_mode == "auto":
-        return _orthogonal_means(spec.k, spec.d, auto_separation_distance(spec))
+        return auto_separation_distance(spec)
     if spec.mean_mode == "sigma":
-        return _orthogonal_means(spec.k, spec.d, spec.c * spec.sigma_max)
+        return spec.c * spec.sigma_max
     raise ValueError(f"unknown mean mode {spec.mean_mode!r}")
+
+
+def resolve_means(spec: MixtureSpec) -> np.ndarray:
+    return _orthogonal_means(spec.k, spec.d, mean_spacing(spec))
+
+
+def mixture_bound(spec: MixtureSpec) -> float:
+    """A bound that ``generate_mixture(spec)`` keeps finite: twice n times
+    the largest |entry|. That entry is at most a mean's one nonzero
+    coordinate, spacing/√2, plus sigma_max times the largest normal that
+    ``Stream.normals`` draws (its Box-Muller radius is at most
+    sqrt(-2·ln 2⁻⁵³) < 8.58). Where the bound is finite, so are the data
+    and every sum of a column's entries behind the true cluster means;
+    the factor 2 covers the rounding of those sums. inf (or NaN) where
+    the mixture might not fit in finite floats."""
+    entry = mean_spacing(spec) / math.sqrt(2.0) + _NORMAL_BOUND * spec.sigma_max
+    return 2.0 * spec.n * entry
 
 
 def balanced_counts(weights: np.ndarray, n: int) -> np.ndarray:
@@ -180,6 +200,8 @@ def generate_mixture(spec: MixtureSpec) -> tuple[np.ndarray, Clustering]:
     counts = balanced_counts(resolve_weights(spec.weights, spec.k), spec.n)
     if counts.min() < 1:
         raise ValueError("too few samples")
+    if not math.isfinite(mixture_bound(spec)):
+        raise ValueError("mixture or its cluster sums would not be finite")
     means = resolve_means(spec)
     labels = np.repeat(np.arange(spec.k), counts)
     data = np.empty((spec.n, spec.d))

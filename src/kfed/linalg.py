@@ -148,18 +148,25 @@ def _rounding_bound(a_norm, b_norm, width: int):
     Two uses follow. Where two entries of one row are compared, their
     ‖a‖² is one computed value, whose error cancels: a gap in F above e,
     taken at the larger ‖b‖, is above 4·γ_{w+4}·R + 4w·2⁻¹⁰⁷⁴ and so a gap
-    of the same sign in K. And each K lies in [F − e, F + e]. In both the
-    spare γ covers rounding e, R, the gaps and the sums F ± e, and the 8
-    the roundings that scale the underflow terms.
+    of the same sign in K (``_nearest_each``). And each K lies in
+    [F − e, F + e]: the farthest-point init brackets each upload's
+    distance to the chosen set by it, and the k-means++ sampler
+    (``local._dsq_sample``) sums e over the rows to bound its cumulative
+    weights. In both the spare γ covers rounding e, R, the gaps and the
+    sums F ± e, and the 8 the roundings that scale the underflow terms.
 
     e is inf wherever 2·R overflows, so no test against e passes where
     the exact kernel's squares could overflow, and NaN wherever a norm is
     NaN. Compute it with floating-point warnings off.
     """
-    m = width + 4
-    gamma = m * _UNIT / (1.0 - m * _UNIT)
     reach = a_norm + b_norm
-    return 2.5 * gamma * (2.0 * (reach * reach)) + (4 * width + 8) * _TINY
+    return 2.5 * _gamma(width + 4) * (2.0 * (reach * reach)) + (4 * width + 8) * _TINY
+
+
+def _gamma(m: int) -> float:
+    """γ_m = m·u/(1 − m·u), u = 2⁻⁵³: the relative error bound of m
+    roundings."""
+    return m * _UNIT / (1.0 - m * _UNIT)
 
 
 def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,

@@ -13,11 +13,15 @@ cost no longer grows with d. The averaged centers are lifted back to
 d-space once, to start the final Lloyd.
 
 The seeding restarts draw their k-means++ starts in lockstep, over one
-table of distances. One Lloyd loop serves both the seeding restarts and
-the final solve: it takes a stack of starts, iterates them together (each
-stops at its own convergence step), and takes every step's means in one
-``cluster_means`` call, which on these narrow rows is a single
-``np.bincount``. Each step labels all its active starts from one
+table of distances that each step fills from one matrix product
+(``_dsq_sample``): a restart keeps those picks only where the rounding
+bound proves that the exact sampler (``_exact_dsq``) makes every one of
+them, and takes that sampler's picks otherwise, so every start is the
+exact sampler's bit for bit. One Lloyd loop serves both the seeding
+restarts and the final solve: it takes a stack of starts, iterates them
+together (each stops at its own convergence step), and takes every
+step's means in one ``cluster_means`` call, which on these narrow rows
+is a single ``np.bincount``. Each step labels all its active starts from one
 certified matrix product (``linalg._nearest_each``); a start with a row
 that the rounding bound cannot settle takes its labels from the exact
 ``_sq_distances`` instead, so every label and tie-break is that exact
@@ -42,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _nearest_each, top_k_projection, validate_matrix
+from .linalg import (_TINY, _gamma, _nearest_each, _rounding_bound,
+                     top_k_projection, validate_matrix)
 from .rng import Stream
 
 DEFAULT_TOL = 1e-7
@@ -245,10 +250,13 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
 
 def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> Clustering:
-    """Run Lloyd steps from ``centers`` until movement drops below ``tol``.
+    """Run Lloyd steps from ``centers`` until movement drops below ``tol``,
+    for at most ``max_iter`` >= 1 steps.
 
     Raises ``ValueError`` once a center's shift is NaN (a non-finite center).
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     data = validate_matrix(data, "data")
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 1:
@@ -271,27 +279,24 @@ def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
     return np.triu(equal, 1).any(axis=(-2, -1))
 
 
-def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
-    """k-means++ starts for every seeding restart of each of D row matrices
-    ``data`` (D, n, w): (D, R, k, w) D^2-sampled rows.
+def _exact_dsq(data: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The k-means++ picks (D, R, k) of every restart [m, r] over row matrix
+    ``data[m]`` of ``data`` (D, n, w), from its uniforms ``draws[m, r]``
+    (D, R, k), by exact squared distances.
 
-    Restart r of matrix m draws from ``Stream(*seeds[m], r)``: its first
-    uniform picks the first row, as ``integers(1, n)`` would, and each
-    later one serves one D^2 step. One ``uniforms(k)`` call yields the
-    values that k one-value calls would, since Philox's raw stream does not
-    depend on how it is chunked. The restarts step together over one
+    The first uniform picks the first row, as ``integers(1, n)`` would, and
+    each later one serves one D^2 step. The restarts step together over one
     (D, R, n) table of squared distances to their nearest chosen row; the
     (D, R, n, w) differences keep ``data``'s memory layout, so each row's
     squares add in the order one restart's (n, w) differences would on its
     own matrix. A step picks, per restart, the number of cumulative
     weights not above u times their total: that is
     ``searchsorted(cdf, u, side="right")`` on the nondecreasing cdf,
-    capped at n-1.
+    capped at n-1. ``_dsq_sample`` runs it on each restart whose picks it
+    cannot prove, one restart at a time.
     """
     devices, n, _ = data.shape
-    draws = np.array([[Stream(*seed, r).uniforms(k) for r in range(_SEED_RESTARTS)]
-                      for seed in seeds])
-    picks = np.empty((devices, _SEED_RESTARTS, k), dtype=np.int64)
+    picks = np.empty(draws.shape, dtype=np.int64)
     picks[..., 0] = np.minimum((draws[..., 0] * n).astype(np.int64), n - 1)
     owner = np.arange(devices)[:, None]
 
@@ -300,7 +305,7 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
         return np.square(diff, out=diff).sum(axis=3)
 
     d2 = sq_to(data[owner, picks[..., 0]])
-    for j in range(1, k):
+    for j in range(1, draws.shape[2]):
         # All weights are zero once every distinct row has been chosen.
         if not d2.any(axis=2).all():
             raise ValueError("insufficient distinct points")
@@ -309,6 +314,94 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
         picks[..., j] = np.minimum(n - np.count_nonzero(cdf > u[..., None], axis=2),
                                    n - 1)
         np.minimum(d2, sq_to(data[owner, picks[..., j]]), out=d2)
+    return picks
+
+
+def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
+    """k-means++ starts for every seeding restart of each of D row matrices
+    ``data`` (D, n, w): (D, R, k, w) D^2-sampled rows, bit for bit the rows
+    that ``_exact_dsq`` picks.
+
+    Restart r of matrix m draws from ``Stream(*seeds[m], r)``. One
+    ``uniforms(k)`` call yields the values that k one-value calls would,
+    since Philox's raw stream does not depend on how it is chunked.
+
+    Each step takes, for every restart, F = ‖x‖² − 2·x·c + ‖c‖² from one
+    (D, R, w) @ (D, w, n) product against the newest picks c, keeps each
+    row's G = max(min F, 0) over the restart's picks, and picks from
+    C = cumsum(G), with T = C[n-1] and v the step's uniform, the number of
+    entries of C[:n-1] not above u = v·T: on a nondecreasing cdf that is
+    ``_exact_dsq``'s pick.
+
+    After the loop one check proves every pick of a restart, or sends that
+    restart to ``_exact_dsq`` alone. Let K be the exact sampler's weights
+    and C', T', u' its cdf, total and scaled draw. With ρ the largest norm
+    among the restart's k picks (``_rounding_bound`` grows with it), each
+    row's e = ``_rounding_bound(‖x‖, ρ)`` bounds |F − K| for every pick,
+    so |G − K| <= e (K >= 0), and E = Σ e bounds every prefix-sum gap.
+    ``np.cumsum`` adds in sequence, so C and C' are each within γ_n of
+    their exact prefix sums of nonnegative terms, and
+    |C_i − C'_i| <= Δ = (1 + γ_n)·E + 2·γ_n·T/(1 − γ_n). The products u
+    and u' = v·T' round once each, so |u − u'| <= Δ + 2⁻⁵³·(2T + Δ) +
+    2⁻¹⁰⁷⁴. A comparison C_i > u then has the sign of C'_i > u' wherever
+    |C_i − u| > B = 2.5·E + 5·γ_{n+2}·T + 2⁻¹⁰⁷³: the spare covers the
+    rounded sum E and the rounding of B itself. Both cdfs are
+    nondecreasing, so the pick p is proven once the two entries that
+    bracket u clear B: C_{p−1} below it (for p > 0) and C_p above it (for
+    p < n − 1). T > B proves T' > 0, the exact sampler's "insufficient
+    distinct points" check. By induction over the steps every pick, and so
+    every later table, is the exact sampler's.
+
+    A restart fails where any step's margin or total does not clear B,
+    where E is not finite (e is inf wherever the exact squares could
+    overflow), and where 2·(T + B) is not (the exact cdf could overflow).
+    The check runs once, after the loop, and with floating-point warnings
+    off, so every warning and error comes from ``_exact_dsq``.
+    Memory stays O(D·R·n): no (D, R, n, w) difference block is held.
+    """
+    devices, n, width = data.shape
+    runs = _SEED_RESTARTS
+    draws = np.array([[Stream(*seed, r).uniforms(k) for r in range(runs)]
+                      for seed in seeds])
+    picks = np.empty((devices, runs, k), dtype=np.int64)
+    picks[..., 0] = np.minimum((draws[..., 0] * n).astype(np.int64), n - 1)
+    owner = np.arange(devices)[:, None]
+    base = np.arange(devices * runs).reshape(devices, runs) * n
+    sq = np.einsum("mnd,mnd->mn", data, data)
+    rows = data.transpose(0, 2, 1)
+    near = np.full((devices, runs, n), np.inf)
+    cdf = np.empty_like(near)
+    flat = cdf.reshape(-1)
+    total, u, lower, upper = np.empty((4, k - 1, devices, runs))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for j in range(1, k):
+            new = picks[..., j - 1]
+            f = np.matmul(data[owner, new], rows)
+            f *= -2.0
+            f += sq[:, None, :]
+            f += sq[owner, new][..., None]
+            np.minimum(near, f, out=near)
+            np.maximum(near, 0.0, out=cdf)
+            np.cumsum(cdf, axis=2, out=cdf)
+            total[j - 1] = cdf[..., -1]
+            np.multiply(draws[..., j], total[j - 1], out=u[j - 1])
+            picks[..., j] = np.add.reduce(cdf[..., :-1] <= u[j - 1, ..., None],
+                                          axis=2)
+            at = base + picks[..., j]
+            lower[j - 1] = flat[at - 1]     # unused where the pick is 0
+            upper[j - 1] = flat[at]
+        reach = np.sqrt(sq[owner[..., None], picks].max(axis=2))
+        spread = _rounding_bound(np.sqrt(sq)[:, None, :], reach[..., None],
+                                 width).sum(axis=2)
+        bound = 2.5 * spread + 5.0 * _gamma(n + 2) * total + 2.0 * _TINY
+        chosen = picks[..., 1:].transpose(2, 0, 1)
+        below = np.where(chosen > 0, u - lower, np.inf)
+        above = np.where(chosen < n - 1, upper - u, np.inf)
+        proven = np.isfinite(spread) & (np.isfinite(2.0 * (total + bound))
+                                        & (total > bound) & (below > bound)
+                                        & (above > bound)).all(axis=0)
+    for m, r in zip(*np.nonzero(~proven)):
+        picks[m, r] = _exact_dsq(data[m:m + 1], draws[m:m + 1, r:r + 1])[0, 0]
     return data[owner[..., None], picks]
 
 
@@ -323,6 +416,23 @@ def _stack(m) -> np.ndarray:
             raise ValueError("matrix contains non-finite values")
         return m
     return validate_matrix(m)[None]
+
+
+def _check_k(k) -> None:
+    """Raise unless ``k`` is an integer of at least 1."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+
+
+def _seed_key(seed) -> tuple:
+    """A seed as the key of its ``Stream``: an integer, or a tuple of them."""
+    key = seed if isinstance(seed, tuple) else (seed,)
+    if not all(isinstance(part, (int, np.integer)) for part in key):
+        raise ValueError(f"seed must be an integer or a tuple of integers, "
+                         f"got {seed!r}")
+    return key
 
 
 def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -345,9 +455,8 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     seeds = seed if stacked else [seed]
     if len(seeds) != stack.shape[0]:
         raise ValueError("need one seed per device")
-    seeds = [s if isinstance(s, tuple) else (int(s),) for s in seeds]
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    seeds = [_seed_key(s) for s in seeds]
+    _check_k(k)
     if stack.shape[1] < k:
         raise ValueError("insufficient distinct points")
     labels, refined, _ = _lloyd(stack, _dsq_sample(stack, k, seeds), tol,
@@ -447,8 +556,7 @@ def _solve(rows_of, ks, seeds, tol: float) -> list[LocalResult]:
     coords, lifts, groups = [], [], {}
     for i in range(count):
         data = validate_matrix(rows_of(i), "device data")
-        if ks[i] < 1:
-            raise ValueError("k must be at least 1")
+        _check_k(ks[i])
         if data.shape[0] < ks[i]:
             raise ValueError("insufficient distinct points")
         coord, lift = top_k_projection(data, min(ks[i], min(data.shape)))

@@ -685,7 +685,8 @@ def _exit_code(argv: list[str]) -> int:
 @pytest.mark.parametrize("flag,value", [("--seeds", "1-2"), ("--exclude-devices", "a"),
                                         ("--tol", "-1"), ("--c", "nan"),
                                         ("--c", "inf"), ("--c", "0"),
-                                        ("--c", "-10"), ("--seed", "-1"),
+                                        ("--c", "-10"), ("--c", "1e308"),
+                                        ("--seed", "-1"),
                                         ("--seeds", "-1..0"), ("--seeds", "0..-1"),
                                         ("--seeds", "0..x"),
                                         ("--exclude-devices", "-5"),
@@ -755,6 +756,12 @@ CONFIG_DEFECTS = {
     "c_negative": ("c", -10, "c", {}),
     "c_values_nonpositive": ("c_values", [4.5, 0], "c_values",
                              {"experiment": "c_sweep"}),
+    "c_overflows_mixture": ("c", 1e308, "config key c = 1e+308", {}),
+    "c_values_overflows_mixture": ("c_values", [4.5, 1e308],
+                                   "config key c_values entry 1e+308",
+                                   {"experiment": "c_sweep"}),
+    "sigma_max_overflows_mixture": ("mixture.sigma_max", 1e307,
+                                    "mixture.sigma_max = 1e+307", {}),
     "mode_unknown": ("partition.mode", "bogus", "partition.mode", {}),
     "iid_without_Z": ("partition", {"mode": "iid"}, "partition.Z", {}),
     "weights_length": ("mixture.weights", [0.5, 0.5], "mixture.weights", {}),

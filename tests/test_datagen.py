@@ -57,6 +57,26 @@ def test_auto_distance_covers_requested_formula():
     assert auto_separation_distance(spec) >= floor
 
 
+def test_mixture_bound_holds_data_and_means_else_generation_refuses():
+    # Stream.normals' largest radius comes from the largest 53-bit uniform.
+    assert np.sqrt(-2.0 * np.log1p(-(1.0 - 2.0 ** -53))) < datagen._NORMAL_BOUND
+    generated = 0
+    for mode in ("auto", "sigma"):
+        for c, sigma in [(10.0, 1.0), (1e300, 1.0), (4.0, 1e306), (1e308, 1.0)]:
+            spec = _spec(mean_mode=mode, c=c, sigma_max=sigma)
+            bound = datagen.mixture_bound(spec)
+            if np.isfinite(bound):
+                generated += 1
+                data, truth = generate_mixture(spec)   # no overflow warning
+                assert 2 * spec.n * np.abs(data).max() <= bound
+                assert np.isfinite(truth.centers).all()
+            else:
+                with pytest.raises(ValueError, match="^mixture or its cluster sums "
+                                                     "would not be finite$"):
+                    generate_mixture(spec)
+    assert generated == 4
+
+
 def test_auto_mode_needs_enough_dimensions():
     with pytest.raises(ValueError, match="k <= d"):
         generate_mixture(_spec(k=10, d=4, n=100))

@@ -575,6 +575,175 @@ def test_lockstep_sampler_matches_scalar_oracle():
     assert raised >= 10
 
 
+def _draws(k, seeds):
+    """Every restart's uniforms, (D, R, k), as ``_dsq_sample`` draws them."""
+    return np.array([[Stream(*seed, r).uniforms(k) for r in range(local._SEED_RESTARTS)]
+                     for seed in seeds])
+
+
+def _exact_spy(monkeypatch):
+    """Count the restarts that ``_dsq_sample`` hands to the exact sampler."""
+    calls = []
+    exact = local._exact_dsq
+
+    def spy(data, draws):
+        calls.append(draws.shape[:2])
+        return exact(data, draws)
+    monkeypatch.setattr(local, "_exact_dsq", spy)
+    return calls, exact
+
+
+def test_certified_sampler_matches_exact_sampler_and_scalar_oracle(monkeypatch):
+    rng = np.random.default_rng(77)
+    calls, exact = _exact_spy(monkeypatch)
+    restarts = fallbacks = 0
+    for case in range(160):
+        devices = 1 if case % 2 else int(rng.integers(2, 6))
+        n, width = int(rng.integers(1, 70)), int(rng.integers(1, 41))
+        k = int(rng.integers(1, min(10, n) + 1))
+        stack = np.stack([_fuzz_rows(rng, n, width) for _ in range(devices)])
+        if case % 5 == 1:       # far from the origin: the product form cancels
+            stack += rng.normal(size=width) * 1e7
+        if case % 5 == 3:       # duplicate rows: zero weights once chosen
+            stack = stack[:, rng.integers(0, n, size=n)]
+        if case % 4 == 2 and devices == 1:
+            stack = np.asfortranarray(stack[0])[None]
+        seeds = [(case, z) for z in range(devices)]
+        before = len(calls)
+        try:
+            expected = exact(stack, _draws(k, seeds))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                local._dsq_sample(stack, k, seeds)
+            assert len(calls) > before
+            continue
+        starts = local._dsq_sample(stack, k, seeds)
+        restarts += devices * local._SEED_RESTARTS
+        fallbacks += len(calls) - before
+        owner = np.arange(devices)[:, None, None]
+        assert starts.tobytes() == stack[owner, expected].tobytes()
+        for m, rows in enumerate(stack):
+            for r in range(local._SEED_RESTARTS):
+                oracle = scalar_dsq_sample(rows, k, Stream(*seeds[m], r))
+                assert starts[m, r].tobytes() == oracle.tobytes()
+    assert all(shape == (1, 1) for shape in calls)     # one restart at a time
+    assert 20 <= fallbacks <= restarts // 2
+
+
+class _Planted:
+    """A stand-in for ``Stream`` that serves fixed uniforms, in the calls of
+    either sampler: ``integers(1, n)`` takes one value, as ``Stream`` does."""
+
+    values: list = []
+
+    def __init__(self, *key):
+        self._left = list(self.values)
+
+    def uniforms(self, count):
+        taken, self._left = self._left[:count], self._left[count:]
+        return np.array(taken)
+
+    def integers(self, count, bound):
+        return np.minimum((self.uniforms(count) * bound).astype(np.int64), bound - 1)
+
+
+def test_planted_boundary_draws_take_the_exact_sampler(monkeypatch):
+    # u·total lands exactly on a cdf entry: the bracket's margin is 0, so
+    # the restart cannot be proven and the exact sampler picks. On a grid,
+    # rows repeat, and the draw lands where zero weights follow the entry.
+    rng = np.random.default_rng(78)
+    calls, exact = _exact_spy(monkeypatch)
+    monkeypatch.setattr(local, "Stream", _Planted)
+    planted = 0
+    for case in range(40):
+        n, width = int(rng.integers(4, 40)), int(rng.integers(1, 6))
+        rows = rng.integers(-3, 4, size=(n, width)).astype(float)
+        rows[rng.integers(0, n, size=n // 2)] = rows[0]     # zero weights
+        d2 = ((rows - rows[0]) ** 2).sum(axis=1)
+        cdf = np.cumsum(d2)
+        if not cdf[-1]:
+            continue
+        entry = cdf[int(rng.integers(0, n - 1))]
+        draw = entry / cdf[-1]
+        for _ in range(4):          # the draw whose product is the entry
+            if draw * cdf[-1] == entry:
+                break
+            draw = np.nextafter(draw, 1.0 if draw * cdf[-1] < entry else 0.0)
+        if draw * cdf[-1] != entry or draw >= 1.0:
+            continue
+        planted += 1
+        _Planted.values = [0.0, draw, float(rng.random())]
+        calls.clear()
+        starts = local._dsq_sample(rows[None], 3, [(case,)])
+        assert len(calls) == local._SEED_RESTARTS
+        picks = exact(rows[None], np.array([[_Planted.values] * local._SEED_RESTARTS]))
+        assert starts.tobytes() == rows[picks].tobytes()
+        assert starts[0, 0].tobytes() == scalar_dsq_sample(rows, 3, _Planted()).tobytes()
+    assert planted >= 20
+
+
+def test_certified_sampler_insufficient_distinct_points(monkeypatch):
+    rng = np.random.default_rng(79)
+    calls, exact = _exact_spy(monkeypatch)
+    stack = np.stack([_fuzz_rows(rng, 50, 7) for _ in range(3)])
+    stack[1] = stack[1, rng.integers(0, 3, size=50)]    # three distinct rows
+    for rows, seeds in [(stack, [(0, z) for z in range(3)]), (stack[1:2], [(0, 1)])]:
+        with pytest.raises(ValueError) as expected:
+            exact(rows, _draws(4, seeds))
+        calls.clear()
+        with pytest.raises(ValueError) as got:
+            local._dsq_sample(rows, 4, seeds)
+        assert str(got.value) == str(expected.value) == "insufficient distinct points"
+        assert calls and all(shape == (1, 1) for shape in calls)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 2.0 ** 600, 2.0 ** -600,
+                                   1e154, 1e200])
+def test_sampler_certifies_at_any_finite_scale_else_fails_as_the_exact_kernel(
+        scale, monkeypatch):
+    # Where every square stays finite and normal the picks are proven; where
+    # the squares overflow (or all underflow to 0) every restart takes the
+    # exact sampler, which raises what it always raised, and the fast path,
+    # run with floating-point warnings off, adds nothing.
+    rng = np.random.default_rng(80)
+    calls, exact = _exact_spy(monkeypatch)
+    stack = np.stack([rng.normal(size=(60, 6)) for _ in range(3)]) * scale
+    seeds = [(4, z) for z in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            expected = exact(stack, _draws(5, seeds))
+        except (ValueError, RuntimeWarning) as err:
+            with pytest.raises(type(err)) as got:
+                local._dsq_sample(stack, 5, seeds)
+            assert str(got.value) == str(err)
+            assert calls == [(1, 1)]    # the first restart raised
+            assert scale not in (1.0, 1e150, 1e-150)
+            if scale > 1.0:
+                assert str(err) == "overflow encountered in square"
+            return
+        starts = local._dsq_sample(stack, 5, seeds)
+    assert calls == []
+    assert starts.tobytes() == stack[np.arange(3)[:, None, None], expected].tobytes()
+    assert scale in (1.0, 1e150, 1e-150)
+
+
+def test_sampler_memory_linear_in_rows():
+    # 20 devices of 400 rows, w = 32: today's exact sampler holds (D, R, n, w)
+    # differences, 10 MiB; the certified one holds a few (D, R, n) tables.
+    rng = np.random.default_rng(81)
+    stack = rng.normal(size=(20, 400, 32)) + np.eye(32)[rng.integers(0, 32, (20, 400))] * 30
+    seeds = [(5, z) for z in range(20)]
+    table = 20 * local._SEED_RESTARTS * 400 * 8
+    tracemalloc.start()
+    try:
+        local._dsq_sample(stack, 4, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * table
+
+
 def test_wide_sq_distances_match_block_einsum():
     rng = np.random.default_rng(47)
     for case in range(120):

@@ -49,6 +49,19 @@ PUBLIC_ERRORS = {
         lambda: local.approx_seed(_ROWS, 5, 0), "insufficient distinct points"),
     "approx_seed_k_zero": (
         lambda: local.approx_seed(_ROWS, 0, 0), "k must be at least 1"),
+    "approx_seed_k_float": (
+        lambda: local.approx_seed(_ROWS, 2.0, 0), "k must be an integer, got 2.0"),
+    "approx_seed_matrix_list_seed": (
+        lambda: local.approx_seed(_ROWS, 3, [1, 2]),
+        "seed must be an integer or a tuple of integers, got [1, 2]"),
+    "approx_seed_float_seed": (
+        lambda: local.approx_seed(_ROWS, 3, 1.5),
+        "seed must be an integer or a tuple of integers, got 1.5"),
+    "lloyd_iterate_no_step": (
+        lambda: local.lloyd_iterate(_ROWS, _ROWS[:2], max_iter=0),
+        "max_iter must be at least 1"),
+    "local_cluster_list_k_without_devices": (
+        lambda: local.local_cluster(_ROWS, [2], [1]), "k must be an integer, got [2]"),
     "approx_seed_stack_seed_count": (
         lambda: local.approx_seed(np.stack([_ROWS, _ROWS]), 2, [0]),
         "need one seed per device"),
@@ -101,6 +114,9 @@ PUBLIC_ERRORS = {
     "resolve_means_unknown_mode": (
         lambda: datagen.resolve_means(_spec(mean_mode="grid")),
         "unknown mean mode 'grid'"),
+    "generate_mixture_entries_overflow": (
+        lambda: datagen.generate_mixture(_spec(c=1e308)),
+        "mixture or its cluster sums would not be finite"),
     "generate_mixture_negative_sigma": (
         lambda: datagen.generate_mixture(_spec(sigma_max=-1.0)),
         "sigma_max must be nonnegative"),
