@@ -11,12 +11,20 @@ A note on the inactive threshold: the per-pair form of the requirement is
 stated with per-cluster scales that are never actually defined; the single
 network-wide scale (the form the recovery guarantee uses) is what is
 implemented here.
+
+The three checks share one target fit (means, sizes, the residual's
+spectral norm, the scaled means) through a one-slot memo. A call reuses
+the last fit only when its data and labels are bit-equal to that fit's,
+its ``k`` is the same and the same ``operator_norm`` object is in force.
+The slot keeps one private copy of the data and labels, and is emptied
+when the data array it was fitted on is freed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,16 +110,49 @@ class LemmaAudit:
         return not self.violations
 
 
+# The one-slot memo of ``_fit_target``: None, or one tuple (weakref to the
+# caller's data array, private copies of data and labels, k, operator_norm,
+# fit), replaced whole, so a reader never sees a half-written entry.
+_last_fit: list = [None]
+
+
+def _forget(ref, slot=_last_fit) -> None:
+    """Weakref callback: empty the slot if the array that died still owns it."""
+    if slot[0] is not None and slot[0][0] is ref:
+        slot[0] = None
+
+
 def _fit_target(data: np.ndarray, clustering: Clustering) -> tuple:
-    """(data, labels, cluster means, sizes, residual spectral norm) of a target."""
+    """(data, labels, cluster means, sizes, residual spectral norm, means
+    scaled by a power of two, its exponent) of a target.
+
+    The last fit is kept (see the module docstring) and served as copies.
+    NaN data never match: their means are NaN, which ``_finite_scaled``
+    rejects before anything is kept.
+    """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(clustering.assignment, dtype=int)
-    centers, sizes = cluster_means(data, labels, clustering.k)
+    k, norm = clustering.k, operator_norm
+    entry = _last_fit[0]
+    if (entry is not None and entry[3] == k and entry[4] is norm
+            and np.array_equal(entry[1].view(np.uint64), data.view(np.uint64))
+            and np.array_equal(entry[2], labels)):
+        centers, sizes, op, scaled, exponent = entry[5]
+        return (data, labels, centers.copy(), sizes.copy(), op,
+                scaled.copy(), exponent)
+    entry = _last_fit[0] = None     # free the kept copy before refitting
+    centers, sizes = cluster_means(data, labels, k)
     if not sizes.all():
         raise ValueError("empty cluster in target")
     resid = centers[labels]
     np.subtract(data, resid, out=resid)
-    return data, labels, centers, sizes, operator_norm(resid)
+    op = norm(resid)
+    del resid
+    scaled, exponent = _finite_scaled(centers)
+    _last_fit[0] = (weakref.ref(data, _forget), data.copy(), labels.copy(), k,
+                    norm, (centers.copy(), sizes.copy(), op, scaled.copy(),
+                           exponent))
+    return data, labels, centers, sizes, op, scaled, exponent
 
 
 def separation_quantities(data: np.ndarray, clustering: Clustering,
@@ -121,7 +162,8 @@ def separation_quantities(data: np.ndarray, clustering: Clustering,
 
     A device that holds no rows is skipped, as in ``lemma_audit``.
     """
-    data, labels, centers, sizes, op = _fit_target(data, clustering)
+    data, labels, centers, sizes, op, scaled, exponent = _fit_target(
+        data, clustering)
     k = clustering.k
 
     counts = partition.counts_by_cluster(labels, k)
@@ -140,7 +182,6 @@ def separation_quantities(data: np.ndarray, clustering: Clustering,
 
     # Differences of the power-of-two scaled centers neither overflow nor
     # underflow when squared; scaling back is exact.
-    scaled, exponent = _finite_scaled(centers)
     diff = scaled[:, None, :] - scaled[None, :, :]
     with np.errstate(over="ignore"):  # a distance beyond the float range is inf
         dist = np.ldexp(np.sqrt(np.einsum("rsd,rsd->rs", diff, diff)), exponent)
@@ -186,14 +227,14 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
     k = clustering.k
     if k < 2:
         raise ValueError("proximity check needs at least two clusters")
-    data, labels, centers, sizes, op = _fit_target(data, clustering)
+    data, labels, centers, sizes, op, scaled, exponent = _fit_target(
+        data, clustering)
 
     scale = 1.0 / np.sqrt(sizes)
     threshold = (scale[:, None] + scale[None, :]) * op
     # Mean gaps are taken on the power-of-two scaled centers, as in
     # ``separation_quantities``, then scaled back. axes[s, r] points from
     # mean s to mean r.
-    scaled, exponent = _finite_scaled(centers)
     axes = scaled[None, :, :] - scaled[:, None, :]
     gaps = _vector_norms(axes)
     with np.errstate(over="ignore"):  # a gap beyond the float range is inf
@@ -274,43 +315,30 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
     norm-change bound passes without an eigensolve; only the others take
     the exact ``operator_norm``.
 
-    Every (device, cluster) mean comes from one ``cluster_means`` call over
-    the devices' rows, concatenated in device order and each device's own
-    row order, so each mean is summed as the device's own call would sum
-    it; one ``_row_norms`` call gives every mean shift and one buffer holds
-    every device's residual. The certificates, any eigensolves and the
-    checks then run device by device, as do the violations they report.
+    Each device's means come from its own ``cluster_means`` call, and its
+    block is centered in place, so no n x d temporary is built.
     """
-    data, labels, centers, _, op = _fit_target(data, clustering)
+    data, labels, centers, _, op, _, _ = _fit_target(data, clustering)
     k = clustering.k
 
-    sizes = [rows.size for rows in partition.device_rows]
-    # The empty array leaves a partition without devices concatenable.
-    order = np.concatenate([np.empty(0, dtype=int), *partition.device_rows])
-    groups = np.repeat(np.arange(len(sizes)) * k, sizes) + labels[order]
-    local_data = data[order]
-    local_means, local_sizes = cluster_means(local_data, groups, len(sizes) * k)
-    present = np.flatnonzero(local_sizes)      # by device, then cluster
-    clusters = present % k
-    shifts = _row_norms(local_means[present] - centers[clusters]).tolist()
-    bounds = (op / np.sqrt(local_sizes[present])).tolist()
-    firsts = np.searchsorted(present, np.arange(len(sizes) + 1) * k).tolist()
-    resid = local_means[groups]
-    np.subtract(local_data, resid, out=resid)
-
     audit = LemmaAudit(mean_shift_checks=0, norm_change_checks=0)
-    for z, block in enumerate(np.split(resid, np.cumsum(sizes)[:-1])):
-        if not len(block):
+    for z, rows in enumerate(partition.device_rows):
+        if not rows.size:
             continue
-        for i in range(firsts[z], firsts[z + 1]):
+        block, local_labels = data[rows], labels[rows]
+        local_means, local_sizes = cluster_means(block, local_labels, k)
+        present = np.flatnonzero(local_sizes)
+        shifts = _row_norms(local_means[present] - centers[present]).tolist()
+        bounds = (op / np.sqrt(local_sizes[present])).tolist()
+        for r, lhs, rhs in zip(present.tolist(), shifts, bounds):
             audit.mean_shift_checks += 1
-            if _exceeds(shifts[i], bounds[i]):
+            if _exceeds(lhs, rhs):
                 audit.violations.append({
-                    "kind": "mean_shift", "device": z,
-                    "cluster": int(clusters[i]),
-                    "lhs": shifts[i], "rhs": bounds[i],
+                    "kind": "mean_shift", "device": z, "cluster": r,
+                    "lhs": lhs, "rhs": rhs,
                 })
-        rhs = 2.0 * math.sqrt(firsts[z + 1] - firsts[z]) * op
+        block -= local_means[local_labels]
+        rhs = 2.0 * math.sqrt(present.size) * op
         audit.norm_change_checks += 1
         if _frobenius_within(block, rhs):
             continue

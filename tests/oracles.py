@@ -323,7 +323,8 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
     bound. ``separation.operator_norm`` is looked up at call time, so a
     test that patches it patches this audit too.
     """
-    data, labels, centers, _, op = separation._fit_target(data, clustering)
+    data, labels, centers, _, op, _, _ = separation._fit_target(data,
+                                                               clustering)
     k = clustering.k
 
     audit = separation.LemmaAudit(mean_shift_checks=0, norm_change_checks=0)

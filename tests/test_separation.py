@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -285,9 +286,15 @@ def test_diagnostics_match_svd_operator_norm(monkeypatch, seed):
     _, data, truth, partition = planted_instance(
         seed, k=16, d=100, per_cluster=200, m0=5, group_size=4)
     report, proximity, audit = _diagnostics(data, truth, partition)
-    monkeypatch.setattr(separation, "operator_norm",
-                        lambda m: float(np.linalg.norm(m, 2)))
+    svd_calls = []
+
+    def svd_norm(m):
+        svd_calls.append(m.shape)
+        return float(np.linalg.norm(m, 2))
+    monkeypatch.setattr(separation, "operator_norm", svd_norm)
     svd_report, svd_proximity, svd_audit = _diagnostics(data, truth, partition)
+    # the SVD norm ran on the global residual: no kept fit stood in for it
+    assert svd_calls.count(data.shape) == 1 and svd_calls[0] == data.shape
     assert report.op_norm == pytest.approx(svd_report.op_norm, rel=1e-13)
     for name in ("pair_active", "active_ok", "inactive_ok"):
         np.testing.assert_array_equal(getattr(report, name),
@@ -445,3 +452,95 @@ def test_center_differences_are_scale_free(scale):
     else:
         np.testing.assert_allclose(report.pair_ratio, base.pair_ratio,
                                    rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one-slot memo of the target fit
+
+def _outputs(data, truth, partition):
+    report, proximity, audit = _diagnostics(data, truth, partition)
+    return (report.to_json_dict(), report.pair_ratio.tobytes(),
+            report.delta.tobytes(), proximity.margins.tobytes(),
+            proximity.bad_indices.tolist(), audit)
+
+
+def test_three_checks_share_one_fit(monkeypatch):
+    data, truth, partition = _acceptance_01_instance(0)
+    expected = _outputs(data, truth, partition)
+    # a fit made under another operator_norm is not reused
+    calls = _count_operator_norm(monkeypatch)
+    assert _outputs(data, truth, partition) == expected
+    assert calls == [data.shape]
+    # nor is a bit-equal copy refitted
+    assert _outputs(data.copy(), truth, partition) == expected
+    assert calls == [data.shape]
+
+
+@pytest.mark.parametrize("edit", ["entry", "negative_zero", "label_swap"])
+def test_in_place_edit_refits(monkeypatch, edit):
+    data, truth, partition = _acceptance_01_instance(1)
+    data[3, 7] = 0.0
+    calls = _count_operator_norm(monkeypatch)
+    _diagnostics(data, truth, partition)
+    if edit == "entry":
+        data[3, 7] = 1.0
+    elif edit == "negative_zero":
+        data[3, 7] = -0.0
+    else:
+        labels = truth.assignment
+        other = int(np.flatnonzero(labels != labels[3])[0])
+        labels[[3, other]] = labels[[other, 3]]
+    edited = _outputs(data, truth, partition)
+    assert calls == [data.shape] * 2
+    separation._last_fit[0] = None
+    assert _outputs(data, truth, partition) == edited
+
+
+def test_fit_is_kept_only_while_its_data_array_lives():
+    data, truth, partition = _acceptance_01_instance(0)
+    older = data.copy()
+    older[0, 0] += 1.0
+    separation.separation_quantities(older, truth, partition)
+    older_ref = separation._last_fit[0][0]
+    separation.separation_quantities(data, truth, partition)
+    del older                   # fires older_ref's callback
+    assert older_ref() is None
+    assert separation._last_fit[0][0]() is data
+    del data
+    assert separation._last_fit[0] is None
+
+
+def test_nan_data_are_never_kept():
+    data, truth, partition = _acceptance_01_instance(0)
+    separation._last_fit[0] = None
+    data[0, 0] = np.nan
+    for check in (separation_quantities, lemma_audit):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(data, truth, partition)
+        assert separation._last_fit[0] is None
+
+
+def test_returned_arrays_are_not_the_kept_fit():
+    data, truth, partition = _acceptance_01_instance(0)
+    expected = separation_quantities(data, truth, partition)
+    expected_json = expected.to_json_dict()
+    expected.cluster_sizes[:] = 1           # the fitted arrays themselves
+    separation_quantities(data, truth, partition).cluster_sizes[:] = 1  # a hit
+    assert separation_quantities(data, truth, partition).to_json_dict() \
+        == expected_json
+
+
+def test_kept_fit_holds_one_copy_of_the_data():
+    data, truth, partition = _acceptance_01_instance(0)
+    separation._last_fit[0] = None
+    tracemalloc.start()
+    try:
+        _diagnostics(data, truth, partition)
+        data[0, 0] += 1.0       # refit while the slot holds the old copy
+        _diagnostics(data, truth, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A fit holds its residual and operator_norm's scaled copy of it; the
+    # kept copy is made after both are freed, and dropped before a refit.
+    assert peak < 2.2 * data.nbytes
