@@ -14,11 +14,15 @@ decision, tie-breaks included; otherwise that kernel runs. Farthest-point
 seeding takes one product per step (``_certified_max_min``) and falls
 back to the exact seeding as a whole (``_exact_max_min``). Nearest-seed
 and nearest-group-mean labels (``one_round_lloyd``, ``assign_new_device``)
-come from one product per call (``linalg._nearest_each``). Either way the
-aggregator's working memory is O(uploads x (d + k)), not
-O(uploads x k x d), and the distance count is what the exact path
-measures: open uploads times newest seeds per seeding step, and k per
-labeled upload.
+come from one product per call (``linalg._nearest_each``). Both products
+are ``linalg._product_sq``'s. Either way the aggregator's working memory
+is O(uploads x (d + k)), not O(uploads x k x d). The distance count
+depends only on the shapes: open uploads times newest seeds per seeding
+step, and k per labeled upload, whichever path picked.
+
+The upload checks run in ``_flatten``, which every aggregation step
+calls: a repeated device id and centers of another width are errors
+there, whether the uploads came from a replayed log or from a caller.
 """
 
 from __future__ import annotations
@@ -26,15 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import DevicePartition
-from .linalg import (_nearest_each, _rounding_bound, pairwise_distances,
-                     validate_matrix)
+from .linalg import (_nearest_each, _product_sq, _rounding_bound,
+                     pairwise_distances, validate_matrix)
 from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
 
 WIRE_SCHEMA_VERSION = 1
@@ -90,10 +93,8 @@ class DeviceCenters:
         }
 
     @classmethod
-    def from_wire(cls, blob: dict,
-                  earlier: Sequence["DeviceCenters"] = ()) -> "DeviceCenters":
-        """Parse one upload that holds exactly what ``to_wire`` writes; reject
-        a device id or width that clashes with ``earlier``."""
+    def from_wire(cls, blob: dict) -> "DeviceCenters":
+        """Parse one upload that holds exactly what ``to_wire`` writes."""
         try:
             centers = validate_matrix(blob["centers"], "uploaded centers")
             device_id, k_z = blob["device_id"], blob["k_z"]
@@ -108,10 +109,6 @@ class DeviceCenters:
             raise ValueError("malformed center upload: it needs exactly an integer "
                              "device_id >= 0, k_z >= 1 rows of float centers and "
                              "a 64-hex-digit assignment_digest")
-        if any(other.device_id == device_id for other in earlier):
-            raise ValueError(f"device {device_id} uploaded twice")
-        if any(other.centers.shape[1] != centers.shape[1] for other in earlier):
-            raise ValueError(f"device {device_id} uploaded centers of another width")
         return cls(device_id=device_id, centers=centers,
                    local_assignment=np.empty(0, dtype=int))
 
@@ -148,8 +145,17 @@ class KFedRun:
 
 
 def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """All uploaded centers stacked, ordered by (device_id, local index)."""
+    """All uploaded centers stacked, ordered by (device_id, local index).
+
+    Raises where a device id repeats, or where a device's centers are not
+    as wide as the next lower id's, naming the first such device by id.
+    """
     ordered = sorted(all_centers, key=lambda dc: dc.device_id)
+    for before, dc in zip(ordered, ordered[1:]):
+        if dc.device_id == before.device_id:
+            raise ValueError(f"device {dc.device_id} uploaded twice")
+        if dc.centers.shape[1] != before.centers.shape[1]:
+            raise ValueError(f"device {dc.device_id} uploaded centers of another width")
     provenance = [(dc.device_id, i) for dc in ordered for i in range(dc.k_z)]
     stacked = np.concatenate([dc.centers for dc in ordered], axis=0)
     return stacked, provenance
@@ -164,11 +170,9 @@ def _nearest_point(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
                          np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
 
 
-def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int
-                   ) -> tuple[list[int], int]:
+def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int) -> list[int]:
     """Gonzalez's max-min picks after ``chosen`` until there are k, from
-    ``pairwise_distances``; and the distance count (open uploads times
-    newest choices, per step).
+    ``pairwise_distances``.
 
     Each open upload keeps its distance to the nearest chosen center,
     refreshed only against the newest choice, and the first maximum (the
@@ -176,29 +180,28 @@ def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int
     """
     candidates = np.delete(np.arange(stacked.shape[0]), chosen)
     nearest = np.full(candidates.size, np.inf)
-    picks, new, count = [], list(chosen), 0
+    picks, new = [], list(chosen)
     while len(chosen) + len(picks) < k:
         dist = pairwise_distances(stacked[candidates], stacked[new])
-        count += dist.size
         nearest = np.minimum(nearest, dist.min(axis=1))
         pick = int(nearest.argmax())
         new = [int(candidates[pick])]
         picks += new
         candidates = np.delete(candidates, pick)
         nearest = np.delete(nearest, pick)
-    return picks, count
+    return picks
 
 
 def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
-                       ) -> tuple[list[int], int] | None:
-    """``_exact_max_min``'s picks and count from one product per step, or
-    None where a rounding bound cannot prove a step's pick.
+                       ) -> list[int] | None:
+    """``_exact_max_min``'s picks from one product per step, or None where a
+    rounding bound cannot prove a step's pick.
 
-    A step's product gives F, the squared distances of every upload to
-    the newest choices, with the error bound e of
-    ``linalg._rounding_bound``. Each open upload i keeps m_i = min F and
-    E_i = max e over the chosen centers, so its exact squared distance to
-    the chosen set lies in [m_i − E_i, m_i + E_i], and the root is
+    A step's product (``linalg._product_sq``) gives F, the squared
+    distances of every upload to the newest choices, with the error bound
+    e of ``linalg._rounding_bound``. Each open upload i keeps m_i = min F
+    and E_i = max e over the chosen centers, so its exact squared distance
+    to the chosen set lies in [m_i − E_i, m_i + E_i], and the root is
     monotone. F's max-min pick t is then the exact one when
     m_t − E_t > m_i + E_i for every other open i. A step where that fails
     (an exact tie always does), or where F is not finite, gives None.
@@ -212,14 +215,10 @@ def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
     nearest = np.full(stacked.shape[0], np.inf)
     nearest[chosen] = -np.inf
     slack = np.zeros(stacked.shape[0])
-    picks, new, count = [], list(chosen), 0
+    picks, new = [], list(chosen)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         while len(chosen) + len(picks) < k:
-            count += (stacked.shape[0] - len(chosen) - len(picks)) * len(new)
-            f = stacked @ stacked[new].T
-            f *= -2.0
-            f += sq[:, None]
-            f += sq[new]
+            f = _product_sq(stacked, stacked[new], sq, sq[new])
             np.minimum(nearest, f.min(axis=1), out=nearest)
             np.maximum(slack, _rounding_bound(norm[:, None], norm[new],
                                               stacked.shape[1]).max(axis=1),
@@ -233,7 +232,7 @@ def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
             nearest[pick] = -np.inf
             new = [pick]
             picks += new
-    return picks, count
+    return picks
 
 
 def farthest_point_init(all_centers: list[DeviceCenters], k: int,
@@ -246,7 +245,9 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
     to the lexicographically smallest (device_id, local index). The picks
     come from one certified product per step where its rounding bound
     settles every step of float64 uploads (``_certified_max_min``), and
-    from exact distances otherwise; both count the distances the exact path measures.
+    from exact distances otherwise. The distance count depends only on the
+    shapes: each step measures every open upload against the newest
+    seeds, all start centers at the first step and one seed after it.
     """
     if not all_centers or sum(dc.k_z for dc in all_centers) < k:
         raise ValueError("network has fewer than k device centers")
@@ -258,9 +259,12 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int,
         raise ValueError(f"start device {start_device} submitted no centers")
     if len(chosen) > k:
         raise ValueError("start device has more centers than requested groups")
-    picks, count = (_certified_max_min(stacked, chosen, k)
-                    or _exact_max_min(stacked, chosen, k))
-    accounting.pairwise_distance_count += count
+    picks = _certified_max_min(stacked, chosen, k)
+    if picks is None:   # [] is a proof: the start device holds k centers
+        picks = _exact_max_min(stacked, chosen, k)
+    s, total = len(chosen), len(provenance)
+    accounting.pairwise_distance_count += sum((total - s - step) * (1 if step else s)
+                                              for step in range(k - s))
     chosen += picks
     return FarthestInit(points=stacked[chosen],
                         provenance=[provenance[i] for i in chosen])
@@ -401,9 +405,7 @@ def replay_run(path) -> dict:
     for line in raw_lines:
         if canonical_json(json.loads(line)) != line:
             raise ValueError("message log is not in canonical form")
-    uploads: list[DeviceCenters] = []
-    for line in raw_lines[1:-1]:
-        uploads.append(DeviceCenters.from_wire(json.loads(line), uploads))
+    uploads = [DeviceCenters.from_wire(json.loads(line)) for line in raw_lines[1:-1]]
     accounting = OpsAccounting()
     init = farthest_point_init(uploads, header["k"],
                                start_device=header["start_device"],

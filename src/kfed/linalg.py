@@ -13,14 +13,16 @@ one BLAS/LAPACK build: equal inputs give bit-identical outputs there,
 while another build may differ in the last digits. Tests check both
 primitives against independent full-decomposition oracles.
 
-Nearest-row labels (``_nearest_each``, for several center sets on each of
-several row matrices at once) come from one matrix product per row
-matrix, ‖a‖² − 2·a·bᵀ + ‖b‖², accepted only where a rounding bound proves
-that the caller's exact distance kernel has the same argmin; a center set
-with a row the bound cannot settle runs that exact kernel instead, so the
-labels, tie-breaks included, are the exact kernel's bit for bit. That
-bound, ``_rounding_bound``, is the one every certified distance in the
-package uses.
+Every certified squared distance in the package is the product form
+F = ‖a‖² − 2·a·bᵀ + ‖b‖² of ``_product_sq``, one matrix product per row
+matrix, trusted only as far as ``_rounding_bound`` proves that an exact
+distance kernel would decide the same: the nearest-row labels here, and
+the farthest-point init and the k-means++ sampler. Nearest-row labels
+(``_nearest_each``, for several center sets on each of several row
+matrices at once) keep F's argmin only where that bound settles every
+row; a center set with a row the bound cannot settle runs the caller's
+exact kernel instead, so the labels, tie-breaks included, are the exact
+kernel's bit for bit.
 """
 
 from __future__ import annotations
@@ -169,6 +171,21 @@ def _gamma(m: int) -> float:
     return m * _UNIT / (1.0 - m * _UNIT)
 
 
+def _product_sq(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
+                b_sq: np.ndarray) -> np.ndarray:
+    """F = ‖a_i‖² − 2·a_i·b_j + ‖b_j‖², (..., n, m), for the rows of ``a``
+    (..., n, w) and ``b`` (..., m, w) with squared norms ``a_sq`` (..., n)
+    and ``b_sq`` (..., m), from one product ``a @ bᵀ``: the product form
+    that ``_rounding_bound`` bounds. Call it with floating-point warnings
+    off where F may overflow.
+    """
+    f = a @ np.swapaxes(b, -1, -2)
+    f *= -2.0
+    f += a_sq[..., :, None]
+    f += b_sq[..., None, :]
+    return f
+
+
 def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
                   live: np.ndarray | None = None) -> np.ndarray:
     """Labels (D, R, n): entry [m, r] is bit for bit
@@ -193,11 +210,7 @@ def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
     flat = centers.reshape(devices, runs * k, width)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         c_sq = np.einsum("mkd,mkd->mk", flat, flat)
-        f = a @ flat.transpose(0, 2, 1)
-        f *= -2.0
-        f += a_sq[:, :, None]
-        f += c_sq[:, None, :]
-        f = f.reshape(devices, n, runs, k)
+        f = _product_sq(a, flat, a_sq, c_sq).reshape(devices, n, runs, k)
         labels = f.argmin(axis=3).transpose(0, 2, 1)
         tau = _rounding_bound(
             np.sqrt(a_sq)[:, :, None],

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_TINY, _gamma, _nearest_each, _rounding_bound,
-                     top_k_projection, validate_matrix)
+from .linalg import (_TINY, _gamma, _nearest_each, _product_sq,
+                     _rounding_bound, top_k_projection, validate_matrix)
 from .rng import Stream
 
 DEFAULT_TOL = 1e-7
@@ -73,13 +73,17 @@ class Clustering:
     def from_labels(cls, data: np.ndarray, labels: np.ndarray, k: int) -> "Clustering":
         """Build a clustering from a label vector, centers = cluster means.
 
-        A label outside [0, k), or one in it that does not occur, is an error.
+        A label vector that is not one label per row, a label outside
+        [0, k), or one in it that does not occur, is an error.
         """
-        labels = np.asarray(labels, dtype=int)
+        data, labels = np.asarray(data, dtype=float), np.asarray(labels, dtype=int)
+        if labels.shape != data.shape[:1]:
+            raise ValueError(f"labels of shape {labels.shape} do not fit "
+                             f"rows of shape {data.shape}")
         outside = labels[(labels < 0) | (labels >= k)]
         if outside.size:
             raise ValueError(f"label {int(outside[0])} outside [0, {k})")
-        centers, sizes = cluster_means(np.asarray(data, dtype=float), labels, k)
+        centers, sizes = cluster_means(data, labels, k)
         if not sizes.all():
             raise ValueError(f"cluster {int(sizes.argmin())} has no members")
         return cls(assignment=labels, centers=centers, k=k)
@@ -279,41 +283,30 @@ def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
     return np.triu(equal, 1).any(axis=(-2, -1))
 
 
-def _exact_dsq(data: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The k-means++ picks (D, R, k) of every restart [m, r] over row matrix
-    ``data[m]`` of ``data`` (D, n, w), from its uniforms ``draws[m, r]``
-    (D, R, k), by exact squared distances.
+def _exact_dsq(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The k-means++ picks (k,) of one restart over ``rows`` (n, w), from
+    its uniforms ``draws`` (k,), by exact squared distances.
 
     The first uniform picks the first row, as ``integers(1, n)`` would, and
-    each later one serves one D^2 step. The restarts step together over one
-    (D, R, n) table of squared distances to their nearest chosen row; the
-    (D, R, n, w) differences keep ``data``'s memory layout, so each row's
-    squares add in the order one restart's (n, w) differences would on its
-    own matrix. A step picks, per restart, the number of cumulative
-    weights not above u times their total: that is
-    ``searchsorted(cdf, u, side="right")`` on the nondecreasing cdf,
-    capped at n-1. ``_dsq_sample`` runs it on each restart whose picks it
-    cannot prove, one restart at a time.
+    each later one serves one D^2 step over the squared distances to the
+    nearest chosen row. The differences ``rows - rows[p]`` keep ``rows``'
+    memory layout, so each row's squares add in the order that layout
+    gives. A step picks the number of cumulative weights not above u times
+    their total: that is ``searchsorted(cdf, u, side="right")`` on the
+    nondecreasing cdf, capped at n-1. ``_dsq_sample`` runs it on each
+    restart whose picks it cannot prove.
     """
-    devices, n, _ = data.shape
+    n = rows.shape[0]
     picks = np.empty(draws.shape, dtype=np.int64)
-    picks[..., 0] = np.minimum((draws[..., 0] * n).astype(np.int64), n - 1)
-    owner = np.arange(devices)[:, None]
-
-    def sq_to(chosen: np.ndarray) -> np.ndarray:
-        diff = data[:, None] - chosen[:, :, None]
-        return np.square(diff, out=diff).sum(axis=3)
-
-    d2 = sq_to(data[owner, picks[..., 0]])
-    for j in range(1, draws.shape[2]):
+    picks[0] = min(int(draws[0] * n), n - 1)
+    d2 = np.square(rows - rows[picks[0]]).sum(axis=1)
+    for j in range(1, draws.size):
         # All weights are zero once every distinct row has been chosen.
-        if not d2.any(axis=2).all():
+        if not d2.any():
             raise ValueError("insufficient distinct points")
-        cdf = np.cumsum(d2, axis=2)
-        u = draws[..., j] * cdf[..., -1]
-        picks[..., j] = np.minimum(n - np.count_nonzero(cdf > u[..., None], axis=2),
-                                   n - 1)
-        np.minimum(d2, sq_to(data[owner, picks[..., j]]), out=d2)
+        cdf = np.cumsum(d2)
+        picks[j] = min(n - np.count_nonzero(cdf > draws[j] * cdf[-1]), n - 1)
+        np.minimum(d2, np.square(rows - rows[picks[j]]).sum(axis=1), out=d2)
     return picks
 
 
@@ -327,11 +320,11 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
     since Philox's raw stream does not depend on how it is chunked.
 
     Each step takes, for every restart, F = ‖x‖² − 2·x·c + ‖c‖² from one
-    (D, R, w) @ (D, w, n) product against the newest picks c, keeps each
-    row's G = max(min F, 0) over the restart's picks, and picks from
-    C = cumsum(G), with T = C[n-1] and v the step's uniform, the number of
-    entries of C[:n-1] not above u = v·T: on a nondecreasing cdf that is
-    ``_exact_dsq``'s pick.
+    (D, R, w) @ (D, w, n) product of the newest picks c against the rows x
+    (``linalg._product_sq``), keeps each row's G = max(min F, 0) over the
+    restart's picks, and picks from C = cumsum(G), with T = C[n-1] and v
+    the step's uniform, the number of entries of C[:n-1] not above u = v·T:
+    on a nondecreasing cdf that is ``_exact_dsq``'s pick.
 
     After the loop one check proves every pick of a restart, or sends that
     restart to ``_exact_dsq`` alone. Let K be the exact sampler's weights
@@ -368,7 +361,6 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
     owner = np.arange(devices)[:, None]
     base = np.arange(devices * runs).reshape(devices, runs) * n
     sq = np.einsum("mnd,mnd->mn", data, data)
-    rows = data.transpose(0, 2, 1)
     near = np.full((devices, runs, n), np.inf)
     cdf = np.empty_like(near)
     flat = cdf.reshape(-1)
@@ -376,11 +368,8 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for j in range(1, k):
             new = picks[..., j - 1]
-            f = np.matmul(data[owner, new], rows)
-            f *= -2.0
-            f += sq[:, None, :]
-            f += sq[owner, new][..., None]
-            np.minimum(near, f, out=near)
+            np.minimum(near, _product_sq(data[owner, new], data, sq[owner, new], sq),
+                       out=near)
             np.maximum(near, 0.0, out=cdf)
             np.cumsum(cdf, axis=2, out=cdf)
             total[j - 1] = cdf[..., -1]
@@ -401,7 +390,7 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
                                         & (total > bound) & (below > bound)
                                         & (above > bound)).all(axis=0)
     for m, r in zip(*np.nonzero(~proven)):
-        picks[m, r] = _exact_dsq(data[m:m + 1], draws[m:m + 1, r:r + 1])[0, 0]
+        picks[m, r] = _exact_dsq(data[m], draws[m, r])
     return data[owner[..., None], picks]
 
 
@@ -410,10 +399,7 @@ def _stack(m) -> np.ndarray:
     is one matrix (a view of it), a 3-D one a stack; raise otherwise."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 3:
-        if not m.size:
-            raise ValueError("empty matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix contains non-finite values")
+        validate_matrix(m.reshape(m.shape[0], m.shape[1] * m.shape[2]))
         return m
     return validate_matrix(m)[None]
 
@@ -496,7 +482,8 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[list, np.ndarray]:
     shape = centers.shape
     if not stacked:
         centers = centers[None]
-    if centers.ndim != 3 or centers.shape[::2] != (devices, width):
+    if (centers.ndim != 3 or centers.shape[::2] != (devices, width)
+            or not centers.shape[1]):
         raise ValueError(f"centers of shape {shape} do not fit rows of shape "
                          f"{np.shape(projected)}")
     k = centers.shape[1]

@@ -126,9 +126,11 @@ def _fit_target(data: np.ndarray, clustering: Clustering) -> tuple:
     """(data, labels, cluster means, sizes, residual spectral norm, means
     scaled by a power of two, its exponent) of a target.
 
-    The last fit is kept (see the module docstring) and served as copies.
-    NaN data never match: their means are NaN, which ``_finite_scaled``
-    rejects before anything is kept.
+    The labels are checked by ``Clustering.from_labels``: one per row, each
+    in [0, k), every cluster with members. The last fit is kept (see the
+    module docstring) and served as copies. NaN data never match: their
+    means are NaN, which ``_finite_scaled`` rejects before anything is
+    kept.
     """
     data = np.asarray(data, dtype=float)
     labels = np.asarray(clustering.assignment, dtype=int)
@@ -141,9 +143,8 @@ def _fit_target(data: np.ndarray, clustering: Clustering) -> tuple:
         return (data, labels, centers.copy(), sizes.copy(), op,
                 scaled.copy(), exponent)
     entry = _last_fit[0] = None     # free the kept copy before refitting
-    centers, sizes = cluster_means(data, labels, k)
-    if not sizes.all():
-        raise ValueError("empty cluster in target")
+    target = Clustering.from_labels(data, labels, k)   # checks the labels
+    centers, sizes = target.centers, target.sizes()
     resid = centers[labels]
     np.subtract(data, resid, out=resid)
     op = norm(resid)

@@ -44,6 +44,21 @@ def test_init_single_device_loop_skipped():
     assert acc.pairwise_distance_count == 0
 
 
+def test_init_start_device_with_k_centers_never_takes_the_exact_path(monkeypatch):
+    # The certified path proves the empty pick list of a start device that
+    # already uploads k centers; only None sends the init to the exact path.
+    calls = []
+    exact = federation._exact_max_min
+    monkeypatch.setattr(federation, "_exact_max_min",
+                        lambda *args: calls.append(args) or exact(*args))
+    rng = np.random.default_rng(34)
+    uploads = [_dc(z, rng.normal(size=(3, 4))) for z in range(4)]
+    acc = OpsAccounting()
+    init = farthest_point_init(uploads, 3, start_device=2, accounting=acc)
+    assert init.provenance == [(2, 0), (2, 1), (2, 2)]
+    assert calls == [] and acc.pairwise_distance_count == 0
+
+
 def test_init_collinear_picks_farthest():
     uploads = [_dc(0, [[0.0]]), _dc(1, [[1.0]]), _dc(2, [[10.0]])]
     init = farthest_point_init(uploads, 2, start_device=0, accounting=OpsAccounting())
@@ -114,11 +129,11 @@ def _check_init(uploads, start, calls, expected=None):
         init = farthest_point_init(uploads, k, start_device=start, accounting=acc)
         if k > s:
             taken.append("exact" if calls else "certified")
-        picks, count = federation._exact_max_min(stacked, chosen, k)
+        picks = federation._exact_max_min(stacked, chosen, k)
         assert init.provenance == [provenance[i] for i in chosen + picks]
         if expected is not None:
             assert init.provenance == expected[:k]
-        assert acc.pairwise_distance_count == count == sum(
+        assert acc.pairwise_distance_count == sum(
             n * (s if step == 0 else 1)
             for step, n in enumerate(range(total - s, total - k, -1)))
     return taken

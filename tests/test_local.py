@@ -582,15 +582,21 @@ def _draws(k, seeds):
 
 
 def _exact_spy(monkeypatch):
-    """Count the restarts that ``_dsq_sample`` hands to the exact sampler."""
+    """Record the restarts that ``_dsq_sample`` hands to the exact sampler,
+    one call each, and give a stacked reference: picks (D, R, k) of the
+    one-restart sampler for a stack (D, n, w) and its draws (D, R, k)."""
     calls = []
     exact = local._exact_dsq
 
-    def spy(data, draws):
-        calls.append(draws.shape[:2])
-        return exact(data, draws)
+    def spy(rows, draws):
+        calls.append(draws.shape)
+        return exact(rows, draws)
+
+    def stacked(data, draws):
+        return np.array([[exact(rows, run) for run in runs]
+                         for rows, runs in zip(data, draws)])
     monkeypatch.setattr(local, "_exact_dsq", spy)
-    return calls, exact
+    return calls, stacked
 
 
 def test_certified_sampler_matches_exact_sampler_and_scalar_oracle(monkeypatch):
@@ -606,7 +612,7 @@ def test_certified_sampler_matches_exact_sampler_and_scalar_oracle(monkeypatch):
             stack += rng.normal(size=width) * 1e7
         if case % 5 == 3:       # duplicate rows: zero weights once chosen
             stack = stack[:, rng.integers(0, n, size=n)]
-        if case % 4 == 2 and devices == 1:
+        if case % 4 == 3:           # devices == 1: a Fortran-order matrix
             stack = np.asfortranarray(stack[0])[None]
         seeds = [(case, z) for z in range(devices)]
         before = len(calls)
@@ -626,7 +632,6 @@ def test_certified_sampler_matches_exact_sampler_and_scalar_oracle(monkeypatch):
             for r in range(local._SEED_RESTARTS):
                 oracle = scalar_dsq_sample(rows, k, Stream(*seeds[m], r))
                 assert starts[m, r].tobytes() == oracle.tobytes()
-    assert all(shape == (1, 1) for shape in calls)     # one restart at a time
     assert 20 <= fallbacks <= restarts // 2
 
 
@@ -682,6 +687,36 @@ def test_planted_boundary_draws_take_the_exact_sampler(monkeypatch):
     assert planted >= 20
 
 
+def test_exact_sampler_adds_each_row_in_its_layout():
+    # A draw planted on a cdf entry of Fortran-order rows, where numpy's
+    # pairwise sum of the same squares in C order rounds the cdf apart:
+    # the exact sampler picks as the rows' own layout adds, as the scalar
+    # oracle does, not as a C-ordered copy would.
+    rng = np.random.default_rng(82)
+    planted = 0
+    for case in range(60):
+        rows = np.asfortranarray(rng.normal(size=(12, 24)))
+        cdfs = {order: np.cumsum(np.square(np.asarray(rows, order=order)
+                                           - rows[0]).sum(axis=1))
+                for order in "FC"}
+        entry = cdfs["F"][int(rng.integers(1, 11))]
+        draw = entry / cdfs["F"][-1]
+        for _ in range(4):          # the draw whose product is the entry
+            if draw * cdfs["F"][-1] == entry:
+                break
+            draw = np.nextafter(draw, 1.0 if draw * cdfs["F"][-1] < entry else 0.0)
+        pick = {order: np.count_nonzero(cdf <= draw * cdf[-1])
+                for order, cdf in cdfs.items()}
+        if draw * cdfs["F"][-1] != entry or pick["F"] == pick["C"]:
+            continue
+        planted += 1
+        picks = local._exact_dsq(rows, np.array([0.0, draw]))
+        assert picks.tolist() == [0, pick["F"]]
+        _Planted.values = [0.0, draw]
+        assert rows[picks].tobytes() == scalar_dsq_sample(rows, 2, _Planted()).tobytes()
+    assert planted >= 10
+
+
 def test_certified_sampler_insufficient_distinct_points(monkeypatch):
     rng = np.random.default_rng(79)
     calls, exact = _exact_spy(monkeypatch)
@@ -694,7 +729,7 @@ def test_certified_sampler_insufficient_distinct_points(monkeypatch):
         with pytest.raises(ValueError) as got:
             local._dsq_sample(rows, 4, seeds)
         assert str(got.value) == str(expected.value) == "insufficient distinct points"
-        assert calls and all(shape == (1, 1) for shape in calls)
+        assert calls
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 2.0 ** 600, 2.0 ** -600,
@@ -717,7 +752,7 @@ def test_sampler_certifies_at_any_finite_scale_else_fails_as_the_exact_kernel(
             with pytest.raises(type(err)) as got:
                 local._dsq_sample(stack, 5, seeds)
             assert str(got.value) == str(err)
-            assert calls == [(1, 1)]    # the first restart raised
+            assert len(calls) == 1      # the first restart raised
             assert scale not in (1.0, 1e150, 1e-150)
             if scale > 1.0:
                 assert str(err) == "overflow encountered in square"

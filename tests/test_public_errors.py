@@ -4,12 +4,13 @@ type and message."""
 import numpy as np
 import pytest
 
-from kfed import datagen, evaluation, federation, local
+from kfed import datagen, evaluation, federation, local, separation
 from kfed.datagen import DevicePartition, MixtureSpec, PartitionSpec
 from kfed.local import Clustering
 from kfed.rng import Stream
 
 _ROWS = np.arange(12.0).reshape(4, 3) ** 2
+_NAN_ROWS = np.where(_ROWS == 25.0, np.nan, _ROWS)
 
 
 def _truth() -> Clustering:
@@ -22,6 +23,14 @@ def _uploads(rows=None) -> list[federation.DeviceCenters]:
         device_id=z, centers=_ROWS[first:last], local_assignment=np.zeros(1, int),
         rows=None if rows is None else np.array([z]))
         for z, (first, last) in enumerate([(0, 3), (3, 4)])]
+
+
+def _clashing(second: np.ndarray) -> list[federation.DeviceCenters]:
+    """Device 0 uploads three centers, then device 0 or 1 uploads ``second``:
+    device 0 again when it is as wide, device 1 otherwise."""
+    return [federation.DeviceCenters(
+        device_id=z, centers=centers, local_assignment=np.zeros(1, int))
+        for z, centers in [(0, _ROWS[:3]), (int(second.shape[1] != 3), second)]]
 
 
 def _init(uploads, k: int, start=None):
@@ -79,6 +88,27 @@ PUBLIC_ERRORS = {
         lambda: local.local_cluster(_ROWS, 5, 0), "insufficient distinct points"),
     "local_cluster_k_zero": (
         lambda: local.local_cluster(_ROWS, 0, 0), "k must be at least 1"),
+    "threshold_assign_no_center": (
+        lambda: local.threshold_assign(_ROWS, np.empty((0, 3))),
+        "centers of shape (0, 3) do not fit rows of shape (4, 3)"),
+    "from_labels_fewer_labels_than_rows": (
+        lambda: Clustering.from_labels(_ROWS, np.array([0, 1, 1]), 2),
+        "labels of shape (3,) do not fit rows of shape (4, 3)"),
+    "init_repeated_device": (
+        lambda: _init(_clashing(_ROWS[3:]), 4), "device 0 uploaded twice"),
+    "init_mixed_widths": (
+        lambda: _init(_clashing(np.zeros((1, 4))), 3),
+        "device 1 uploaded centers of another width"),
+    "one_round_lloyd_repeated_device": (
+        lambda: federation.one_round_lloyd(
+            _clashing(_ROWS[3:]), _init(_uploads(), 4),
+            accounting=federation.OpsAccounting()),
+        "device 0 uploaded twice"),
+    "one_round_lloyd_mixed_widths": (
+        lambda: federation.one_round_lloyd(
+            _clashing(np.zeros((1, 4))), _init(_uploads(), 4),
+            accounting=federation.OpsAccounting()),
+        "device 1 uploaded centers of another width"),
     "init_start_device_missing": (
         lambda: _init(_uploads(), 2, start=7), "start device 7 submitted no centers"),
     "init_start_device_too_many": (
@@ -157,3 +187,47 @@ def test_public_entry_rejects_bad_input(case):
     with pytest.raises(ValueError) as err:
         call()
     assert type(err.value) is ValueError and str(err.value) == message
+
+
+@pytest.mark.parametrize("check", ["separation_quantities", "proximity_check",
+                                   "lemma_audit"])
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1, 2, 1], "label 2 outside [0, 2)"),
+    ([0, -1, 1, 1], "label -1 outside [0, 2)"),
+    ([0, 1, 1], "labels of shape (3,) do not fit rows of shape (4, 3)")])
+def test_separation_check_rejects_a_directly_built_target(check, labels, message):
+    # A Clustering built without from_labels gets from_labels' checks.
+    clustering = Clustering(assignment=np.array(labels), centers=np.zeros((2, 3)),
+                            k=2)
+    partition = DevicePartition(device_rows=[np.arange(4)])
+    args = (_ROWS, clustering) + (() if check == "proximity_check" else (partition,))
+    with pytest.raises(ValueError) as err:
+        getattr(separation, check)(*args)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+# case -> (a bad 3-D stack, a 2-D matrix bad in the same way)
+BAD_STACKS = {
+    "no_device": (np.empty((0, 4, 3)), np.empty((0, 3))),
+    "no_row": (np.empty((2, 0, 3)), np.empty((0, 3))),
+    "no_column": (np.empty((2, 4, 0)), np.empty((4, 0))),
+    "nan": (np.stack([_ROWS, _NAN_ROWS]), _NAN_ROWS),
+}
+
+
+@pytest.mark.parametrize("call", ["approx_seed", "threshold_assign"])
+@pytest.mark.parametrize("case", sorted(BAD_STACKS))
+def test_bad_stack_raises_the_matrix_message(call, case):
+    def run(rows, seed):
+        if call == "approx_seed":
+            return local.approx_seed(rows, 2, seed)
+        return local.threshold_assign(rows, np.zeros(rows.shape[:-2] + (2, 3)))
+
+    stack, matrix = BAD_STACKS[case]
+    messages = []
+    for rows, seed in [(matrix, 0), (stack, [0] * len(stack))]:
+        with pytest.raises(ValueError) as err:
+            run(rows, seed)
+        messages.append(str(err.value))
+    assert messages == 2 * ["matrix contains non-finite values" if case == "nan"
+                            else "empty matrix"]

@@ -215,7 +215,7 @@ def test_empty_cluster_in_target_errors(check):
                             centers=np.zeros((2, 2)), k=2)
     args = (data, clustering) if check == "proximity_check" else \
         (data, clustering, _partition_from_lists([range(3)]))
-    with pytest.raises(ValueError, match="empty cluster in target"):
+    with pytest.raises(ValueError, match="cluster 1 has no members"):
         getattr(separation, check)(*args)
 
 
