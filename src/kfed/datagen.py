@@ -101,12 +101,16 @@ class DevicePartition:
     def num_devices(self) -> int:
         return len(self.device_rows)
 
-    def validate(self, n: int) -> "DevicePartition":
+    def check_cover(self, n: int) -> None:
+        """Raise unless every row id 0..n-1 is on exactly one device."""
         seen = np.concatenate([np.asarray(r, dtype=int) for r in self.device_rows]) \
             if self.device_rows else np.empty(0, dtype=int)
-        if seen.size != n or np.unique(seen).size != n or seen.min(initial=0) < 0 \
-                or seen.max(initial=-1) >= n:
+        if seen.size != n or seen.min(initial=0) < 0 or seen.max(initial=-1) >= n \
+                or np.bincount(seen.ravel(), minlength=n).max(initial=0) > 1:
             raise ValueError("device rows must disjointly cover all rows")
+
+    def validate(self, n: int) -> "DevicePartition":
+        self.check_cover(n)
         empty = [z for z, rows in enumerate(self.device_rows) if len(rows) == 0]
         if empty:
             raise ValueError(f"device {empty[0]} holds no rows")

@@ -20,9 +20,12 @@ is O(uploads x (d + k)), not O(uploads x k x d). The distance count
 depends only on the shapes: open uploads times newest seeds per seeding
 step, and k per labeled upload, whichever path picked.
 
-The upload checks run in ``_flatten``, which every aggregation step
-calls: a repeated device id and centers of another width are errors
-there, whether the uploads came from a replayed log or from a caller.
+The server starts its farthest-point pass from every center of the
+lowest uploaded device id. The upload checks run in ``_flatten``, which
+every aggregation step calls: a repeated device id, a device with no
+centers, centers that are not all finite and centers of another width
+are errors there, whether the uploads came from a replayed log or from a
+caller, so the start device always has centers.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from .datagen import DevicePartition
 from .linalg import (_nearest_each, _product_sq, _rounding_bound,
                      pairwise_distances, validate_matrix)
-from .local import DEFAULT_TOL, LocalResult, cluster_means, local_cluster
+from .local import DEFAULT_TOL, LocalResult, _check_k, cluster_means, local_cluster
 
 WIRE_SCHEMA_VERSION = 1
 
@@ -147,10 +150,17 @@ class KFedRun:
 def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """All uploaded centers stacked, ordered by (device_id, local index).
 
-    Raises where a device id repeats, or where a device's centers are not
-    as wide as the next lower id's, naming the first such device by id.
+    Raises where a device uploads no centers or centers that are not all
+    finite, and then where a device id repeats or a device's centers are
+    not as wide as the next lower id's, naming the first such device by
+    id. The centers keep their dtype.
     """
     ordered = sorted(all_centers, key=lambda dc: dc.device_id)
+    for dc in ordered:
+        if not dc.k_z:
+            raise ValueError(f"device {dc.device_id} uploaded no centers")
+        if not np.isfinite(dc.centers).all():
+            raise ValueError(f"device {dc.device_id} uploaded non-finite centers")
     for before, dc in zip(ordered, ordered[1:]):
         if dc.device_id == before.device_id:
             raise ValueError(f"device {dc.device_id} uploaded twice")
@@ -235,28 +245,24 @@ def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
     return picks
 
 
-def farthest_point_init(all_centers: list[DeviceCenters], k: int,
-                        start_device: int | None = None, *,
+def farthest_point_init(all_centers: list[DeviceCenters], k: int, *,
                         accounting: OpsAccounting) -> FarthestInit:
     """Greedy max-min selection of k seed centers among all uploads.
 
-    Starts from every center of one device (lowest id unless overridden)
-    and repeatedly adds the center farthest from the chosen set. Ties go
-    to the lexicographically smallest (device_id, local index). The picks
-    come from one certified product per step where its rounding bound
-    settles every step of float64 uploads (``_certified_max_min``), and
-    from exact distances otherwise. The distance count depends only on the
+    Starts from every center of the lowest uploaded device id, which
+    ``_flatten`` ensures has some, and repeatedly adds the center farthest
+    from the chosen set. Ties go to the lexicographically smallest
+    (device_id, local index). The picks come from one certified product
+    per step where its rounding bound settles every step of float64
+    uploads (``_certified_max_min``), and from exact distances otherwise. The distance count depends only on the
     shapes: each step measures every open upload against the newest
     seeds, all start centers at the first step and one seed after it.
     """
+    _check_k(k)
     if not all_centers or sum(dc.k_z for dc in all_centers) < k:
         raise ValueError("network has fewer than k device centers")
     stacked, provenance = _flatten(all_centers)
-    if start_device is None:
-        start_device = min(dc.device_id for dc in all_centers)
-    chosen = [idx for idx, (z, _) in enumerate(provenance) if z == start_device]
-    if not chosen:
-        raise ValueError(f"start device {start_device} submitted no centers")
+    chosen = [idx for idx, (z, _) in enumerate(provenance) if z == provenance[0][0]]
     if len(chosen) > k:
         raise ValueError("start device has more centers than requested groups")
     picks = _certified_max_min(stacked, chosen, k)
@@ -281,6 +287,9 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     cluster's center was assigned to.
     """
     stacked, provenance = _flatten(all_centers)
+    if np.ndim(init.points) != 2 or init.points.shape[1] != stacked.shape[1]:
+        raise ValueError(f"init points of shape {np.shape(init.points)} do not "
+                         f"fit uploads of width {stacked.shape[1]}")
     k = init.points.shape[0]
     # ties resolve to the lowest group index
     nearest = _nearest_point(stacked, init.points)
@@ -387,9 +396,10 @@ def replay_run(path) -> dict:
 
     Verifies that every line re-serializes to the exact recorded bytes,
     that the header and every upload hold exactly the keys and JSON types
-    ``record_run`` writes, and that re-aggregating the recorded centers
-    reproduces the recorded trailer byte for byte. Raises ValueError on any
-    mismatch.
+    ``record_run`` writes, that the header's start device is the lowest
+    uploaded id, the one ``farthest_point_init`` starts from, and that
+    re-aggregating the recorded centers reproduces the recorded trailer
+    byte for byte. Raises ValueError on any mismatch.
     """
     raw_lines = Path(path).read_text().splitlines()
     if len(raw_lines) < 3:
@@ -406,10 +416,10 @@ def replay_run(path) -> dict:
         if canonical_json(json.loads(line)) != line:
             raise ValueError("message log is not in canonical form")
     uploads = [DeviceCenters.from_wire(json.loads(line)) for line in raw_lines[1:-1]]
+    if header["start_device"] != min(dc.device_id for dc in uploads):
+        raise ValueError("message log start_device is not the lowest uploaded id")
     accounting = OpsAccounting()
-    init = farthest_point_init(uploads, header["k"],
-                               start_device=header["start_device"],
-                               accounting=accounting)
+    init = farthest_point_init(uploads, header["k"], accounting=accounting)
     induced = one_round_lloyd(uploads, init, accounting=accounting)
     outcome = _outcome(init, induced)
     if canonical_json(outcome) != raw_lines[-1]:

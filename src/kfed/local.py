@@ -544,8 +544,6 @@ def _solve(rows_of, ks, seeds, tol: float) -> list[LocalResult]:
     for i in range(count):
         data = validate_matrix(rows_of(i), "device data")
         _check_k(ks[i])
-        if data.shape[0] < ks[i]:
-            raise ValueError("insufficient distinct points")
         coord, lift = top_k_projection(data, min(ks[i], min(data.shape)))
         coords.append(coord)
         lifts.append(lift)

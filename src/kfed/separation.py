@@ -161,16 +161,19 @@ def separation_quantities(data: np.ndarray, clustering: Clustering,
                           m0: float | None = None) -> SeparationReport:
     """Compute every separation scale and per-pair requirement check.
 
-    A device that holds no rows is skipped, as in ``lemma_audit``.
+    The partition must hold some rows and cover the rows of ``data`` (see
+    ``DevicePartition.check_cover``). A device that holds no rows is
+    skipped, as in ``lemma_audit``.
     """
     data, labels, centers, sizes, op, scaled, exponent = _fit_target(
         data, clustering)
     k = clustering.k
 
+    if not any(len(rows) for rows in partition.device_rows):
+        raise ValueError("partition holds no rows")
+    partition.check_cover(labels.size)
     counts = partition.counts_by_cluster(labels, k)
     device_sizes = counts.sum(axis=1)
-    if not device_sizes.any():
-        raise ValueError("partition holds no rows")
     n_min_device = int(device_sizes[device_sizes > 0].min())
     present = counts > 0                # (devices, k)
     k_prime = int(present.sum(axis=1).max())
@@ -316,11 +319,14 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
     norm-change bound passes without an eigensolve; only the others take
     the exact ``operator_norm``.
 
-    Each device's means come from its own ``cluster_means`` call, and its
-    block is centered in place, so no n x d temporary is built.
+    The partition must cover the rows of ``data`` (see
+    ``DevicePartition.check_cover``); a device that holds no rows is
+    skipped. Each device's means come from its own ``cluster_means`` call,
+    and its block is centered in place, so no n x d temporary is built.
     """
     data, labels, centers, _, op, _, _ = _fit_target(data, clustering)
     k = clustering.k
+    partition.check_cover(labels.size)
 
     audit = LemmaAudit(mean_shift_checks=0, norm_change_checks=0)
     for z, rows in enumerate(partition.device_rows):

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kfed import cli
+from kfed import cli, federation
 from kfed.evaluation import matched_accuracy
 from kfed.federation import canonical_json
 from kfed.local import local_cluster
+from oracles import greedy_max_min
 
 
 def write_config(tmp_path, **overrides):
@@ -500,9 +501,31 @@ def _first_pair(tau, pick, swap):
     raise AssertionError("no pair to edit")
 
 
+def _start_from_highest_upload(lines):
+    """Name the highest uploaded id as the header's start device, and write
+    the trailer that aggregation from that device's centers gives."""
+    header = json.loads(lines[0])
+    uploads = [federation.DeviceCenters.from_wire(json.loads(line))
+               for line in lines[1:-1]]
+    start = max(dc.device_id for dc in uploads)
+    provenance = greedy_max_min([(dc.device_id, dc.centers) for dc in uploads],
+                                header["k"], start)
+    centers = {dc.device_id: dc.centers for dc in uploads}
+    init = federation.FarthestInit(
+        points=np.array([centers[z][i] for z, i in provenance]),
+        provenance=provenance)
+    induced = federation.one_round_lloyd(uploads, init,
+                                         accounting=federation.OpsAccounting())
+    lines[0] = canonical_json({**header, "start_device": start})
+    lines[-1] = canonical_json(federation._outcome(init, induced))
+
+
 # Edits that give a log in canonical form that record_run never writes:
-# defect -> (line index, edit of that line's JSON). All but header_k_bool
-# replayed with exit 0 when replay compared values, not JSON types and bytes.
+# defect -> (line index, edit of that line's JSON), or (None, edit of all
+# the lines). All but header_k_bool and header_start_device_not_lowest
+# replayed with exit 0 when replay compared values, not JSON types and
+# bytes; header_start_device_not_lowest did while replay started from the
+# header's device.
 UNWRITABLE_LOGS = {
     "device_id_fraction": (1, lambda b: b.update(device_id=0.5)),
     "device_id_string": (1, lambda b: b.update(device_id=str(b["device_id"]))),
@@ -517,6 +540,7 @@ UNWRITABLE_LOGS = {
     "header_schema_bool": (0, lambda b: b.update(schema=True)),
     "header_start_device_bool": (0, lambda b: b.update(start_device=False)),
     "header_k_bool": (0, lambda b: b.update(k=True)),
+    "header_start_device_not_lowest": (None, _start_from_highest_upload),
     "header_extra_key": (0, lambda b: b.update(note=1)),
     "tau_bool": (-1, lambda b: _first_pair(
         b["tau"], lambda pair: pair[0] == 1, lambda pair: [True, pair[1]])),
@@ -541,7 +565,10 @@ def test_replay_rejects_log_record_run_cannot_write(tmp_path, capsys, recorded_l
     lines = list(recorded_log)
     if defect is not None:
         index, edit = UNWRITABLE_LOGS[defect]
-        _edit_upload(lines, index, edit)
+        if index is None:
+            edit(lines)
+        else:
+            _edit_upload(lines, index, edit)
         assert lines != recorded_log
     log = tmp_path / "messages.jsonl"
     log.write_text("\n".join(lines) + "\n")

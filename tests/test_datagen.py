@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from kfed import datagen
-from kfed.datagen import (MixtureSpec, PartitionSpec, auto_separation_distance,
-                          estimate_m0, generate_mixture, iid_partition,
+from kfed.datagen import (DevicePartition, MixtureSpec, PartitionSpec,
+                          auto_separation_distance, estimate_m0,
+                          generate_mixture, iid_partition,
                           load_data_csv, load_labels_csv, load_partition_json,
                           resolve_means, save_instance, structured_partition)
 from kfed.evaluation import kmeans_cost
@@ -180,6 +181,28 @@ def test_partition_is_disjoint_cover():
     part = structured_partition(truth, PartitionSpec(mode="structured", m0=2,
                                                      group_size=2))
     part.validate(80)
+
+
+@pytest.mark.parametrize("rows, covers", [
+    ([[0, 1], [2, 3]], True),
+    ([[3, 0], [], [2, 1]], True),
+    ([[0, 1, 2], [2, 3]], False),
+    ([[0, 1, 1], [3]], False),
+    ([[0, 1], [3]], False),
+    ([[0, 1, 2], [-1]], False),
+    ([[0, 1, 2], [4]], False),
+    ([], False)])
+def test_check_cover_takes_each_row_id_exactly_once(rows, covers):
+    part = DevicePartition(device_rows=[np.array(r, dtype=int) for r in rows])
+    if covers:
+        part.check_cover(4)
+    else:
+        with pytest.raises(ValueError,
+                           match="^device rows must disjointly cover all rows$"):
+            part.check_cover(4)
+        with pytest.raises(ValueError,
+                           match="^device rows must disjointly cover all rows$"):
+            part.validate(4)
 
 
 def test_auto_means_satisfy_active_requirement():

@@ -24,6 +24,13 @@ def _dc(device_id, centers, assignment=None):
                          local_assignment=np.asarray(assignment, dtype=int))
 
 
+def _start_at(uploads, start):
+    """The uploads with device ids 0..Z-1 turned so that ``start`` is 0, the
+    lowest id and so the start device; the others keep their cyclic order."""
+    return [_dc((dc.device_id - start) % len(uploads), dc.centers)
+            for dc in uploads]
+
+
 # ---------------------------------------------------------------------------
 # farthest_point_init
 
@@ -52,27 +59,27 @@ def test_init_start_device_with_k_centers_never_takes_the_exact_path(monkeypatch
     monkeypatch.setattr(federation, "_exact_max_min",
                         lambda *args: calls.append(args) or exact(*args))
     rng = np.random.default_rng(34)
-    uploads = [_dc(z, rng.normal(size=(3, 4))) for z in range(4)]
+    uploads = _start_at([_dc(z, rng.normal(size=(3, 4))) for z in range(4)], 2)
     acc = OpsAccounting()
-    init = farthest_point_init(uploads, 3, start_device=2, accounting=acc)
-    assert init.provenance == [(2, 0), (2, 1), (2, 2)]
+    init = farthest_point_init(uploads, 3, accounting=acc)
+    assert init.provenance == [(0, 0), (0, 1), (0, 2)]
     assert calls == [] and acc.pairwise_distance_count == 0
 
 
 def test_init_collinear_picks_farthest():
     uploads = [_dc(0, [[0.0]]), _dc(1, [[1.0]]), _dc(2, [[10.0]])]
-    init = farthest_point_init(uploads, 2, start_device=0, accounting=OpsAccounting())
+    init = farthest_point_init(uploads, 2, accounting=OpsAccounting())
     assert sorted(float(p[0]) for p in init.points) == [0.0, 10.0]
     # one distance per open upload per step: 2 from (0, 0), then 1 from (2, 0)
     acc = OpsAccounting()
-    init = farthest_point_init(uploads, 3, start_device=0, accounting=acc)
+    init = farthest_point_init(uploads, 3, accounting=acc)
     assert init.provenance == [(0, 0), (2, 0), (1, 0)]
     assert acc.pairwise_distance_count == 3
 
 
 def test_init_tie_breaks_lexicographically():
     uploads = [_dc(0, [[0.0]]), _dc(1, [[4.0]]), _dc(2, [[-4.0]])]
-    init = farthest_point_init(uploads, 2, start_device=0, accounting=OpsAccounting())
+    init = farthest_point_init(uploads, 2, accounting=OpsAccounting())
     assert init.provenance == [(0, 0), (1, 0)]
 
 
@@ -92,13 +99,13 @@ def test_init_matches_max_min_oracle():
                        for z in range(z_count)]
         start = int(rng.integers(0, z_count))
         s = uploads[start].k_z
+        uploads = _start_at(uploads, start)
         total = sum(dc.k_z for dc in uploads)
         for k in range(s, total + 1):
             acc = OpsAccounting()
-            init = farthest_point_init(uploads, k, start_device=start,
-                                       accounting=acc)
+            init = farthest_point_init(uploads, k, accounting=acc)
             expected = greedy_max_min([(dc.device_id, dc.centers) for dc in uploads],
-                                      k, start)
+                                      k, 0)
             assert init.provenance == expected, (trial, k)
             # the first step measures from all s start centers, later steps
             # only from the newest seed
@@ -116,17 +123,18 @@ def _init_paths(monkeypatch):
     return calls
 
 
-def _check_init(uploads, start, calls, expected=None):
+def _check_init(uploads, calls, expected=None):
     """Every k's provenance and distance count against the exact path and,
-    where given, the oracle's full max-min order; returns the paths taken."""
+    where given, the oracle's full max-min order; returns the paths taken.
+    The lowest device id, the first of ``_flatten``'s order, starts."""
     stacked, provenance = federation._flatten(uploads)
-    chosen = [i for i, (z, _) in enumerate(provenance) if z == start]
+    chosen = [i for i, (z, _) in enumerate(provenance) if z == provenance[0][0]]
     total, s = len(provenance), len(chosen)
     taken = []
     for k in range(s, total + 1):
         calls.clear()
         acc = OpsAccounting()
-        init = farthest_point_init(uploads, k, start_device=start, accounting=acc)
+        init = farthest_point_init(uploads, k, accounting=acc)
         if k > s:
             taken.append("exact" if calls else "certified")
         picks = federation._exact_max_min(stacked, chosen, k)
@@ -176,9 +184,10 @@ def test_init_certified_and_exact_paths_match_max_min_oracle(monkeypatch):
                        _dc(1, steps[:len(steps) // 2]),
                        _dc(2, steps[len(steps) // 2:])]
             start = 0
+        uploads = _start_at(uploads, start)
         expected = greedy_max_min([(dc.device_id, dc.centers) for dc in uploads],
-                                  sum(dc.k_z for dc in uploads), start)
-        for path in _check_init(uploads, start, calls, expected):
+                                  sum(dc.k_z for dc in uploads), 0)
+        for path in _check_init(uploads, calls, expected):
             paths[path] += 1
     assert paths["certified"] >= 200 and paths["exact"] >= 300
     # Squares that overflow (F is not finite), or that all underflow to
@@ -186,7 +195,7 @@ def test_init_certified_and_exact_paths_match_max_min_oracle(monkeypatch):
     for scale in (2.0 ** 600, 2.0 ** -600):
         uploads = [_dc(z, rng.normal(size=(3, 5)) * scale) for z in range(3)]
         with np.errstate(over="ignore"):
-            taken = _check_init(uploads, 0, calls)
+            taken = _check_init(uploads, calls)
         assert taken == ["exact"] * 6
 
 
@@ -206,7 +215,7 @@ def test_init_non_float64_uploads_take_the_exact_path(monkeypatch):
             uploads = [DeviceCenters(device_id=z, centers=c.astype(dtype),
                                      local_assignment=np.empty(0, dtype=int))
                        for z, c in enumerate(centers)]
-            taken = _check_init(uploads, 0, calls)
+            taken = _check_init(uploads, calls)
             assert set(taken) <= {"exact"}
     init = farthest_point_init(uploads, sum(dc.k_z for dc in uploads),
                                accounting=OpsAccounting())
@@ -236,7 +245,7 @@ def test_round_groups_duplicates_with_seeds():
 
 def test_round_tie_goes_to_lower_group():
     uploads = [_dc(0, [[0.0], [10.0]]), _dc(1, [[5.0]])]
-    init = farthest_point_init(uploads, 2, start_device=0, accounting=OpsAccounting())
+    init = farthest_point_init(uploads, 2, accounting=OpsAccounting())
     induced = one_round_lloyd(uploads, init, accounting=OpsAccounting())
     assert (1, 0) in induced.tau[0]
 

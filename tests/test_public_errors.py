@@ -33,9 +33,21 @@ def _clashing(second: np.ndarray) -> list[federation.DeviceCenters]:
         for z, centers in [(0, _ROWS[:3]), (int(second.shape[1] != 3), second)]]
 
 
-def _init(uploads, k: int, start=None):
+def _init(uploads, k):
     return federation.farthest_point_init(
-        uploads, k, start, accounting=federation.OpsAccounting())
+        uploads, k, accounting=federation.OpsAccounting())
+
+
+def _second_upload(centers: np.ndarray) -> list[federation.DeviceCenters]:
+    """Device 0 uploads three centers, then device 1 uploads ``centers``."""
+    return [federation.DeviceCenters(
+        device_id=z, centers=c, local_assignment=np.zeros(1, int))
+        for z, c in enumerate([_ROWS[:3], centers])]
+
+
+def _lloyd(uploads, init) -> federation.InducedClustering:
+    return federation.one_round_lloyd(uploads, init,
+                                      accounting=federation.OpsAccounting())
 
 
 def _spec(**fields) -> MixtureSpec:
@@ -100,20 +112,34 @@ PUBLIC_ERRORS = {
         lambda: _init(_clashing(np.zeros((1, 4))), 3),
         "device 1 uploaded centers of another width"),
     "one_round_lloyd_repeated_device": (
-        lambda: federation.one_round_lloyd(
-            _clashing(_ROWS[3:]), _init(_uploads(), 4),
-            accounting=federation.OpsAccounting()),
+        lambda: _lloyd(_clashing(_ROWS[3:]), _init(_uploads(), 4)),
         "device 0 uploaded twice"),
     "one_round_lloyd_mixed_widths": (
-        lambda: federation.one_round_lloyd(
-            _clashing(np.zeros((1, 4))), _init(_uploads(), 4),
-            accounting=federation.OpsAccounting()),
+        lambda: _lloyd(_clashing(np.zeros((1, 4))), _init(_uploads(), 4)),
         "device 1 uploaded centers of another width"),
-    "init_start_device_missing": (
-        lambda: _init(_uploads(), 2, start=7), "start device 7 submitted no centers"),
     "init_start_device_too_many": (
-        lambda: _init(_uploads(), 2, start=0),
+        lambda: _init(_uploads(), 2),
         "start device has more centers than requested groups"),
+    "init_upload_without_centers": (
+        lambda: _init(_second_upload(np.empty((0, 3))), 3),
+        "device 1 uploaded no centers"),
+    "init_non_finite_upload": (
+        lambda: _init(_second_upload(_NAN_ROWS[1:2]), 3),
+        "device 1 uploaded non-finite centers"),
+    "init_k_fraction": (
+        lambda: _init(_uploads(), 2.5), "k must be an integer, got 2.5"),
+    "init_k_zero": (lambda: _init(_uploads(), 0), "k must be at least 1"),
+    "one_round_lloyd_non_finite_upload": (
+        lambda: _lloyd(_second_upload(_NAN_ROWS[1:2]), _init(_uploads(), 4)),
+        "device 1 uploaded non-finite centers"),
+    "one_round_lloyd_init_width": (
+        lambda: _lloyd(_uploads(), federation.FarthestInit(
+            points=np.zeros((2, 4)), provenance=[(0, 0), (1, 0)])),
+        "init points of shape (2, 4) do not fit uploads of width 3"),
+    "one_round_lloyd_flat_init": (
+        lambda: _lloyd(_uploads(), federation.FarthestInit(
+            points=np.zeros(3), provenance=[(0, 0)])),
+        "init points of shape (3,) do not fit uploads of width 3"),
     "one_round_lloyd_no_rows": (
         lambda: federation.one_round_lloyd(
             _uploads(), _init(_uploads(), 4), n_total=2,
@@ -231,3 +257,24 @@ def test_bad_stack_raises_the_matrix_message(call, case):
         messages.append(str(err.value))
     assert messages == 2 * ["matrix contains non-finite values" if case == "nan"
                             else "empty matrix"]
+
+
+# case -> device rows over _ROWS' four rows that are not a cover of them
+BAD_COVERS = {
+    "overlap": [[0, 1, 2], [2, 3]],
+    "repeat_in_place_of_a_row": [[0, 1, 1], [3]],
+    "missing": [[0, 1], [3]],
+    "negative": [[0, 1, 2], [-1]],
+    "beyond_n": [[0, 1, 2], [4]],
+}
+
+
+@pytest.mark.parametrize("check", ["separation_quantities", "lemma_audit"])
+@pytest.mark.parametrize("case", sorted(BAD_COVERS))
+def test_separation_check_rejects_a_partition_that_is_no_cover(check, case):
+    # The rule DevicePartition.validate applies, less its ban on empty devices.
+    partition = DevicePartition(device_rows=[np.array(r) for r in BAD_COVERS[case]])
+    with pytest.raises(ValueError) as err:
+        getattr(separation, check)(_ROWS, _truth(), partition)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "device rows must disjointly cover all rows"
