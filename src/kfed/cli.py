@@ -395,9 +395,22 @@ def load_config(path) -> dict:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     if cfg["c_values"] is not None and cfg["experiment"] != "c_sweep":
         raise ConfigError("only the c_sweep experiment reads c_values")
-    if cfg["partition"]["mode"] == "iid" and cfg["partition"]["Z"] is None:
-        raise ConfigError("an iid partition needs partition.Z")
+    if cfg["z_iid"] is not None and cfg["experiment"] != "cost_ratio":
+        raise ConfigError("only the cost_ratio experiment reads z_iid")
+    if "tol" in raw and cfg["experiment"] == "separation_profile":
+        raise ConfigError("the separation_profile experiment reads no tol")
     mixture, partition = cfg["mixture"], cfg["partition"]
+    if partition["mode"] == "iid":
+        if partition["Z"] is None:
+            raise ConfigError("an iid partition needs partition.Z")
+        for key in ("m0", "group_size"):    # both still unfilled here
+            if partition[key] is not None:
+                raise ConfigError(f"only a structured partition reads partition.{key}")
+        if cfg["experiment"] == "cost_ratio":
+            raise ConfigError("cost_ratio compares a structured partition with an "
+                              "iid one, so it needs partition.mode structured")
+    elif partition["Z"] is not None:
+        raise ConfigError("only an iid partition reads partition.Z")
     try:
         weights = datagen.resolve_weights(mixture["weights"], mixture["k"])
     except ValueError as err:
@@ -701,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, MemoryError) as err:
         print(f"pipeline error: {err}", file=sys.stderr)
         return EXIT_PIPELINE
 

@@ -102,11 +102,14 @@ class DevicePartition:
         return len(self.device_rows)
 
     def check_cover(self, n: int) -> None:
-        """Raise unless every row id 0..n-1 is on exactly one device."""
-        seen = np.concatenate([np.asarray(r, dtype=int) for r in self.device_rows]) \
-            if self.device_rows else np.empty(0, dtype=int)
-        if seen.size != n or seen.min(initial=0) < 0 or seen.max(initial=-1) >= n \
-                or np.bincount(seen.ravel(), minlength=n).max(initial=0) > 1:
+        """Raise unless every row id 0..n-1 is on exactly one device, and
+        every device that holds ids holds them in an integer array (a float
+        id would truncate, and a bool array indexes rows as a mask)."""
+        ids = [np.ravel(r) for r in self.device_rows if np.size(r)]
+        seen = np.concatenate(ids).astype(int) if ids else np.empty(0, dtype=int)
+        if (any(r.dtype.kind not in "iu" for r in ids) or seen.size != n
+                or seen.min(initial=0) < 0 or seen.max(initial=-1) >= n
+                or np.bincount(seen, minlength=n).max(initial=0) > 1):
             raise ValueError("device rows must disjointly cover all rows")
 
     def validate(self, n: int) -> "DevicePartition":

@@ -186,8 +186,8 @@ def _product_sq(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
     return f
 
 
-def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
-                  live: np.ndarray | None = None) -> np.ndarray:
+def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray
+                  ) -> np.ndarray:
     """Labels (D, R, n): entry [m, r] is bit for bit
     ``exact(a[m], centers[m, r]).argmin(axis=1)`` for each of D row
     matrices in ``a`` (D, n, w) and R center sets per matrix in ``centers``
@@ -200,8 +200,7 @@ def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
     argmin on every row when each row's two smallest entries in that set
     differ by more than ``_rounding_bound`` at the row's norm and the set's
     largest center norm. A set with a row that fails, or with a non-finite
-    F, runs ``exact`` alone; where the boolean (D, R) ``live`` is given,
-    only its true sets do, and the labels of the others are F's argmin.
+    F, runs ``exact`` alone.
     The bound is computed with floating-point warnings off, so every
     warning or error at extreme scales comes from the exact kernel.
     """
@@ -221,8 +220,6 @@ def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
             f.partition(1, axis=3)      # in place: the labels are taken
             gap = f[..., 1] - f[..., 0]
         settled = finite & (gap > tau).all(axis=1)
-    if live is not None:
-        settled |= ~live
     for m, r in zip(*np.nonzero(~settled)):
         labels[m, r] = exact(a[m], centers[m, r]).argmin(axis=1)
     return labels
@@ -290,7 +287,8 @@ def top_k_projection(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     and ``lift = Vᵀ``. With the left Gram MMᵀ = UΛUᵀ, ``coords = U √Λ`` and
     ``lift = Λ^-½ Uᵀ M``. ``coords`` are scaled back by the same power,
     exactly, and ``lift`` does not depend on it, so data near 1e±300 neither
-    overflows nor underflows in the Gram. A direction whose singular value
+    overflows nor underflows in the Gram; a coordinate beyond the float
+    range raises ``ValueError``. A direction whose singular value
     is at or below the rank tolerance (numpy's ``matrix_rank`` cutoff)
     carries no data: its coordinates and lift row are zero, so a
     rank-deficient ``m`` never divides by zero.
@@ -312,9 +310,15 @@ def top_k_projection(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"projection rank k={k} outside [1, {min(n, d)}]")
     if d <= n:
         basis = _top_eigenpairs(m.T @ m, k)[1]
-        return np.ldexp(m @ basis, exponent), basis.T
-    values, basis = _top_eigenpairs(m @ m.T, k)
-    sigma = np.sqrt(np.clip(values, 0.0, None))
-    sigma[sigma <= sigma[-1] * max(n, d) * np.finfo(float).eps] = 0.0
-    inverse = np.divide(1.0, sigma, out=np.zeros(k), where=sigma > 0.0)
-    return np.ldexp(basis * sigma, exponent), inverse[:, None] * (basis.T @ m)
+        coords, lift = m @ basis, basis.T
+    else:
+        values, basis = _top_eigenpairs(m @ m.T, k)
+        sigma = np.sqrt(np.clip(values, 0.0, None))
+        sigma[sigma <= sigma[-1] * max(n, d) * np.finfo(float).eps] = 0.0
+        inverse = np.divide(1.0, sigma, out=np.zeros(k), where=sigma > 0.0)
+        coords, lift = basis * sigma, inverse[:, None] * (basis.T @ m)
+    with np.errstate(over="ignore"):    # checked below
+        coords = np.ldexp(coords, exponent)
+    if not np.isfinite(coords).all():
+        raise ValueError("projected coordinates exceed the float range")
+    return coords, lift

@@ -3,8 +3,10 @@
 The pipeline run on each device is: project the local data onto its top-k
 singular subspace, seed k centers on the projected rows, keep only points
 that are at least three times closer to their nearest center than to every
-other center, average those sets, then run plain Lloyd iterations on the
-original (unprojected) rows until the centers stop moving.
+other center (``threshold_assign`` labels each row with its set, or with k
+where it lands in none), average those sets, then run plain Lloyd
+iterations on the original (unprojected) rows until the centers stop
+moving.
 
 Seeding and thresholding work on the rows' k-dimensional coordinates in an
 orthonormal basis of that subspace, not on the projected rows in d-space.
@@ -21,7 +23,7 @@ exact sampler's bit for bit. One Lloyd loop serves both the seeding
 restarts and the final solve: it takes a stack of starts, iterates them
 together (each stops at its own convergence step), and takes every
 step's means in one ``cluster_means`` call, which on these narrow rows
-is a single ``np.bincount``. Each step labels all its active starts from one
+is a single ``np.bincount``. Each step labels every start from one
 certified matrix product (``linalg._nearest_each``); a start with a row
 that the rounding bound cannot settle takes its labels from the exact
 ``_sq_distances`` instead, so every label and tie-break is that exact
@@ -195,10 +197,10 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     numbered from j*k: on one matrix, one call over as many copies of its
     rows (tiled once) as starts moved; on a stack, one call per restart
     index, over the matrices whose start moved (the stack itself when all
-    did), so that no copy outgrows the stack. Every step's labels come
-    from ``linalg._nearest_each``: one certified product per matrix
-    against the restarts active on any matrix, with ``_sq_distances`` for
-    an active start it cannot settle.
+    did), so that no copy outgrows the stack. Every step labels every
+    start from ``linalg._nearest_each``: one certified product per matrix
+    against all its starts, with ``_sq_distances`` for a start it cannot
+    settle. Only the active starts' labels are kept.
 
     A step whose shift is NaN (a cluster mean that overflowed to inf, so
     that no shift could ever drop below ``tol``) raises ``ValueError``.
@@ -219,13 +221,8 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
         if not active.size:
             break
         flat_iterations[active] = step
-        live = np.zeros((devices, runs), dtype=bool)
-        live.flat[active] = True
-        # the restarts active on any matrix, for every matrix
-        on = np.flatnonzero(live.any(axis=0))
-        live = live[:, on]
-        nearest = _nearest_each(data, centers[:, on], _sq_distances, data_sq,
-                                live)[live]
+        nearest = _nearest_each(data, centers, _sq_distances,
+                                data_sq).reshape(-1, n)[active]
         current = flat_centers[active]
         if step > 1 and 0.0 < tol:
             repeat = ((nearest == flat_labels[active]).all(axis=1)
@@ -461,19 +458,18 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     return best if stacked else best[0]
 
 
-def threshold_assign(projected, centers: np.ndarray) -> tuple[list, np.ndarray]:
+def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keep points decisively closest to one center; average what remains.
 
     Row i lands in set r when its distance to center r is at most a third
-    of its distance to every other center. The sets are pairwise disjoint;
-    a point near the midpoint of two centers lands in none. Empty sets
-    fall back to the input center so all k centers stay alive. Returns the
-    k sets of row indices and the (k, w) centers.
+    of its distance to every other center; a point near the midpoint of two
+    centers lands in none. Returns each row's set label, (n,) ints in
+    [0, k] where k means no set, and the (k, w) means of the sets. An empty
+    set keeps its input center, so all k centers stay alive.
 
     A 3-D ``projected`` (D, n, w) with centers (D, k, w) thresholds D
-    devices at once: it returns each device's list of sets and the
-    (D, k, w) centers, device by device bit for bit what the 2-D call
-    gives.
+    devices at once: it returns (D, n) labels and (D, k, w) centers, device
+    by device bit for bit what the 2-D call gives.
     """
     stacked = np.ndim(projected) == 3
     data = _stack(projected)
@@ -498,13 +494,12 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[list, np.ndarray]:
     d_near = dist[at]
     dist[at] = np.inf
     keep = 3.0 * d_near <= dist.min(axis=2)
-    kept = np.where(keep, nearest, k)       # k: in no set
-    sets = [[np.flatnonzero(row == r) for r in range(k)] for row in kept]
+    labels = np.where(keep, nearest, k)     # k: in no set
     owner = np.arange(devices)[:, None] * k
     means, sizes = cluster_means(data[keep], (nearest + owner)[keep], devices * k)
     theta = np.where(sizes[:, None] > 0, means,
                      centers.reshape(-1, width)).reshape(centers.shape)
-    return (sets, theta) if stacked else (sets[0], theta[0])
+    return (labels, theta) if stacked else (labels[0], theta[0])
 
 
 def local_cluster(data: np.ndarray, k, seed, tol: float = DEFAULT_TOL,
@@ -557,8 +552,8 @@ def _solve(rows_of, ks, seeds, tol: float) -> list[LocalResult]:
             coords[i] = None        # the stack holds them now
         seeded = approx_seed(stack, ks[members[0]], [seeds[i] for i in members],
                              tol=tol)
-        for i, sets, device_theta in zip(members, *threshold_assign(stack, seeded)):
-            unassigned[i] = stack.shape[1] - sum(s.size for s in sets)
+        for i, kept, device_theta in zip(members, *threshold_assign(stack, seeded)):
+            unassigned[i] = int(np.count_nonzero(kept == ks[i]))   # k: in no set
             theta[i] = device_theta
     results = []
     for i in range(count):

@@ -223,9 +223,9 @@ def dspace_local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TO
     else:
         projected = basis @ (basis.T @ data)
     seeded = approx_seed(projected, k, seed, tol=tol)
-    sets, theta = threshold_assign(projected, seeded)
+    labels, theta = threshold_assign(projected, seeded)
     clustering = lloyd_iterate(data, theta, tol, max_iter)
-    return clustering, n - sum(s.size for s in sets)
+    return clustering, int(np.count_nonzero(labels == k))
 
 
 def single_lloyd(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,

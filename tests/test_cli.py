@@ -27,6 +27,8 @@ def write_config(tmp_path, **overrides):
         "tol": 1e-7,
     }
     cfg.update(overrides)
+    if cfg["experiment"] == "separation_profile":
+        del cfg["tol"]      # that experiment reads no tol
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -809,6 +811,16 @@ CONFIG_DEFECTS = {
     "k_missing": ("mixture.d", 12, "mixture.k", {"mixture": {"per_cluster": 24}}),
     "version_wrong": ("version", 2, "version", {}),
     "section_not_object": ("partition", ["structured"], "partition", {}),
+    "Z_with_structured": ("partition.Z", 4, "partition.Z", {}),
+    "m0_with_iid": ("partition.m0", 2, "partition.m0",
+                    {"partition": {"mode": "iid", "Z": 4}}),
+    "group_size_with_iid": ("partition.group_size", 2, "partition.group_size",
+                            {"partition": {"mode": "iid", "Z": 4}}),
+    "z_iid_outside_cost_ratio": ("z_iid", 4, "z_iid", {}),
+    "tol_under_separation_profile": ("tol", 1e-6, "tol",
+                                     {"experiment": "separation_profile"}),
+    "cost_ratio_with_iid": ("partition", {"mode": "iid", "Z": 4}, "partition.mode",
+                            {"experiment": "cost_ratio"}),
 }
 
 
@@ -825,6 +837,18 @@ def test_malformed_config_exits_2_before_writing(tmp_path, capsys, defect):
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_unallocatable_instance_exits_3_in_one_line(tmp_path, capsys, command):
+    # 2e15 rows: numpy refuses the first allocation at once.
+    cfg_path, _ = write_config(tmp_path, partition={"mode": "iid", "Z": 2},
+                               mixture={"k": 2, "d": 2,
+                                        "per_cluster": 1000000000000000})
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_PIPELINE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("pipeline error: Unable to allocate")
 
 
 def test_config_grid_builds_or_exits_2(tmp_path):

@@ -70,17 +70,16 @@ def test_approx_seed_deterministic():
 def test_threshold_point_on_center_is_kept():
     data = np.array([[0.0, 0.0]])
     centers = np.array([[0.0, 0.0], [9.0, 0.0], [0.0, 9.0]])
-    sets, theta = threshold_assign(data, centers)
-    assert list(sets[0]) == [0]
-    assert all(s.size == 0 for s in sets[1:])
+    labels, theta = threshold_assign(data, centers)
+    assert labels.tolist() == [0]
     assert np.allclose(theta[0], [0.0, 0.0])
 
 
 def test_threshold_equidistant_point_unassigned():
     data = np.array([[0.5, 0.0]])
     centers = np.array([[0.0, 0.0], [1.0, 0.0]])
-    sets, theta = threshold_assign(data, centers)
-    assert all(s.size == 0 for s in sets)
+    labels, theta = threshold_assign(data, centers)
+    assert labels.tolist() == [2]   # k: in no set
     # fallback: empty sets keep the input centers
     assert np.allclose(theta, centers)
 
@@ -89,29 +88,50 @@ def test_threshold_matches_scalar_oracle():
     rng = np.random.default_rng(20)
     data = rng.normal(size=(20, 3))
     centers = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-    sets, _ = threshold_assign(data, centers)
-    member_of = {}
-    for r, members in enumerate(sets):
-        for i in members:
-            member_of[int(i)] = r
+    labels, _ = threshold_assign(data, centers)
     for i in range(20):
-        expected = None
+        expected = 2
         for r in range(2):
             d_r = np.linalg.norm(data[i] - centers[r])
             others = [np.linalg.norm(data[i] - centers[s]) for s in range(2) if s != r]
             if all(d_r <= d_s / 3.0 for d_s in others):
                 expected = r
-        assert member_of.get(i) == expected
+        assert labels[i] == expected
 
 
 def test_threshold_sets_disjoint_fuzz():
+    # Each row's label is the one set the three-times rule puts it in, or
+    # k where it puts the row in none.
     rng = np.random.default_rng(33)
     for _ in range(25):
         data = rng.normal(size=(30, 4))
         centers = rng.normal(size=(4, 4)) * 3.0
-        sets, _ = threshold_assign(data, centers)
-        flat = np.concatenate([s for s in sets]) if sets else np.empty(0)
-        assert np.unique(flat).size == flat.size
+        labels, _ = threshold_assign(data, centers)
+        assert labels.shape == (30,)
+        dist = np.linalg.norm(data[:, None] - centers[None], axis=2)
+        for row, label in zip(dist, labels):
+            decisive = [r for r in range(4)
+                        if all(3.0 * row[r] <= row[s] for s in range(4) if s != r)]
+            assert label == (decisive[0] if decisive else 4)
+
+
+def test_stacked_threshold_gives_each_device_its_own_labels():
+    rng = np.random.default_rng(34)
+    for case in range(12):
+        devices, n, k = 1 + case % 4, 5 + 7 * case, 2 + case % 3
+        stack = rng.normal(size=(devices, n, k))
+        centers = rng.normal(size=(devices, k, k)) * 3.0
+        # rows on the midpoint of two centers land in no set
+        stack[:, : n // 4] = (centers[:, :1] + centers[:, 1:2]) / 2.0
+        if case % 2:
+            stack = np.asfortranarray(stack)
+        labels, theta = threshold_assign(stack, centers)
+        assert labels.shape == (devices, n)
+        for m in range(devices):
+            alone, alone_theta = threshold_assign(stack[m], centers[m])
+            assert labels[m].tobytes() == alone.tobytes()
+            assert theta[m].tobytes() == alone_theta.tobytes()
+        assert (labels[:, : n // 4] == k).all()
 
 
 def test_threshold_duplicate_centers_error():
@@ -873,12 +893,12 @@ def test_stacked_local_cluster_matches_one_device_calls(monkeypatch):
     stacked_fallbacks = []
     nearest = local._nearest_each
 
-    def counting(a, centers, exact, a_sq, live=None):
+    def counting(a, centers, exact, a_sq):
         count = []
         labels = nearest(a, centers, lambda x, c: count.append(1) or exact(x, c),
-                         a_sq, live)
+                         a_sq)
         if a.shape[0] > 1:
-            stacked_fallbacks.append((len(count), int(live.sum())))
+            stacked_fallbacks.append((len(count), centers.shape[0] * centers.shape[1]))
         return labels
     monkeypatch.setattr(local, "_nearest_each", counting)
     # Collapsed restarts: 0 and 2 start with two equal far rows.
@@ -934,7 +954,7 @@ def test_stacked_local_cluster_matches_one_device_calls(monkeypatch):
             assert got.lloyd_iterations == ref.lloyd_iterations
             assert got.unassigned_after_threshold == ref.unassigned_after_threshold
             compared += 1
-    mixed = sum(0 < fell < live for fell, live in stacked_fallbacks)
+    mixed = sum(0 < fell < sets for fell, sets in stacked_fallbacks)
     assert compared >= 250 and raised >= 3 and mixed >= 20
 
 

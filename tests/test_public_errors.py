@@ -4,13 +4,14 @@ type and message."""
 import numpy as np
 import pytest
 
-from kfed import datagen, evaluation, federation, local, separation
+from kfed import datagen, evaluation, federation, linalg, local, separation
 from kfed.datagen import DevicePartition, MixtureSpec, PartitionSpec
 from kfed.local import Clustering
 from kfed.rng import Stream
 
 _ROWS = np.arange(12.0).reshape(4, 3) ** 2
 _NAN_ROWS = np.where(_ROWS == 25.0, np.nan, _ROWS)
+_HUGE = np.full((3, 4), 1.7e308)    # finite rows, coordinates beyond the float range
 
 
 def _truth() -> Clustering:
@@ -98,6 +99,18 @@ PUBLIC_ERRORS = {
         "3 devices need as many k and seeds, got 3 and 2"),
     "local_cluster_rows_below_k": (
         lambda: local.local_cluster(_ROWS, 5, 0), "insufficient distinct points"),
+    "top_k_projection_left_gram_coords_overflow": (
+        lambda: linalg.top_k_projection(_HUGE, 2),
+        "projected coordinates exceed the float range"),
+    "top_k_projection_right_gram_coords_overflow": (
+        lambda: linalg.top_k_projection(_HUGE.T, 2),
+        "projected coordinates exceed the float range"),
+    "local_cluster_coords_overflow_k1": (
+        lambda: local.local_cluster(_HUGE, 1, 0),
+        "projected coordinates exceed the float range"),
+    "local_cluster_coords_overflow_k4": (
+        lambda: local.local_cluster(_HUGE, 4, 0),
+        "projected coordinates exceed the float range"),
     "local_cluster_k_zero": (
         lambda: local.local_cluster(_ROWS, 0, 0), "k must be at least 1"),
     "threshold_assign_no_center": (
@@ -157,6 +170,24 @@ PUBLIC_ERRORS = {
         lambda: federation.run_kfed(
             DevicePartition(device_rows=[np.arange(4)]), _ROWS, 0),
         "partition needs k and per-device cluster counts"),
+    "validate_fractional_row_id": (
+        lambda: DevicePartition(device_rows=[np.array([0.5, 1]), np.arange(2, 4)]
+                                ).validate(4),
+        "device rows must disjointly cover all rows"),
+    "validate_bool_row_ids": (
+        lambda: DevicePartition(device_rows=[np.array([False, True]), np.arange(2, 4)]
+                                ).validate(4),
+        "device rows must disjointly cover all rows"),
+    "run_kfed_fractional_row_id": (
+        lambda: federation.run_kfed(
+            DevicePartition(device_rows=[np.array([0.5, 1]), np.arange(2, 4)],
+                            k=2, k_per_device=[1, 1]), _ROWS, 0),
+        "device rows must disjointly cover all rows"),
+    "run_kfed_bool_row_ids": (
+        lambda: federation.run_kfed(
+            DevicePartition(device_rows=[np.array([False, True]), np.arange(2, 4)],
+                            k=2, k_per_device=[1, 1]), _ROWS, 0),
+        "device rows must disjointly cover all rows"),
     "estimate_m0_no_rows": (
         lambda: datagen.estimate_m0(np.zeros((2, 3), dtype=int)),
         "partition holds no rows"),
@@ -266,6 +297,8 @@ BAD_COVERS = {
     "missing": [[0, 1], [3]],
     "negative": [[0, 1, 2], [-1]],
     "beyond_n": [[0, 1, 2], [4]],
+    "fractional_id": [[0.5, 1, 2], [3]],
+    "bool_mask": [[False, True], [2, 3]],
 }
 
 
