@@ -16,11 +16,13 @@ primitives against independent full-decomposition oracles.
 Every certified squared distance in the package is the product form
 F = ‖a‖² − 2·a·bᵀ + ‖b‖² of ``_product_sq``, one matrix product per row
 matrix, trusted only as far as ``_rounding_bound`` proves that an exact
-distance kernel would decide the same: the nearest-row labels here, and
-the farthest-point init and the k-means++ sampler. Nearest-row labels
-(``_nearest_each``, for several center sets on each of several row
-matrices at once) keep F's argmin only where that bound settles every
-row; a center set with a row the bound cannot settle runs the caller's
+distance kernel would decide the same: the nearest-row labels here, the
+threshold sets, the farthest-point init and the k-means++ sampler.
+``_settle`` proves each row's nearest center from F laid out (D, R·k, n),
+reducing along the k axis with the rows innermost, and both the
+nearest-row labels (``_nearest_each``, for several center sets on each
+of several row matrices at once) and ``local.threshold_assign`` build on
+it; a center set with a row the bound cannot settle runs the caller's
 exact kernel instead, so the labels, tie-breaks included, are the exact
 kernel's bit for bit.
 """
@@ -186,8 +188,39 @@ def _product_sq(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
     return f
 
 
-def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray
-                  ) -> np.ndarray:
+def _settle(f: np.ndarray, a_sq: np.ndarray, c_sq: np.ndarray, width: int):
+    """Which rows of F = ``_product_sq`` (D, R, k, n) have a nearest center
+    that an exact distance kernel (``_rounding_bound``) picks too, for R
+    sets of k centers, with squared norms ``c_sq`` (D, R, k), against the
+    n rows of each of D matrices, with squared norms ``a_sq`` (D, n).
+
+    Returns labels (D, R, n), settled (D, R), best = min F (D, R, n) and
+    τ (D, R, n), ``_rounding_bound`` at the row's norm and the set's
+    largest center norm; ``f`` is left holding fl(F − best). Each
+    reduction runs along the k axis with the rows innermost. An entry is
+    near where fl(F − best) <= τ, and a set is settled where τ is finite
+    and every row has exactly one near entry, its label. That is the
+    rule that the two smallest F of every row differ by more than τ:
+    the smallest is near (0 <= τ), and fl(F_j − best) is nondecreasing in
+    F_j, so every other entry clears τ exactly when the second smallest
+    does. A tie gives 0 <= τ, two near entries. τ is finite only where
+    2·(‖a‖ + ‖c‖)² is, and every |F| stays below that, so a set with a
+    non-finite F, a norm that overflows or a NaN never settles. A label
+    outside a settled set means nothing. Call it with floating-point
+    warnings off.
+    """
+    best = f.min(axis=2)
+    tau = _rounding_bound(np.sqrt(a_sq)[:, None, :],
+                          np.sqrt(c_sq.max(axis=2))[:, :, None], width)
+    f -= best[:, :, None]
+    near = f <= tau[:, :, None]
+    labels = np.einsum("drkn,k->drn", near, np.arange(f.shape[2]))
+    settled = ((near.sum(axis=2) == 1) & np.isfinite(tau)).all(axis=2)
+    return labels, settled, best, tau
+
+
+def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
+                  a_t: np.ndarray | None = None) -> np.ndarray:
     """Labels (D, R, n): entry [m, r] is bit for bit
     ``exact(a[m], centers[m, r]).argmin(axis=1)`` for each of D row
     matrices in ``a`` (D, n, w) and R center sets per matrix in ``centers``
@@ -195,31 +228,22 @@ def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray
 
     ``exact`` is a distance kernel as in ``_rounding_bound``; ``a_sq``
     (D, n) holds the rows' squared norms, summed in any order. One product
-    per matrix against all its R·k centers, (D, n, w) @ (D, w, R·k), gives
-    F = ‖a_i‖² − 2·a_i·c + ‖c‖² for every pair, and set [m, r] takes F's
-    argmin on every row when each row's two smallest entries in that set
-    differ by more than ``_rounding_bound`` at the row's norm and the set's
-    largest center norm. A set with a row that fails, or with a non-finite
-    F, runs ``exact`` alone.
+    per matrix, (D, R·k, w) @ (D, w, n), gives F for every pair, and a set
+    that ``_settle`` settles takes its labels from F; any other set runs
+    ``exact`` alone. ``a_t`` is ``a`` laid out (D, w, n) for that product,
+    by default a view; a caller that labels the same rows again passes a
+    C-ordered copy, with which BLAS takes the product about twice as fast.
     The bound is computed with floating-point warnings off, so every
     warning or error at extreme scales comes from the exact kernel.
     """
     devices, runs, k, width = centers.shape
-    n = a.shape[1]
     flat = centers.reshape(devices, runs * k, width)
+    rows = a if a_t is None else np.swapaxes(a_t, 1, 2)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         c_sq = np.einsum("mkd,mkd->mk", flat, flat)
-        f = _product_sq(a, flat, a_sq, c_sq).reshape(devices, n, runs, k)
-        labels = f.argmin(axis=3).transpose(0, 2, 1)
-        tau = _rounding_bound(
-            np.sqrt(a_sq)[:, :, None],
-            np.sqrt(c_sq.reshape(devices, runs, k).max(axis=2))[:, None, :], width)
-        finite = np.isfinite(f).all(axis=(1, 3))
-        gap = np.inf
-        if k > 1:
-            f.partition(1, axis=3)      # in place: the labels are taken
-            gap = f[..., 1] - f[..., 0]
-        settled = finite & (gap > tau).all(axis=1)
+        f = _product_sq(flat, rows, c_sq, a_sq).reshape(devices, runs, k, -1)
+        labels, settled, _, _ = _settle(f, a_sq, c_sq.reshape(devices, runs, k),
+                                        width)
     for m, r in zip(*np.nonzero(~settled)):
         labels[m, r] = exact(a[m], centers[m, r]).argmin(axis=1)
     return labels

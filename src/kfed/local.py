@@ -27,7 +27,9 @@ is a single ``np.bincount``. Each step labels every start from one
 certified matrix product (``linalg._nearest_each``); a start with a row
 that the rounding bound cannot settle takes its labels from the exact
 ``_sq_distances`` instead, so every label and tie-break is that exact
-kernel's.
+kernel's. The threshold is certified from one such product per device
+in the same way: a device with a row whose set the bound cannot prove
+runs the exact three-times rule on ``_sq_distances``.
 
 ``local_cluster`` also solves many devices in one call. Each device
 projects alone. Then each group of devices with equal (rows, projection
@@ -36,10 +38,10 @@ of restart, and the threshold once, over a stack with a leading device
 axis: on coordinates a few columns wide numpy's per-call overhead, not
 arithmetic, sets the cost of those stages. Last, each device runs its
 raw-row Lloyd alone. Every output is bit for bit the one-device call's:
-each row's squares add in the order they would alone, the threshold
-takes each device's distances from its own (n, k, w) block, one device
-at a time (never a (D, n, k, w) block), and each restart's cost is its
-own sum.
+each row's squares add in the order they would alone, the threshold's
+exact fallback takes each device's distances from its own (n, k, w)
+block, one device at a time (never a (D, n, k, w) block), and each
+restart's cost is its own sum.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (_TINY, _gamma, _nearest_each, _product_sq,
-                     _rounding_bound, top_k_projection, validate_matrix)
+                     _rounding_bound, _settle, top_k_projection,
+                     validate_matrix)
 from .rng import Stream
 
 DEFAULT_TOL = 1e-7
@@ -140,9 +143,9 @@ def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     and ``einsum("nd,nd->n")`` adds the same products in the same order as
     the block would, without ever holding the block. Lloyd, on the seeding
     coordinates and on the raw rows alike, calls it only as
-    ``linalg._nearest_each``'s exact fallback for one start: its labels
-    come from a certified matrix product wherever a rounding bound settles
-    them.
+    ``linalg._nearest_each``'s exact fallback for one start, and the
+    threshold only for a device it cannot certify: their labels come from
+    a certified matrix product wherever a rounding bound settles them.
     """
     n, width = data.shape
     k = centers.shape[0]
@@ -209,6 +212,7 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     devices, runs, k, width = centers.shape
     n = data.shape[1]
     data_sq = np.einsum("mnd,mnd->mn", data, data)
+    data_t = np.ascontiguousarray(np.swapaxes(data, 1, 2))     # for the products
     # one matrix's rows, once per restart (the rows themselves for one)
     tiled = np.tile(data[0], (runs, 1)) if devices == 1 < runs else data[0]
     labels = np.zeros((devices, runs, n), dtype=int)
@@ -221,8 +225,8 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
         if not active.size:
             break
         flat_iterations[active] = step
-        nearest = _nearest_each(data, centers, _sq_distances,
-                                data_sq).reshape(-1, n)[active]
+        nearest = _nearest_each(data, centers, _sq_distances, data_sq,
+                                data_t).reshape(-1, n)[active]
         current = flat_centers[active]
         if step > 1 and 0.0 < tol:
             repeat = ((nearest == flat_labels[active]).all(axis=1)
@@ -470,11 +474,31 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     A 3-D ``projected`` (D, n, w) with centers (D, k, w) thresholds D
     devices at once: it returns (D, n) labels and (D, k, w) centers, device
     by device bit for bit what the 2-D call gives.
+
+    Labels and means are the exact rule's bit for bit: a row is kept where
+    fl(3·fl(√K₁)) <= fl(√K₂), K₁ and K₂ its ``_sq_distances`` to the
+    nearest center and to the nearest other one. Each device takes F
+    (k, n) from one product, and ``linalg._settle`` proves each row's
+    nearest center, with F₁ its F, e = τ and g = fl(F₂ − F₁), F₂ the
+    smallest other F. Both sides of the rule are nondecreasing in K, so
+    fl(3·fl(√h₁)) <= fl(√l₂) proves a keep and fl(3·fl(√l₁)) > fl(√h₂) a
+    drop, with l₁ = fl(F₁ − e), h₁ = fl(F₁ + e), l₂ = fl(l₁ + g) and
+    h₂ = fl(h₁ + g); a negative bound gives NaN and proves nothing. They
+    bracket K₁ and K₂: each K lies within 2·γ_{w+4}·R of its F
+    (``_rounding_bound``, R at the largest center norm), e exceeds that by
+    3·γ_{w+4}·R >= 15·2⁻⁵³·R, and the three roundings in l₂ and h₂ move
+    them by under 4.5·2⁻⁵³·R (a sum that underflows is exact). Where fl(√)
+    ties the nearest center with another, the exact rule drops the row
+    under either. A device with a row not proven runs the exact rule
+    (``_exact_sets``), one (n, k, w) block at a time, never a (D, n, k, w)
+    block; squared distances that overflow or underflow there, so that the
+    rule has no answer, raise ``ValueError``. A proven device has a finite
+    τ and K₂ > 0, so it never hides one.
     """
     stacked = np.ndim(projected) == 3
     data = _stack(projected)
     centers = np.asarray(centers, dtype=float)
-    devices, n, width = data.shape
+    devices, _, width = data.shape
     shape = centers.shape
     if not stacked:
         centers = centers[None]
@@ -482,24 +506,52 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
             or not centers.shape[1]):
         raise ValueError(f"centers of shape {shape} do not fit rows of shape "
                          f"{np.shape(projected)}")
+    if not np.isfinite(centers).all():
+        raise ValueError("centers contain non-finite values")
     k = centers.shape[1]
     if _has_equal_rows(centers).any():
         raise ValueError("centers must be distinct")
-    dist = np.empty((devices, n, k))
-    for m in range(devices):        # one (n, k, w) block at a time
-        dist[m] = _sq_distances(data[m], centers[m])
-    np.sqrt(dist, out=dist)
-    nearest = dist.argmin(axis=2)
-    at = (np.arange(devices)[:, None], np.arange(n), nearest)
-    d_near = dist[at]
-    dist[at] = np.inf
-    keep = 3.0 * d_near <= dist.min(axis=2)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        c_sq = np.einsum("mkd,mkd->mk", centers, centers)
+        a_sq = np.einsum("mnd,mnd->mn", data, data)
+        f = _product_sq(centers, data, c_sq, a_sq)[:, None]
+        nearest, settled, near_sq, e = (part[:, 0] for part in
+                                        _settle(f, a_sq, c_sq[:, None], width))
+        gap = np.where(f[:, 0] > e[:, None], f[:, 0], np.inf).min(axis=1)
+        low, high = near_sq - e, near_sq + e
+        keep = 3.0 * np.sqrt(high) <= np.sqrt(low + gap)
+        drop = 3.0 * np.sqrt(low) > np.sqrt(high + gap)
+        proven = settled & (keep | drop).all(axis=1)
     labels = np.where(keep, nearest, k)     # k: in no set
+    for m in np.flatnonzero(~proven):
+        labels[m] = _exact_sets(data[m], centers[m])
+    kept = labels < k
     owner = np.arange(devices)[:, None] * k
-    means, sizes = cluster_means(data[keep], (nearest + owner)[keep], devices * k)
+    means, sizes = cluster_means(data[kept], (labels + owner)[kept], devices * k)
     theta = np.where(sizes[:, None] > 0, means,
                      centers.reshape(-1, width)).reshape(centers.shape)
     return (labels, theta) if stacked else (labels[0], theta[0])
+
+
+def _exact_sets(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``threshold_assign``'s set labels (n,) of one device by its exact
+    rule on ``_sq_distances``.
+
+    With two or more centers, a row whose distance to the nearest other
+    center overflows, or underflows to 0 (distinct centers cannot both be
+    at distance 0), has no exact rule to follow and raises ``ValueError``.
+    """
+    dist = _sq_distances(rows, centers)
+    np.sqrt(dist, out=dist)
+    nearest = dist.argmin(axis=1)
+    at = (np.arange(rows.shape[0]), nearest)
+    d_near = dist[at]
+    dist[at] = np.inf
+    others = dist.min(axis=1)
+    k = centers.shape[0]
+    if k > 1 and not (np.isfinite(others) & (others > 0.0)).all():
+        raise ValueError("squared distances to the centers leave the float range")
+    return np.where(3.0 * d_near <= others, nearest, k)
 
 
 def local_cluster(data: np.ndarray, k, seed, tol: float = DEFAULT_TOL,

@@ -20,7 +20,13 @@ that its bounds and norms are the package's to the bit; it differs only
 in taking the exact norm on every device. The full-eigh projection is
 the package's projection as it was before the certified block iteration
 and the power-of-two scaling: the certified path must match it to working
-precision, and the full-eigh fallback bit for bit.
+precision, and the full-eigh fallback bit for bit. The partition-based
+nearest labels are the package's certified kernel as it was with F laid
+out (D, n, R·k), argmin and partition along the k entries: the kernel
+that reduces along the k axis must decide alike, falling back on the
+same center sets. The exact threshold is the package's threshold as it
+was, on ``_sq_distances`` alone: the certified threshold must match it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 
 import numpy as np
 
-from kfed import local, separation
+from kfed import linalg, local, separation
 from kfed.local import (DEFAULT_MAX_ITER, DEFAULT_TOL, Clustering, approx_seed,
                         cluster_means, lloyd_iterate, threshold_assign)
 from kfed.rng import Stream
@@ -353,3 +359,54 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
                 "lhs": lhs, "rhs": rhs,
             })
     return audit
+
+
+def partition_nearest_each(a: np.ndarray, centers: np.ndarray, exact,
+                           a_sq: np.ndarray) -> np.ndarray:
+    """Nearest-center labels (D, R, n) from one (D, n, R·k) product: each
+    set takes F's argmin where its two smallest entries (``partition``)
+    differ by more than the rounding bound on every row and F is finite;
+    any other set runs ``exact``."""
+    devices, runs, k, width = centers.shape
+    n = a.shape[1]
+    flat = centers.reshape(devices, runs * k, width)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        c_sq = np.einsum("mkd,mkd->mk", flat, flat)
+        f = linalg._product_sq(a, flat, a_sq, c_sq).reshape(devices, n, runs, k)
+        labels = f.argmin(axis=3).transpose(0, 2, 1)
+        tau = linalg._rounding_bound(
+            np.sqrt(a_sq)[:, :, None],
+            np.sqrt(c_sq.reshape(devices, runs, k).max(axis=2))[:, None, :], width)
+        finite = np.isfinite(f).all(axis=(1, 3))
+        gap = np.inf
+        if k > 1:
+            f.partition(1, axis=3)
+            gap = f[..., 1] - f[..., 0]
+        settled = finite & (gap > tau).all(axis=1)
+    for m, r in zip(*np.nonzero(~settled)):
+        labels[m, r] = exact(a[m], centers[m, r]).argmin(axis=1)
+    return labels
+
+
+def exact_threshold(data: np.ndarray, centers: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Set labels (D, n) and set means (D, k, w) of a stack ``data``
+    (D, n, w) against distinct ``centers`` (D, k, w) by the three-times
+    rule on ``_sq_distances``, one device at a time."""
+    devices, n, width = data.shape
+    k = centers.shape[1]
+    dist = np.empty((devices, n, k))
+    for m in range(devices):
+        dist[m] = local._sq_distances(data[m], centers[m])
+    np.sqrt(dist, out=dist)
+    nearest = dist.argmin(axis=2)
+    at = (np.arange(devices)[:, None], np.arange(n), nearest)
+    d_near = dist[at]
+    dist[at] = np.inf
+    keep = 3.0 * d_near <= dist.min(axis=2)
+    labels = np.where(keep, nearest, k)
+    owner = np.arange(devices)[:, None] * k
+    means, sizes = cluster_means(data[keep], (nearest + owner)[keep], devices * k)
+    theta = np.where(sizes[:, None] > 0, means,
+                     centers.reshape(-1, width)).reshape(centers.shape)
+    return labels, theta

@@ -9,7 +9,8 @@ from kfed.linalg import (_finite_scaled, operator_norm, pairwise_distances,
                          top_k_projection, validate_matrix)
 from kfed.rng import Stream
 from helpers import planted_instance, projection
-from oracles import eigh_projection, jacobi_spectral_norm, svd_truncation
+from oracles import (eigh_projection, jacobi_spectral_norm, partition_nearest_each,
+                     svd_truncation)
 
 
 def _with_spectrum(rng, n, d, values):
@@ -467,6 +468,85 @@ def test_nearest_matches_exact_argmin():
                     np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
                 assert (got == kernel(rows, centers).argmin(axis=1)).all()
             assert calls == [rows.shape]
+
+
+def _set_spy(kernel, centers, calls):
+    """``kernel``, recording in ``calls`` the (matrix, set) index of each
+    center set it is called on: ``centers`` is C-ordered (D, R, k, w), and
+    each call gets a view of one of its sets."""
+    origin = centers.__array_interface__["data"][0]
+
+    def exact(a, b):
+        offset = b.__array_interface__["data"][0] - origin
+        calls.append(divmod(offset // b.nbytes, centers.shape[1]))
+        return kernel(a, b)
+    return exact
+
+
+def _nearest_stack(rng, devices, runs, k, case):
+    """Rows (D, n, w) and centers (D, R, k, w) with planted exact ties,
+    midpoints nudged by ±1e-12, duplicate centers and Fortran rows."""
+    width, n = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+    if case % 3 == 0:                       # integer grid: exact ties
+        centers = rng.integers(-3, 4, size=(devices, runs, k, width)).astype(float)
+    else:
+        centers = rng.normal(size=(devices, runs, k, width))
+    if k > 1 and case % 4 == 1:             # duplicate centers
+        centers[:, :, -1] = centers[:, :, 0]
+    rows = rng.normal(size=(devices, n, width)) * 2.0
+    if k > 1 and case % 5 < 3:              # midpoints of set 0, exact or nudged
+        pair = rng.integers(0, k, size=(devices, n, 2))
+        first = np.take_along_axis(centers[:, 0], pair[..., :1], axis=1)
+        second = np.take_along_axis(centers[:, 0], pair[..., 1:], axis=1)
+        nudge = [0.0, 1e-12, -1e-12][case % 5]
+        planted = rng.random((devices, n, 1)) < 0.5
+        rows = np.where(planted, (first + second) / 2.0 + nudge * (first - second),
+                        rows)
+    if case % 2:
+        rows = np.stack([np.asfortranarray(m) for m in rows])
+    return rows, centers
+
+
+def test_nearest_decides_as_the_partition_kernel():
+    # The kernel that reduces along the k axis keeps the labels of the
+    # partition-based kernel and falls back on the same (matrix, set)
+    # pairs, on stacks, planted ties and scales that over- and underflow.
+    rng = np.random.default_rng(77)
+    paths = {"certified": 0, "mixed": 0, "fallback": 0}
+    for case in range(240):
+        scale = [1.0, 1e150, 1e-150, 2.0 ** 600, 2.0 ** -600][case % 5]
+        devices, runs = [1, 3, 40][case // 5 % 3], [1, 5][case // 15 % 2]
+        k = 1 if case // 30 % 3 == 0 else int(rng.integers(2, 17))
+        rows, centers = _nearest_stack(rng, devices, runs, k, case)
+        rows, centers = rows * scale, np.ascontiguousarray(centers * scale)
+        a_sq = np.einsum("mnd,mnd->mn", rows, rows)
+        # the rows laid out for the product: a view, or a C-ordered copy
+        a_t = np.ascontiguousarray(np.swapaxes(rows, 1, 2)) if case // 2 % 2 else None
+        for kernel in (local._sq_distances, pairwise_distances):
+            got_calls, want_calls = [], []
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = linalg._nearest_each(rows, centers,
+                                           _set_spy(kernel, centers, got_calls), a_sq,
+                                           a_t)
+                want = partition_nearest_each(rows, centers,
+                                              _set_spy(kernel, centers, want_calls),
+                                              a_sq)
+            assert got.tobytes() == want.tobytes()
+            assert got_calls == want_calls
+            fell = len(got_calls)
+            paths["certified" if not fell else
+                  "fallback" if fell == devices * runs else "mixed"] += 1
+    assert min(paths.values()) >= 40
+    # Norms near 2^511: the bound overflows while F does not, and a lone
+    # center still falls back.
+    rows = (1.0 + rng.normal(size=(2, 30, 3)) * 1e-3) * 2.0 ** 510
+    centers = np.ascontiguousarray(rows[:, None, :1])
+    a_sq = np.einsum("mnd,mnd->mn", rows, rows)
+    calls = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = linalg._nearest_each(rows, centers,
+                                   _set_spy(local._sq_distances, centers, calls), a_sq)
+    assert calls == [(0, 0), (1, 0)] and not got.any()
 
 
 def test_start_block_is_cached_and_read_only():

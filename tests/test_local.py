@@ -141,6 +141,91 @@ def test_threshold_duplicate_centers_error():
         threshold_assign(data, centers)
 
 
+def _threshold_stack(rng, devices, k):
+    """Rows (D, n, w) near distinct centers (D, k, w), on an integer grid
+    or not; in about half the devices a third of the rows sit at distance
+    ratio 3 from a center and its nearest other center (exactly, or
+    nudged by ±1e-12 or ±1e-13 relative) or on their midpoint."""
+    width, n = int(rng.integers(1, 9)), int(rng.integers(6, 60))
+    grid = rng.random() < 0.5
+    centers = np.empty((devices, k, width))
+    for m in range(devices):
+        while True:                         # draw until the rows are distinct
+            centers[m] = (4.0 * rng.integers(-4, 5, size=(k, width)) if grid
+                          else rng.normal(size=(k, width)) * 3.0)
+            if not local._has_equal_rows(centers[m]):
+                break
+    owner = rng.integers(0, k, size=(devices, n))
+    first = np.take_along_axis(centers, owner[..., None], axis=1)
+    rows = first + rng.normal(size=first.shape) * rng.choice([0.1, 1.0, 5.0])
+    if k > 1:
+        gaps = np.linalg.norm(centers[:, :, None] - centers[:, None], axis=3)
+        gaps[:, np.arange(k), np.arange(k)] = np.inf
+        other = np.take_along_axis(gaps.argmin(axis=2), owner, axis=1)
+        second = np.take_along_axis(centers, other[..., None], axis=1)
+        at = 0.25 * (1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-13, -1e-13, 1.0]))
+        planted = ((rng.random((devices, 1, 1)) < 0.5)
+                   & (rng.random((devices, n, 1)) < 1 / 3))
+        rows = np.where(planted, first + (second - first) * at, rows)
+    return rows, centers
+
+
+def test_certified_threshold_matches_the_exact_threshold(monkeypatch):
+    # Labels and set means are the exact rule's bit for bit: planted rows at
+    # distance ratio 3 (exact, nudged), midpoints, stacks of 1 and 40, and
+    # scales whose squares over- or underflow, where the exact rule raises.
+    rng = np.random.default_rng(78)
+    exact_calls = []
+    exact = local._sq_distances
+    monkeypatch.setattr(local, "_sq_distances",
+                        lambda a, b: exact_calls.append(1) or exact(a, b))
+    certified = fell = raised = 0
+    for case in range(180):
+        scale = [1.0, 1e150, 1e-150, 2.0 ** 600, 2.0 ** -600][case % 5]
+        devices, k = [1, 40][case // 5 % 2], [1, 2, 8][case // 10 % 3]
+        rows, centers = _threshold_stack(rng, devices, k)
+        rows, centers = rows * scale, centers * scale
+        if case % 4 == 3:
+            rows = np.asfortranarray(rows)
+        exact_calls.clear()
+        if k > 1 and scale in (2.0 ** 600, 2.0 ** -600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^squared distances to the "
+                                   "centers leave the float range$"):
+                    threshold_assign(rows, centers)
+            raised += 1
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, theta = threshold_assign(rows, centers)
+        fell += len(exact_calls)
+        certified += devices - len(exact_calls)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_labels, want_theta = oracles.exact_threshold(rows, centers)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert theta.tobytes() == want_theta.tobytes()
+    assert certified >= 1500 and fell >= 400 and raised >= 40
+
+
+def test_threshold_at_extreme_scale_raises():
+    # Rows near 0 sit about as far from both centers, so no row is in a
+    # set; where the squared distances overflow or underflow that cannot be
+    # told, and the threshold says so instead of putting every row in set 0.
+    rows = np.random.default_rng(79).normal(size=(6, 2)) * 1e-3
+    for scale in (1e200, 2.0 ** 600, 2.0 ** -600):
+        centers = np.array([[1.0, 0.0], [-1.0, 1.0]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data, center_stack in [(rows * scale, centers),
+                                       (np.stack([rows] * 3) * scale,
+                                        np.stack([centers] * 3))]:
+                with pytest.raises(ValueError, match="^squared distances to the "
+                                   "centers leave the float range$"):
+                    threshold_assign(data, center_stack)
+    assert (threshold_assign(rows, np.array([[1.0, 0.0], [-1.0, 1.0]]))[0] == 2).all()
+
+
 # ---------------------------------------------------------------------------
 # lloyd_iterate
 
@@ -893,10 +978,10 @@ def test_stacked_local_cluster_matches_one_device_calls(monkeypatch):
     stacked_fallbacks = []
     nearest = local._nearest_each
 
-    def counting(a, centers, exact, a_sq):
+    def counting(a, centers, exact, a_sq, a_t=None):
         count = []
         labels = nearest(a, centers, lambda x, c: count.append(1) or exact(x, c),
-                         a_sq)
+                         a_sq, a_t)
         if a.shape[0] > 1:
             stacked_fallbacks.append((len(count), centers.shape[0] * centers.shape[1]))
         return labels
@@ -977,6 +1062,22 @@ def test_stacked_failure_raises_the_first_failing_devices_error():
             run_kfed(partition, data, seed=0)
     assert type(err.value) is ValueError
     assert str(err.value) == "insufficient distinct points"
+
+
+def test_acceptance_shape_runs_no_exact_kernel(monkeypatch):
+    # On an acceptance-02 instance (d = 300, k = 64, 40 devices of 160 rows)
+    # every label of the seeding and raw-row Lloyd, every threshold set and
+    # every k-means++ pick is certified: a lost certificate fails here
+    # instead of showing only as lost time.
+    exact_calls = []
+    for name in ("_sq_distances", "_exact_dsq"):
+        kernel = getattr(local, name)
+        monkeypatch.setattr(local, name, lambda *args, kernel=kernel, name=name:
+                            exact_calls.append(name) or kernel(*args))
+    _, data, _, partition = planted_instance(0, k=64, d=300, per_cluster=100,
+                                             m0=5, group_size=8)
+    run_kfed(partition, data, seed=0)
+    assert len(partition.device_rows) == 40 and exact_calls == []
 
 
 def test_stacked_stages_hold_no_per_center_block():

@@ -116,6 +116,20 @@ PUBLIC_ERRORS = {
     "threshold_assign_no_center": (
         lambda: local.threshold_assign(_ROWS, np.empty((0, 3))),
         "centers of shape (0, 3) do not fit rows of shape (4, 3)"),
+    "threshold_assign_nan_center": (
+        lambda: local.threshold_assign(_ROWS, np.array([[0.0, 0, 0], [np.nan, 1, 1]])),
+        "centers contain non-finite values"),
+    "threshold_assign_inf_center": (
+        lambda: local.threshold_assign(_ROWS, np.array([[0.0, 0, 0], [np.inf, 1, 1]])),
+        "centers contain non-finite values"),
+    "threshold_assign_distances_overflow": (
+        lambda: local.threshold_assign(np.zeros((3, 2)),
+                                       np.array([[1e200, 0.0], [-1e200, 1.0]])),
+        "squared distances to the centers leave the float range"),
+    "threshold_assign_distances_underflow": (
+        lambda: local.threshold_assign(np.zeros((3, 2)),
+                                       np.array([[1e-200, 0.0], [-1e-200, 0.0]])),
+        "squared distances to the centers leave the float range"),
     "from_labels_fewer_labels_than_rows": (
         lambda: Clustering.from_labels(_ROWS, np.array([0, 1, 1]), 2),
         "labels of shape (3,) do not fit rows of shape (4, 3)"),
