@@ -494,7 +494,12 @@ def _check_exclusions(cfg: dict, excluded: tuple[int, ...]) -> None:
 
 
 def _out_dir(path) -> Path:
+    """``path`` as an output directory, made if missing; one that already
+    holds anything is refused, so that no run overwrites or mixes in
+    another's outputs."""
     path = Path(path)
+    if path.is_dir() and any(path.iterdir()):
+        raise ConfigError(f"output directory {path} is not empty")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -527,8 +532,8 @@ def cmd_run(args) -> int:
     seeds = _seeds_from(cfg, args)
     if args.record and len(seeds) * len(c_values) > 1:
         raise ConfigError("--record keeps one log, but this config runs several")
-    if args.record and Path(args.record).is_dir():
-        raise ConfigError(f"--record {args.record} is a directory, not a log file")
+    if args.record and Path(args.record).exists():
+        raise ConfigError(f"--record {args.record} already exists")
     if args.exclude_devices:
         _check_exclusions(cfg, args.exclude_devices)
     cfg.update(out=_out_dir(args.out or cfg["out"]),
@@ -594,12 +599,12 @@ def cmd_join(args) -> int:
     if args.k_z > data.shape[0]:
         raise ConfigError(f"{args.data}: --k-z {args.k_z} exceeds its "
                           f"{data.shape[0]} rows")
+    out = _out_dir(args.out or "join")
     result = local_cluster(data, args.k_z, (args.seed, args.device_id), tol=args.tol)
     accounting = federation.OpsAccounting()
     labels_per_center = federation.assign_new_device(means, result.centers,
                                                      accounting=accounting)
     row_labels = labels_per_center[result.clusters.assignment]
-    out = _out_dir(args.out or "join")
     np.savetxt(out / "join_labels.csv", row_labels, fmt="%d")
     write_results(out, [{
         "run_id": f"join-d{args.device_id}-s{args.seed}",

@@ -9,8 +9,9 @@ without contacting anyone else.
 
 Every distance the aggregator uses comes from a matrix product, kept
 only where the rounding bound of ``linalg._rounding_bound`` proves that
-the exact per-seed kernel, ``linalg.pairwise_distances``, gives the same
-decision, tie-breaks included; otherwise that kernel runs. Farthest-point
+the one exact kernel, ``linalg._exact_sq``, gives the same decision,
+tie-breaks included; otherwise that kernel runs, and a squared distance
+it finds beyond the float range raises ``ValueError``. Farthest-point
 seeding takes one product per step (``_certified_max_min``) and falls
 back to the exact seeding as a whole (``_exact_max_min``). Nearest-seed
 and nearest-group-mean labels (``one_round_lloyd``, ``assign_new_device``)
@@ -38,9 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .datagen import DevicePartition
-from .linalg import (_nearest_each, _product_sq, _rounding_bound,
-                     pairwise_distances, validate_matrix)
+from .linalg import _nearest_each, _product_sq, _rounding_bound, validate_matrix
 from .local import DEFAULT_TOL, LocalResult, _check_k, cluster_means, local_cluster
 
 WIRE_SCHEMA_VERSION = 1
@@ -171,28 +172,50 @@ def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[i
     return stacked, provenance
 
 
+def _checked_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``linalg._exact_sq(a, b)``; raise where a squared distance leaves the
+    float range, since no comparison of it would mean anything."""
+    dist = linalg._exact_sq(a, b)
+    if not np.isfinite(dist).all():
+        raise ValueError("squared distances between uploaded centers leave "
+                         "the float range")
+    return dist
+
+
 def _nearest_point(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Index of each row's nearest point, ties to the lowest index: bit for
-    bit ``pairwise_distances(rows, points).argmin(axis=1)``, from
-    ``linalg._nearest_each``'s certified product where it settles every row."""
+    bit ``linalg._exact_sq(rows, points).argmin(axis=1)``, from
+    ``linalg._nearest_each``'s certified product where it settles every row.
+
+    Where the rounding bound at the largest norms is finite no exact square
+    can overflow. Where it is not, the bound settles no row of the largest
+    norm, so the exact kernel runs on every row here, through
+    ``_checked_sq``.
+    """
     rows, points = np.asarray(rows, dtype=float), np.asarray(points, dtype=float)
-    return _nearest_each(rows[None], points[None, None], pairwise_distances,
-                         np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
+    rows_sq = np.einsum("nd,nd->n", rows, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = _rounding_bound(np.sqrt(rows_sq.max()),
+                                np.sqrt(np.einsum("kd,kd->k", points, points).max()),
+                                rows.shape[1])
+    if not np.isfinite(reach):
+        return _checked_sq(rows, points).argmin(axis=1)
+    return _nearest_each(rows[None], points[None, None], rows_sq[None])[0, 0]
 
 
 def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int) -> list[int]:
     """Gonzalez's max-min picks after ``chosen`` until there are k, from
-    ``pairwise_distances``.
+    ``linalg._exact_sq`` through ``_checked_sq``.
 
-    Each open upload keeps its distance to the nearest chosen center,
-    refreshed only against the newest choice, and the first maximum (the
-    lowest (device_id, index)) is picked.
+    Each open upload keeps its squared distance to the nearest chosen
+    center, refreshed only against the newest choice, and the first maximum
+    (the lowest (device_id, index)) is picked.
     """
     candidates = np.delete(np.arange(stacked.shape[0]), chosen)
     nearest = np.full(candidates.size, np.inf)
     picks, new = [], list(chosen)
     while len(chosen) + len(picks) < k:
-        dist = pairwise_distances(stacked[candidates], stacked[new])
+        dist = _checked_sq(stacked[candidates], stacked[new])
         nearest = np.minimum(nearest, dist.min(axis=1))
         pick = int(nearest.argmax())
         new = [int(candidates[pick])]
@@ -211,10 +234,10 @@ def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
     distances of every upload to the newest choices, with the error bound
     e of ``linalg._rounding_bound``. Each open upload i keeps m_i = min F
     and E_i = max e over the chosen centers, so its exact squared distance
-    to the chosen set lies in [m_i − E_i, m_i + E_i], and the root is
-    monotone. F's max-min pick t is then the exact one when
-    m_t − E_t > m_i + E_i for every other open i. A step where that fails
-    (an exact tie always does), or where F is not finite, gives None.
+    to the chosen set lies in [m_i − E_i, m_i + E_i]. F's max-min pick t is
+    then the exact one when m_t − E_t > m_i + E_i for every other open i.
+    A step where that fails (an exact tie always does), or where F is not
+    finite, gives None.
     Chosen uploads hold m = −inf, so they are never picked or compared.
     The bound is float64's, so uploads of any other dtype give None.
     """
@@ -254,9 +277,11 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int, *,
     from the chosen set. Ties go to the lexicographically smallest
     (device_id, local index). The picks come from one certified product
     per step where its rounding bound settles every step of float64
-    uploads (``_certified_max_min``), and from exact distances otherwise. The distance count depends only on the
-    shapes: each step measures every open upload against the newest
-    seeds, all start centers at the first step and one seed after it.
+    uploads (``_certified_max_min``), and from exact squared distances
+    otherwise (``_exact_max_min``), where one beyond the float range raises
+    ``ValueError``. The distance count depends only on the shapes: each
+    step measures every open upload against the newest seeds, all start
+    centers at the first step and one seed after it.
     """
     _check_k(k)
     if not all_centers or sum(dc.k_z for dc in all_centers) < k:
@@ -287,7 +312,7 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
     cluster's center was assigned to.
     """
     stacked, provenance = _flatten(all_centers)
-    if np.ndim(init.points) != 2 or init.points.shape[1] != stacked.shape[1]:
+    if np.shape(init.points)[1:] != stacked.shape[1:] or not len(init.points):
         raise ValueError(f"init points of shape {np.shape(init.points)} do not "
                          f"fit uploads of width {stacked.shape[1]}")
     k = init.points.shape[0]

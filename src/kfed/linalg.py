@@ -1,5 +1,5 @@
-"""Dense matrix primitives: spectral norm, truncated projection,
-row-to-row Euclidean distances and certified nearest-row labels.
+"""Dense matrix primitives: spectral norm, truncated projection, the one
+exact squared-distance kernel and certified nearest-row labels.
 
 Spectral quantities come from the smaller Gram matrix of the input, formed
 after scaling the input by the power of two that brings its largest entry
@@ -15,16 +15,17 @@ primitives against independent full-decomposition oracles.
 
 Every certified squared distance in the package is the product form
 F = ‖a‖² − 2·a·bᵀ + ‖b‖² of ``_product_sq``, one matrix product per row
-matrix, trusted only as far as ``_rounding_bound`` proves that an exact
-distance kernel would decide the same: the nearest-row labels here, the
-threshold sets, the farthest-point init and the k-means++ sampler.
+matrix, trusted only as far as ``_rounding_bound`` proves that the one
+exact kernel, ``_exact_sq`` (scipy's ``cdist(a, b, "sqeuclidean")``),
+would decide the same: the nearest-row labels here, the threshold sets,
+the farthest-point init and the k-means++ sampler.
 ``_settle`` proves each row's nearest center from F laid out (D, R·k, n),
 reducing along the k axis with the rows innermost, and both the
 nearest-row labels (``_nearest_each``, for several center sets on each
 of several row matrices at once) and ``local.threshold_assign`` build on
-it; a center set with a row the bound cannot settle runs the caller's
-exact kernel instead, so the labels, tie-breaks included, are the exact
-kernel's bit for bit.
+it; a center set with a row the bound cannot settle runs ``_exact_sq``
+instead, so the labels, tie-breaks included, are that kernel's bit for
+bit.
 """
 
 from __future__ import annotations
@@ -107,47 +108,35 @@ def operator_norm(m: np.ndarray) -> float:
         return float(np.ldexp(math.sqrt(top), exponent))
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` and ``b``: (len(a), len(b)).
-
-    Column j is ``np.linalg.norm(a - b[j], axis=1)`` to the bit, and so is
-    the broadcast ``np.linalg.norm(a[:, None] - b[None], axis=2)``. It does
-    the operations that norm does (square, ``np.add.reduce`` along the
-    row, ``np.sqrt``) in one reused len(a) x d buffer laid out like ``a``,
-    without norm's ``conj()`` copy and its per-column allocations, so the
-    temporaries stay len(a) x d rather than len(a) x len(b) x d. The exact
-    differences keep the last bits, and so the nearest-center tie-breaks,
-    that the ‖a‖²+‖b‖²−2a·b expansion would change.
+def _exact_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``,
+    (len(a), len(b)): scipy's ``cdist(a, b, "sqeuclidean")``, which adds
+    each pair's squared differences in column order, whatever the layout,
+    and raises no floating-point warning (a square beyond the float range
+    is inf). The one exact distance kernel behind every certificate, run
+    only where ``_rounding_bound`` cannot prove a decision; scipy loads on
+    the first such call, not on ``import kfed``.
     """
-    dist = np.empty((a.shape[0], b.shape[0]))
-    diff = np.empty_like(a, dtype=float)
-    sums = np.empty(a.shape[0])
-    for j, row in enumerate(b):
-        np.subtract(a, row, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=1, out=sums)
-        np.sqrt(sums, out=dist[:, j])
-    return dist
+    from scipy.spatial.distance import cdist
+    return cdist(a, b, "sqeuclidean")
 
 
 def _rounding_bound(a_norm, b_norm, width: int):
     """Error bound e = 5·γ_{w+4}·(‖a‖ + ‖b‖)² + (4w+8)·2⁻¹⁰⁷⁴ between a
-    squared distance from one matrix product and an exact kernel's, for
+    squared distance from one matrix product and the exact kernel's, for
     rows of width w with norms ``a_norm`` and ``b_norm`` (broadcast).
 
-    The product form is F = ‖a‖² − 2·a·b + ‖b‖². The exact kernel forms
-    its value K as the sum of squared differences (``local._sq_distances``),
-    or as that sum's correctly rounded root r (``pairwise_distances``),
-    when K = r². With D the exact squared distance, R = (‖a‖ + ‖b‖)² >= D,
-    γ_m = m·u/(1−m·u) and u = 2⁻⁵³: the sum of w squared differences is
-    within γ_{w+2}·D of D (one rounding per difference and per square, w−1
-    in the sum), and r² is within γ_{w+4}·D of D. F is within γ_{w+2}·R of
-    D in any summation order, with or without FMA (the products ‖a‖², a·b
-    and ‖b‖² each within γ_w of their absolute sums, two roundings to
-    combine them). So |F − K| <= 2·γ_{w+4}·R. Underflow adds at most
-    2⁻¹⁰⁷⁵ to each product (a sum or difference that underflows is
-    exact): 4w in F (‖a‖², the doubled a·b and ‖b‖²) and w in K, so
-    2.5w·2⁻¹⁰⁷⁴ in one |F − K|.
+    The product form is F = ‖a‖² − 2·a·b + ‖b‖². The exact kernel
+    (``_exact_sq``) forms K as the sum of the w squared differences. With D
+    the exact squared distance, R = (‖a‖ + ‖b‖)² >= D, γ_m = m·u/(1−m·u)
+    and u = 2⁻⁵³: K is within γ_{w+2}·D of D in any summation order (one
+    rounding per difference and per square, w−1 in the sum). F is within
+    γ_{w+2}·R of D in any summation order, with or without FMA (the
+    products ‖a‖², a·b and ‖b‖² each within γ_w of their absolute sums,
+    two roundings to combine them). So |F − K| <= 2·γ_{w+2}·R, below
+    2·γ_{w+4}·R. Underflow adds at most 2⁻¹⁰⁷⁵ to each product (a sum or
+    difference that underflows is exact): 4w in F (‖a‖², the doubled a·b
+    and ‖b‖²) and w in K, so 2.5w·2⁻¹⁰⁷⁴ in one |F − K|.
 
     Two uses follow. Where two entries of one row are compared, their
     ‖a‖² is one computed value, whose error cancels: a gap in F above e,
@@ -156,8 +145,9 @@ def _rounding_bound(a_norm, b_norm, width: int):
     [F − e, F + e]: the farthest-point init brackets each upload's
     distance to the chosen set by it, and the k-means++ sampler
     (``local._dsq_sample``) sums e over the rows to bound its cumulative
-    weights. In both the spare γ covers rounding e, R, the gaps and the
-    sums F ± e, and the 8 the roundings that scale the underflow terms.
+    weights. In both the spare in γ_{w+4} covers rounding e, R, the gaps
+    and the sums F ± e, and the 8 the roundings that scale the underflow
+    terms.
 
     e is inf wherever 2·R overflows, so no test against e passes where
     the exact kernel's squares could overflow, and NaN wherever a norm is
@@ -190,9 +180,9 @@ def _product_sq(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
 
 def _settle(f: np.ndarray, a_sq: np.ndarray, c_sq: np.ndarray, width: int):
     """Which rows of F = ``_product_sq`` (D, R, k, n) have a nearest center
-    that an exact distance kernel (``_rounding_bound``) picks too, for R
-    sets of k centers, with squared norms ``c_sq`` (D, R, k), against the
-    n rows of each of D matrices, with squared norms ``a_sq`` (D, n).
+    that the exact kernel (``_rounding_bound``) picks too, for R sets of k
+    centers, with squared norms ``c_sq`` (D, R, k), against the n rows of
+    each of D matrices, with squared norms ``a_sq`` (D, n).
 
     Returns labels (D, R, n), settled (D, R), best = min F (D, R, n) and
     τ (D, R, n), ``_rounding_bound`` at the row's norm and the set's
@@ -219,22 +209,22 @@ def _settle(f: np.ndarray, a_sq: np.ndarray, c_sq: np.ndarray, width: int):
     return labels, settled, best, tau
 
 
-def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
+def _nearest_each(a: np.ndarray, centers: np.ndarray, a_sq: np.ndarray,
                   a_t: np.ndarray | None = None) -> np.ndarray:
     """Labels (D, R, n): entry [m, r] is bit for bit
-    ``exact(a[m], centers[m, r]).argmin(axis=1)`` for each of D row
+    ``_exact_sq(a[m], centers[m, r]).argmin(axis=1)`` for each of D row
     matrices in ``a`` (D, n, w) and R center sets per matrix in ``centers``
     (D, R, k, w), ties to the lowest index.
 
-    ``exact`` is a distance kernel as in ``_rounding_bound``; ``a_sq``
-    (D, n) holds the rows' squared norms, summed in any order. One product
-    per matrix, (D, R·k, w) @ (D, w, n), gives F for every pair, and a set
-    that ``_settle`` settles takes its labels from F; any other set runs
-    ``exact`` alone. ``a_t`` is ``a`` laid out (D, w, n) for that product,
-    by default a view; a caller that labels the same rows again passes a
-    C-ordered copy, with which BLAS takes the product about twice as fast.
-    The bound is computed with floating-point warnings off, so every
-    warning or error at extreme scales comes from the exact kernel.
+    ``a_sq`` (D, n) holds the rows' squared norms, summed in any order. One
+    product per matrix, (D, R·k, w) @ (D, w, n), gives F for every pair,
+    and a set that ``_settle`` settles takes its labels from F; any other
+    set runs ``_exact_sq`` alone. ``a_t`` is ``a`` laid out (D, w, n) for
+    that product, by default a view; a caller that labels the same rows
+    again passes a C-ordered copy, with which BLAS takes the product about
+    twice as fast. The bound is computed with floating-point warnings off
+    and ``_exact_sq`` raises none: squares beyond the float range, which
+    never settle, give the exact kernel's labels without a word.
     """
     devices, runs, k, width = centers.shape
     flat = centers.reshape(devices, runs * k, width)
@@ -245,7 +235,7 @@ def _nearest_each(a: np.ndarray, centers: np.ndarray, exact, a_sq: np.ndarray,
         labels, settled, _, _ = _settle(f, a_sq, c_sq.reshape(devices, runs, k),
                                         width)
     for m, r in zip(*np.nonzero(~settled)):
-        labels[m, r] = exact(a[m], centers[m, r]).argmin(axis=1)
+        labels[m, r] = _exact_sq(a[m], centers[m, r]).argmin(axis=1)
     return labels
 
 

@@ -25,11 +25,12 @@ together (each stops at its own convergence step), and takes every
 step's means in one ``cluster_means`` call, which on these narrow rows
 is a single ``np.bincount``. Each step labels every start from one
 certified matrix product (``linalg._nearest_each``); a start with a row
-that the rounding bound cannot settle takes its labels from the exact
-``_sq_distances`` instead, so every label and tie-break is that exact
-kernel's. The threshold is certified from one such product per device
-in the same way: a device with a row whose set the bound cannot prove
-runs the exact three-times rule on ``_sq_distances``.
+that the rounding bound cannot settle takes its labels from the one exact
+kernel, ``linalg._exact_sq``, instead, so every label and tie-break is
+that kernel's. The threshold is certified from one such product per
+device in the same way: a device with a row whose set the bound cannot
+prove runs the exact three-times rule on ``linalg._exact_sq``, and the
+exact sampler takes its distances from that kernel too.
 
 ``local_cluster`` also solves many devices in one call. Each device
 projects alone. Then each group of devices with equal (rows, projection
@@ -38,9 +39,8 @@ of restart, and the threshold once, over a stack with a leading device
 axis: on coordinates a few columns wide numpy's per-call overhead, not
 arithmetic, sets the cost of those stages. Last, each device runs its
 raw-row Lloyd alone. Every output is bit for bit the one-device call's:
-each row's squares add in the order they would alone, the threshold's
-exact fallback takes each device's distances from its own (n, k, w)
-block, one device at a time (never a (D, n, k, w) block), and each
+a certified decision holds for any order of summation, the exact
+fallbacks run one device (and one restart or start) at a time, and each
 restart's cost is its own sum.
 """
 
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import (_TINY, _gamma, _nearest_each, _product_sq,
                      _rounding_bound, _settle, top_k_projection,
                      validate_matrix)
@@ -130,36 +131,6 @@ class LocalResult:
         return self.clusters.centers
 
 
-def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances, (n, k), as the broadcast difference block gives them.
-
-    Not ``linalg.pairwise_distances``: this einsum sum of squares rounds
-    differently from ``np.linalg.norm``, and Lloyd's argmin and
-    ``threshold_assign``'s three-times test depend on those last bits.
-    On rows no wider than k (the seeding coordinates) it is
-    ``einsum("nkd,nkd->nk")`` over the (n, k, w) block, which is faster
-    there than a loop. On wider rows it takes one center at a time: the
-    difference goes into one reused (n, w) buffer laid out like ``data``,
-    and ``einsum("nd,nd->n")`` adds the same products in the same order as
-    the block would, without ever holding the block. Lloyd, on the seeding
-    coordinates and on the raw rows alike, calls it only as
-    ``linalg._nearest_each``'s exact fallback for one start, and the
-    threshold only for a device it cannot certify: their labels come from
-    a certified matrix product wherever a rounding bound settles them.
-    """
-    n, width = data.shape
-    k = centers.shape[0]
-    if width <= k:
-        diff = data[:, None, :] - centers[None, :, :]
-        return np.einsum("nkd,nkd->nk", diff, diff)
-    dist = np.empty((n, k))
-    diff = np.empty_like(data)
-    for j, center in enumerate(centers):
-        np.subtract(data, center, out=diff)
-        dist[:, j] = np.einsum("nd,nd->n", diff, diff)
-    return dist
-
-
 def _assignment_cost(data: np.ndarray, labels: np.ndarray,
                      centers: np.ndarray) -> float:
     diff = data - centers[labels]
@@ -202,8 +173,8 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     index, over the matrices whose start moved (the stack itself when all
     did), so that no copy outgrows the stack. Every step labels every
     start from ``linalg._nearest_each``: one certified product per matrix
-    against all its starts, with ``_sq_distances`` for a start it cannot
-    settle. Only the active starts' labels are kept.
+    against all its starts, with ``linalg._exact_sq`` for a start it
+    cannot settle. Only the active starts' labels are kept.
 
     A step whose shift is NaN (a cluster mean that overflowed to inf, so
     that no shift could ever drop below ``tol``) raises ``ValueError``.
@@ -225,8 +196,7 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
         if not active.size:
             break
         flat_iterations[active] = step
-        nearest = _nearest_each(data, centers, _sq_distances, data_sq,
-                                data_t).reshape(-1, n)[active]
+        nearest = _nearest_each(data, centers, data_sq, data_t).reshape(-1, n)[active]
         current = flat_centers[active]
         if step > 1 and 0.0 < tol:
             repeat = ((nearest == flat_labels[active]).all(axis=1)
@@ -286,28 +256,33 @@ def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
 
 def _exact_dsq(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """The k-means++ picks (k,) of one restart over ``rows`` (n, w), from
-    its uniforms ``draws`` (k,), by exact squared distances.
+    its uniforms ``draws`` (k,), by the exact squared distances of
+    ``linalg._exact_sq``.
 
     The first uniform picks the first row, as ``integers(1, n)`` would, and
     each later one serves one D^2 step over the squared distances to the
-    nearest chosen row. The differences ``rows - rows[p]`` keep ``rows``'
-    memory layout, so each row's squares add in the order that layout
-    gives. A step picks the number of cumulative weights not above u times
-    their total: that is ``searchsorted(cdf, u, side="right")`` on the
-    nondecreasing cdf, capped at n-1. ``_dsq_sample`` runs it on each
-    restart whose picks it cannot prove.
+    nearest chosen row, refreshed against the newest pick only when a step
+    needs them. A step picks the number of cumulative weights not
+    above u times their total: that is ``searchsorted(cdf, u,
+    side="right")`` on the nondecreasing cdf, capped at n-1. A step whose
+    weights total beyond the float range has no pick to make and raises
+    ``ValueError``. ``_dsq_sample`` runs it on each restart whose picks it
+    cannot prove.
     """
     n = rows.shape[0]
     picks = np.empty(draws.shape, dtype=np.int64)
     picks[0] = min(int(draws[0] * n), n - 1)
-    d2 = np.square(rows - rows[picks[0]]).sum(axis=1)
+    d2 = np.full(n, np.inf)
     for j in range(1, draws.size):
+        np.minimum(d2, linalg._exact_sq(rows, rows[picks[j - 1:j]])[:, 0], out=d2)
         # All weights are zero once every distinct row has been chosen.
         if not d2.any():
             raise ValueError("insufficient distinct points")
-        cdf = np.cumsum(d2)
+        with np.errstate(over="ignore"):    # checked below
+            cdf = np.cumsum(d2)
+        if not np.isfinite(cdf[-1]):
+            raise ValueError("squared distances between rows leave the float range")
         picks[j] = min(n - np.count_nonzero(cdf > draws[j] * cdf[-1]), n - 1)
-        np.minimum(d2, np.square(rows - rows[picks[j]]).sum(axis=1), out=d2)
     return picks
 
 
@@ -350,7 +325,7 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
     where E is not finite (e is inf wherever the exact squares could
     overflow), and where 2·(T + B) is not (the exact cdf could overflow).
     The check runs once, after the loop, and with floating-point warnings
-    off, so every warning and error comes from ``_exact_dsq``.
+    off, so every error comes from ``_exact_dsq``.
     Memory stays O(D·R·n): no (D, R, n, w) difference block is held.
     """
     devices, n, width = data.shape
@@ -476,7 +451,7 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     by device bit for bit what the 2-D call gives.
 
     Labels and means are the exact rule's bit for bit: a row is kept where
-    fl(3·fl(√K₁)) <= fl(√K₂), K₁ and K₂ its ``_sq_distances`` to the
+    fl(3·fl(√K₁)) <= fl(√K₂), K₁ and K₂ its ``linalg._exact_sq`` to the
     nearest center and to the nearest other one. Each device takes F
     (k, n) from one product, and ``linalg._settle`` proves each row's
     nearest center, with F₁ its F, e = τ and g = fl(F₂ − F₁), F₂ the
@@ -490,10 +465,9 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     them by under 4.5·2⁻⁵³·R (a sum that underflows is exact). Where fl(√)
     ties the nearest center with another, the exact rule drops the row
     under either. A device with a row not proven runs the exact rule
-    (``_exact_sets``), one (n, k, w) block at a time, never a (D, n, k, w)
-    block; squared distances that overflow or underflow there, so that the
-    rule has no answer, raise ``ValueError``. A proven device has a finite
-    τ and K₂ > 0, so it never hides one.
+    (``_exact_sets``) alone; squared distances that overflow or underflow
+    there, so that the rule has no answer, raise ``ValueError``. A proven
+    device has a finite τ and K₂ > 0, so it never hides one.
     """
     stacked = np.ndim(projected) == 3
     data = _stack(projected)
@@ -535,13 +509,13 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _exact_sets(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``threshold_assign``'s set labels (n,) of one device by its exact
-    rule on ``_sq_distances``.
+    rule on ``linalg._exact_sq``.
 
     With two or more centers, a row whose distance to the nearest other
     center overflows, or underflows to 0 (distinct centers cannot both be
     at distance 0), has no exact rule to follow and raises ``ValueError``.
     """
-    dist = _sq_distances(rows, centers)
+    dist = linalg._exact_sq(rows, centers)
     np.sqrt(dist, out=dist)
     nearest = dist.argmin(axis=1)
     at = (np.arange(rows.shape[0]), nearest)
@@ -597,8 +571,6 @@ def _solve(rows_of, ks, seeds, tol: float) -> list[LocalResult]:
         groups.setdefault((coord.shape, ks[i]), []).append(i)
     unassigned, theta = [0] * count, [None] * count
     for members in groups.values():
-        # A C-ordered copy: each row's sums then add in one order, whatever
-        # the layout the projection returned.
         stack = np.stack([coords[i] for i in members])
         for i in members:
             coords[i] = None        # the stack holds them now

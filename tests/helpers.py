@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from kfed import linalg
 from kfed.datagen import (DevicePartition, MixtureSpec, PartitionSpec,
                           generate_mixture, structured_partition)
 from kfed.linalg import top_k_projection
@@ -43,6 +44,17 @@ def init_planted_clusters(run, partition: DevicePartition,
         values, counts = np.unique(truth.assignment[members], return_counts=True)
         out.append(int(values[counts.argmax()]))
     return out
+
+
+def spy_exact(monkeypatch, record=lambda a, b: a.shape) -> list:
+    """Spy on the one exact kernel, ``linalg._exact_sq``, which every exact
+    fallback looks up there: the returned list gets ``record(a, b)`` for
+    each call."""
+    calls = []
+    exact = linalg._exact_sq
+    monkeypatch.setattr(linalg, "_exact_sq",
+                        lambda a, b: calls.append(record(a, b)) or exact(a, b))
+    return calls
 
 
 def projection(mat: np.ndarray, k: int) -> np.ndarray:

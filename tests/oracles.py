@@ -25,8 +25,14 @@ nearest labels are the package's certified kernel as it was with F laid
 out (D, n, R·k), argmin and partition along the k entries: the kernel
 that reduces along the k axis must decide alike, falling back on the
 same center sets. The exact threshold is the package's threshold as it
-was, on ``_sq_distances`` alone: the certified threshold must match it
+was, on exact distances alone: the certified threshold must match it
 bit for bit.
+
+Every exact squared distance here comes from ``sequential_sq``, a plain
+loop that adds each pair's squared differences one column at a time. The
+package's one exact kernel must equal it bit for bit, so the single-start
+Lloyd, the scalar sampler, the exact threshold and the partition-based
+labels' fallback take it.
 """
 
 from __future__ import annotations
@@ -234,6 +240,19 @@ def dspace_local_cluster(data: np.ndarray, k: int, seed, tol: float = DEFAULT_TO
     return clustering, int(np.count_nonzero(labels == k))
 
 
+def sequential_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances (len(a), len(b)) between the rows of ``a`` and
+    ``b``: each pair's squared differences added one column at a time,
+    left to right, from 0; inf, without a warning, beyond the float range."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    with np.errstate(over="ignore"):
+        for j in range(a.shape[1]):
+            diff = a[:, j, None] - b[None, :, j]
+            out += diff * diff
+    return out
+
+
 def single_lloyd(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER
                  ) -> tuple[np.ndarray, np.ndarray, int, bool]:
@@ -247,8 +266,7 @@ def single_lloyd(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL
     labels = np.zeros(data.shape[0], dtype=int)
     iteration, emptied = 0, False
     for iteration in range(1, max_iter + 1):
-        diff = data[:, None, :] - centers[None, :, :]
-        labels = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
+        labels = sequential_sq(data, centers).argmin(axis=1)
         updated = centers.copy()
         for r in range(centers.shape[0]):
             members = data[labels == r]
@@ -273,7 +291,7 @@ def scalar_dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
     n = data.shape[0]
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[stream.integers(1, n)[0]]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    d2 = sequential_sq(data, centers[:1])[:, 0]
     for j in range(1, k):
         # All weights are zero once every distinct row has been chosen.
         if not d2.any():
@@ -281,7 +299,7 @@ def scalar_dsq_sample(data: np.ndarray, k: int, stream: Stream) -> np.ndarray:
         cdf = np.cumsum(d2)
         u = stream.uniforms(1)[0] * cdf[-1]
         centers[j] = data[min(int(np.searchsorted(cdf, u, side="right")), n - 1)]
-        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sequential_sq(data, centers[j:j + 1])[:, 0])
     return centers
 
 
@@ -361,12 +379,13 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
     return audit
 
 
-def partition_nearest_each(a: np.ndarray, centers: np.ndarray, exact,
-                           a_sq: np.ndarray) -> np.ndarray:
-    """Nearest-center labels (D, R, n) from one (D, n, R·k) product: each
-    set takes F's argmin where its two smallest entries (``partition``)
-    differ by more than the rounding bound on every row and F is finite;
-    any other set runs ``exact``."""
+def partition_nearest_each(a: np.ndarray, centers: np.ndarray, a_sq: np.ndarray
+                           ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Nearest-center labels (D, R, n) from one (D, n, R·k) product, and the
+    (matrix, set) pairs that took exact distances: each set takes F's
+    argmin where its two smallest entries (``partition``) differ by more
+    than the rounding bound on every row and F is finite; any other set
+    takes the argmin of ``sequential_sq``."""
     devices, runs, k, width = centers.shape
     n = a.shape[1]
     flat = centers.reshape(devices, runs * k, width)
@@ -383,21 +402,22 @@ def partition_nearest_each(a: np.ndarray, centers: np.ndarray, exact,
             f.partition(1, axis=3)
             gap = f[..., 1] - f[..., 0]
         settled = finite & (gap > tau).all(axis=1)
-    for m, r in zip(*np.nonzero(~settled)):
-        labels[m, r] = exact(a[m], centers[m, r]).argmin(axis=1)
-    return labels
+    fallen = [(int(m), int(r)) for m, r in zip(*np.nonzero(~settled))]
+    for m, r in fallen:
+        labels[m, r] = sequential_sq(a[m], centers[m, r]).argmin(axis=1)
+    return labels, fallen
 
 
 def exact_threshold(data: np.ndarray, centers: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Set labels (D, n) and set means (D, k, w) of a stack ``data``
     (D, n, w) against distinct ``centers`` (D, k, w) by the three-times
-    rule on ``_sq_distances``, one device at a time."""
+    rule on ``sequential_sq``, one device at a time."""
     devices, n, width = data.shape
     k = centers.shape[1]
     dist = np.empty((devices, n, k))
     for m in range(devices):
-        dist[m] = local._sq_distances(data[m], centers[m])
+        dist[m] = sequential_sq(data[m], centers[m])
     np.sqrt(dist, out=dist)
     nearest = dist.argmin(axis=2)
     at = (np.arange(devices)[:, None], np.arange(n), nearest)

@@ -208,6 +208,7 @@ def test_run_separation_profile(tmp_path):
     assert blob["lemma_audit"]["passed"] is True
     assert blob["c"] == 100.0
     assert (out / "separation_pairs_seed0.csv").read_text().startswith("r,s,status")
+    out = tmp_path / "prof50"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--c", "50"]) == 0
     assert json.loads((out / "separation_seed0.json").read_text())["c"] == 50.0
@@ -663,6 +664,67 @@ def test_record_rejects_several_runs(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--seed", "0", "--record", str(log)]) == cli.EXIT_CONFIG
     assert not out.exists() and not log.exists()
+
+
+def test_record_refuses_an_existing_path(tmp_path):
+    # A log is never overwritten: an existing file or directory exits 2
+    # before any write.
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "rec"
+    log = tmp_path / "messages.jsonl"
+    log.write_text("kept\n")
+    for path in (log, tmp_path):
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--record", str(path)]) == cli.EXIT_CONFIG
+        assert not out.exists() and log.read_text() == "kept\n"
+
+
+def _call_without_out(tmp_path, command):
+    """A successful ``command`` call, bar its ``--out``; the inputs it reads
+    are made under ``tmp_path`` first. ``run`` covers seeds 0 and 1."""
+    cfg_path, _ = write_config(tmp_path, seeds=[0, 1])
+    if command in ("run", "generate"):
+        return [command, "--config", str(cfg_path)]
+    if command == "eval":
+        labels = tmp_path / "labels.csv"
+        np.savetxt(labels, np.array([0, 0, 1, 1]), fmt="%d")
+        return ["eval", "--pred", str(labels), "--truth", str(labels)]
+    cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "inst")])
+    seed_dir = tmp_path / "inst" / "seed_0"
+    if command == "profile":
+        return ["profile", "--data", str(seed_dir / "data.csv"),
+                "--labels", str(seed_dir / "labels.csv"),
+                "--partition", str(seed_dir / "partition.json")]
+    cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    return ["join", "--state", str(tmp_path / "run" / "state_seed0.json"),
+            "--data", str(seed_dir / "data.csv"), "--k-z", "2"]
+
+
+def _files(directory: Path) -> dict:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in directory.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["run", "generate", "profile", "join", "eval"])
+def test_non_empty_out_exits_2_before_any_write(tmp_path, capsys, monkeypatch,
+                                                command):
+    # A call into an output directory that holds anything would overwrite
+    # or mix in with it (a run over seed 0 alone would leave seed 1's state
+    # beside a results.csv without it): it exits 2 with one stderr line,
+    # before join's device solve, and leaves the directory as it was. An
+    # empty directory is taken.
+    call = _call_without_out(tmp_path, command)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(call + ["--out", str(out)]) == 0
+    written = _files(out)
+    assert written
+    again = call + ["--seed", "0"] if command == "run" else call
+    monkeypatch.setattr(cli, "local_cluster", None)
+    capsys.readouterr()
+    assert cli.main(again + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: output directory {out} is not empty\n"
+    assert _files(out) == written
 
 
 def test_exit_codes(tmp_path):

@@ -9,11 +9,13 @@ from kfed.evaluation import matched_accuracy
 from kfed.federation import (DeviceCenters, FarthestInit, OpsAccounting,
                              assign_new_device, farthest_point_init,
                              one_round_lloyd, record_run, replay_run, run_kfed)
-from kfed.linalg import pairwise_distances
 from kfed.local import local_cluster
 from kfed.separation import separation_quantities
-from helpers import init_planted_clusters, planted_instance
-from oracles import greedy_max_min
+from helpers import init_planted_clusters, planted_instance, spy_exact
+from oracles import greedy_max_min, sequential_sq
+
+
+_OUT_OF_RANGE = "^squared distances between uploaded centers leave the float range$"
 
 
 def _dc(device_id, centers, assignment=None):
@@ -114,15 +116,6 @@ def test_init_matches_max_min_oracle():
                 n * (s if step == 0 else 1) for step, n in enumerate(open_uploads))
 
 
-def _init_paths(monkeypatch):
-    """Record each exact ``pairwise_distances`` call the init makes."""
-    calls = []
-    exact = federation.pairwise_distances
-    monkeypatch.setattr(federation, "pairwise_distances",
-                        lambda a, b: calls.append(a.shape) or exact(a, b))
-    return calls
-
-
 def _check_init(uploads, calls, expected=None):
     """Every k's provenance and distance count against the exact path and,
     where given, the oracle's full max-min order; returns the paths taken.
@@ -151,7 +144,7 @@ def test_init_certified_and_exact_paths_match_max_min_oracle(monkeypatch):
     # One product per step settles the pick only where a rounding bound
     # proves it; ties, duplicates and squares out of range take the exact
     # path. Both agree with the oracle, whatever the width and scale.
-    calls = _init_paths(monkeypatch)
+    calls = spy_exact(monkeypatch)
     rng = np.random.default_rng(32)
     paths = {"certified": 0, "exact": 0}
     for trial in range(160):
@@ -190,13 +183,41 @@ def test_init_certified_and_exact_paths_match_max_min_oracle(monkeypatch):
         for path in _check_init(uploads, calls, expected):
             paths[path] += 1
     assert paths["certified"] >= 200 and paths["exact"] >= 300
-    # Squares that overflow (F is not finite), or that all underflow to
-    # zero (every step a tie), always take the exact path.
-    for scale in (2.0 ** 600, 2.0 ** -600):
+    # Squares that all underflow to zero (every step a tie) always take the
+    # exact path. Squares that overflow (F is not finite) take it too, and
+    # its first step raises: no max-min pick among them means anything.
+    for scale in (2.0 ** 600, 2.0 ** -600, 1e200):
         uploads = [_dc(z, rng.normal(size=(3, 5)) * scale) for z in range(3)]
-        with np.errstate(over="ignore"):
-            taken = _check_init(uploads, calls)
-        assert taken == ["exact"] * 6
+        if scale < 1.0:
+            assert _check_init(uploads, calls) == ["exact"] * 6
+            continue
+        calls.clear()
+        with pytest.raises(ValueError, match=_OUT_OF_RANGE):
+            farthest_point_init(uploads, 4, accounting=OpsAccounting())
+        assert calls == [(6, 5)]
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 1e200])
+def test_server_exact_steps_reject_squares_beyond_the_float_range(scale):
+    # The exact max-min and nearest-seed steps compare squared distances;
+    # where one overflows no comparison means anything, so each step
+    # raises instead of returning picks or labels. The same uploads at
+    # scale 1 aggregate as usual.
+    rng = np.random.default_rng(35)
+    centers = [rng.normal(size=(3, 5)) for _ in range(4)]
+    for factor in (1.0, scale):
+        uploads = [_dc(z, c * factor) for z, c in enumerate(centers)]
+        init = FarthestInit(points=uploads[1].centers, provenance=[])
+        steps = [lambda: farthest_point_init(uploads, 6, accounting=OpsAccounting()),
+                 lambda: one_round_lloyd(uploads, init, accounting=OpsAccounting()),
+                 lambda: assign_new_device(uploads[1].centers, uploads[2].centers,
+                                           accounting=OpsAccounting())]
+        for step in steps:
+            if factor == 1.0:
+                step()
+                continue
+            with pytest.raises(ValueError, match=_OUT_OF_RANGE):
+                step()
 
 
 def test_init_non_float64_uploads_take_the_exact_path(monkeypatch):
@@ -204,7 +225,7 @@ def test_init_non_float64_uploads_take_the_exact_path(monkeypatch):
     # picked by the exact kernel, as they always were. In float32 the
     # squares near 2^28 round to 32, so a product would rank the 2.875
     # step above the 3.875 one.
-    calls = _init_paths(monkeypatch)
+    calls = spy_exact(monkeypatch)
     rng = np.random.default_rng(33)
     cases = [[np.array([[16384.0]]), np.array([[16387.875]]),
               np.array([[16381.125]])]]
@@ -309,7 +330,7 @@ def test_round_and_late_join_match_pairwise_argmin_oracle():
         init = FarthestInit(points=stacked[picks], provenance=[])
         acc = OpsAccounting()
         induced = one_round_lloyd(uploads, init, accounting=acc)
-        expected = pairwise_distances(stacked, init.points).argmin(axis=1)
+        expected = sequential_sq(stacked, init.points).argmin(axis=1)
         offsets = np.cumsum([0] + [dc.k_z for dc in uploads])
         labels = np.full(stacked.shape[0], -1)
         for group, members in enumerate(induced.tau):
@@ -322,7 +343,7 @@ def test_round_and_late_join_match_pairwise_argmin_oracle():
         late = (np.round(late) if case % 2 else late) * scale
         acc = OpsAccounting()
         got = assign_new_device(induced.cluster_means, late, accounting=acc)
-        oracle = pairwise_distances(late, induced.cluster_means).argmin(axis=1)
+        oracle = sequential_sq(late, induced.cluster_means).argmin(axis=1)
         assert got.tolist() == oracle.tolist()
         assert acc.pairwise_distance_count == late.shape[0] * k
 
@@ -530,7 +551,7 @@ def test_replay_round_trip_on_certified_and_exact_init(tmp_path, monkeypatch):
     # init is certified or, with its rounding bound made to fail, exact.
     _, data, truth, partition = planted_instance(15, k=6, d=20, per_cluster=24,
                                                  m0=2, group_size=3)
-    calls = _init_paths(monkeypatch)
+    calls = spy_exact(monkeypatch)
     logs, audits = {}, {}
     for path in ("certified", "exact"):
         if path == "exact":

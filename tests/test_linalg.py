@@ -1,16 +1,23 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kfed import datagen, linalg, local
-from kfed.linalg import (_finite_scaled, operator_norm, pairwise_distances,
-                         top_k_projection, validate_matrix)
+from kfed.linalg import (_finite_scaled, operator_norm, top_k_projection,
+                         validate_matrix)
 from kfed.rng import Stream
-from helpers import planted_instance, projection
+from helpers import planted_instance, projection, spy_exact
 from oracles import (eigh_projection, jacobi_spectral_norm, partition_nearest_each,
-                     svd_truncation)
+                     sequential_sq, svd_truncation)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _with_spectrum(rng, n, d, values):
@@ -396,9 +403,14 @@ def test_certified_projection_is_deterministic(shape):
 
 
 def test_pairwise_distances_match_broadcast_norm():
+    # The one exact kernel gives each pair's squared distance as the
+    # broadcast differences squared and added one column at a time, in
+    # either layout: exact ties, one row, one column, scales 1e±150, and
+    # squares beyond the float range, which are inf without a warning.
     rng = np.random.default_rng(7)
     grid = rng.integers(0, 3, size=(30, 2)).astype(float)  # exact ties
     repeated = np.repeat(rng.normal(size=(4, 6)), 3, axis=0)
+    huge = rng.normal(size=(20, 5)) * 1e200
     cases = [
         (rng.normal(size=(50, 9)), rng.normal(size=(12, 9))),
         (grid, grid[:7]),
@@ -409,21 +421,48 @@ def test_pairwise_distances_match_broadcast_norm():
         (np.asfortranarray(rng.normal(size=(40, 12))), rng.normal(size=(6, 12))),
         (rng.normal(size=(20, 5)) * 1e150, rng.normal(size=(4, 5)) * 1e150),
         (rng.normal(size=(20, 5)) * 1e-150, rng.normal(size=(4, 5)) * 1e-150),
+        (huge, -huge[:4]),
     ]
     for a, b in cases:
-        expected = np.linalg.norm(a[:, None] - b[None], axis=2)
-        np.testing.assert_array_equal(pairwise_distances(a, b), expected)
+        want = sequential_sq(a, b)
+        for layout in (a, np.asfortranarray(a)):
+            assert linalg._exact_sq(layout, b).tobytes() == want.tobytes()
+    assert np.isinf(sequential_sq(huge, -huge[:4])).all()
 
 
-def _spy(kernel, calls):
-    """``kernel``, recording the shape of each call in ``calls``."""
-    def exact(a, b):
-        calls.append(a.shape)
-        return kernel(a, b)
-    return exact
+def test_exact_kernel_loads_scipy_only_when_a_certificate_fails():
+    # After the import and a whole acceptance-01 run, every decision of
+    # which is certified, no scipy module is loaded; a planted tie (row 1
+    # midway between the centers) sends Lloyd to the exact kernel, which
+    # loads scipy.spatial.distance.
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import kfed, kfed.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = [scipy_modules()]\n"
+        "spec = kfed.MixtureSpec(k=16, d=100, n=3200, sigma_max=1.0, seed=0,\n"
+        "                        mean_mode='auto', c=100.0, m0=5.0)\n"
+        "data, truth = kfed.generate_mixture(spec)\n"
+        "partition = kfed.structured_partition(truth, kfed.PartitionSpec(\n"
+        "    mode='structured', m0=5, group_size=4))\n"
+        "kfed.run_kfed(partition, data, seed=0)\n"
+        "seen.append(scipy_modules())\n"
+        "kfed.lloyd_iterate(np.array([[0.0], [1.0], [2.0]]), np.array([[0.0], [2.0]]))\n"
+        "seen.append('scipy.spatial.distance' in sys.modules)\n"
+        "print(json.dumps(seen))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    # after the import, after the certified run, after the planted tie
+    assert json.loads(proc.stdout) == [[], [], True]
 
 
-def test_nearest_matches_exact_argmin():
+def test_nearest_matches_exact_argmin(monkeypatch):
+    calls = spy_exact(monkeypatch)
     rng = np.random.default_rng(72)
     paths = {"certified": 0, "fallback": 0}
     for case in range(480):
@@ -448,39 +487,43 @@ def test_nearest_matches_exact_argmin():
         rows, centers = rows * scale, centers * scale
         if case % 2:
             rows = np.asfortranarray(rows)
-        for kernel in (local._sq_distances, pairwise_distances):
-            calls = []
-            got = linalg._nearest_each(rows[None], centers[None, None],
-                                       _spy(kernel, calls),
-                                       np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
-            assert (got == kernel(rows, centers).argmin(axis=1)).all()
-            paths["fallback" if calls else "certified"] += 1
-    assert paths["certified"] >= 300 and paths["fallback"] >= 100
+        calls.clear()
+        got = linalg._nearest_each(rows[None], centers[None, None],
+                                   np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
+        assert (got == sequential_sq(rows, centers).argmin(axis=1)).all()
+        paths["fallback" if calls else "certified"] += 1
+    assert paths["certified"] >= 150 and paths["fallback"] >= 50
     # Squares that overflow, or that all underflow to zero, always fall back.
     for scale in (2.0 ** 600, 2.0 ** -600, 1e200):
         rows = rng.normal(size=(30, 7)) * scale
         centers = rows[:4] * 0.5
-        for kernel in (local._sq_distances, pairwise_distances):
-            calls = []
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = linalg._nearest_each(
-                    rows[None], centers[None, None], _spy(kernel, calls),
-                    np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
-                assert (got == kernel(rows, centers).argmin(axis=1)).all()
-            assert calls == [rows.shape]
+        calls.clear()
+        got = linalg._nearest_each(rows[None], centers[None, None],
+                                   np.einsum("nd,nd->n", rows, rows)[None])[0, 0]
+        assert (got == sequential_sq(rows, centers).argmin(axis=1)).all()
+        assert calls == [rows.shape]
 
 
-def _set_spy(kernel, centers, calls):
-    """``kernel``, recording in ``calls`` the (matrix, set) index of each
-    center set it is called on: ``centers`` is C-ordered (D, R, k, w), and
-    each call gets a view of one of its sets."""
-    origin = centers.__array_interface__["data"][0]
+def _set_spy(monkeypatch):
+    """Spy on ``linalg._exact_sq``: returns ``calls`` and ``watch``.
+    ``watch(centers)`` empties ``calls``; each later call then records the
+    (matrix, set) index of its center set, a view of one set of the
+    C-ordered (D, R, k, w) ``centers``."""
+    calls, watched = [], []
+    exact = linalg._exact_sq
 
-    def exact(a, b):
-        offset = b.__array_interface__["data"][0] - origin
+    def spy(a, b):
+        centers = watched[-1]
+        offset = (b.__array_interface__["data"][0]
+                  - centers.__array_interface__["data"][0])
         calls.append(divmod(offset // b.nbytes, centers.shape[1]))
-        return kernel(a, b)
-    return exact
+        return exact(a, b)
+
+    def watch(centers):
+        calls.clear()
+        watched.append(centers)
+    monkeypatch.setattr(linalg, "_exact_sq", spy)
+    return calls, watch
 
 
 def _nearest_stack(rng, devices, runs, k, case):
@@ -507,10 +550,11 @@ def _nearest_stack(rng, devices, runs, k, case):
     return rows, centers
 
 
-def test_nearest_decides_as_the_partition_kernel():
+def test_nearest_decides_as_the_partition_kernel(monkeypatch):
     # The kernel that reduces along the k axis keeps the labels of the
     # partition-based kernel and falls back on the same (matrix, set)
     # pairs, on stacks, planted ties and scales that over- and underflow.
+    calls, watch = _set_spy(monkeypatch)
     rng = np.random.default_rng(77)
     paths = {"certified": 0, "mixed": 0, "fallback": 0}
     for case in range(240):
@@ -522,30 +566,22 @@ def test_nearest_decides_as_the_partition_kernel():
         a_sq = np.einsum("mnd,mnd->mn", rows, rows)
         # the rows laid out for the product: a view, or a C-ordered copy
         a_t = np.ascontiguousarray(np.swapaxes(rows, 1, 2)) if case // 2 % 2 else None
-        for kernel in (local._sq_distances, pairwise_distances):
-            got_calls, want_calls = [], []
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = linalg._nearest_each(rows, centers,
-                                           _set_spy(kernel, centers, got_calls), a_sq,
-                                           a_t)
-                want = partition_nearest_each(rows, centers,
-                                              _set_spy(kernel, centers, want_calls),
-                                              a_sq)
-            assert got.tobytes() == want.tobytes()
-            assert got_calls == want_calls
-            fell = len(got_calls)
-            paths["certified" if not fell else
-                  "fallback" if fell == devices * runs else "mixed"] += 1
-    assert min(paths.values()) >= 40
+        watch(centers)
+        got = linalg._nearest_each(rows, centers, a_sq, a_t)
+        want, want_calls = partition_nearest_each(rows, centers, a_sq)
+        assert got.tobytes() == want.tobytes()
+        assert calls == want_calls
+        fell = len(calls)
+        paths["certified" if not fell else
+              "fallback" if fell == devices * runs else "mixed"] += 1
+    assert min(paths.values()) >= 20
     # Norms near 2^511: the bound overflows while F does not, and a lone
     # center still falls back.
     rows = (1.0 + rng.normal(size=(2, 30, 3)) * 1e-3) * 2.0 ** 510
     centers = np.ascontiguousarray(rows[:, None, :1])
     a_sq = np.einsum("mnd,mnd->mn", rows, rows)
-    calls = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = linalg._nearest_each(rows, centers,
-                                   _set_spy(local._sq_distances, centers, calls), a_sq)
+    watch(centers)
+    got = linalg._nearest_each(rows, centers, a_sq)
     assert calls == [(0, 0), (1, 0)] and not got.any()
 
 

@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kfed import local
-from kfed.datagen import DevicePartition
+from kfed import linalg, local
+from kfed.datagen import DevicePartition, MixtureSpec, generate_mixture, iid_partition
 from kfed.evaluation import kmeans_cost, matched_accuracy
 from kfed.federation import run_kfed
 from kfed.linalg import operator_norm
@@ -14,9 +14,9 @@ from kfed.local import (Clustering, approx_seed, cluster_means, lloyd_iterate,
                         local_cluster, threshold_assign)
 from kfed.rng import Stream
 import oracles
-from helpers import planted_instance, projection
+from helpers import planted_instance, projection, spy_exact
 from oracles import (brute_force_kmeans, dspace_local_cluster, per_restart_seed,
-                     scalar_dsq_sample, single_lloyd)
+                     scalar_dsq_sample, sequential_sq, single_lloyd)
 
 
 def _as_center_set(centers):
@@ -175,10 +175,7 @@ def test_certified_threshold_matches_the_exact_threshold(monkeypatch):
     # distance ratio 3 (exact, nudged), midpoints, stacks of 1 and 40, and
     # scales whose squares over- or underflow, where the exact rule raises.
     rng = np.random.default_rng(78)
-    exact_calls = []
-    exact = local._sq_distances
-    monkeypatch.setattr(local, "_sq_distances",
-                        lambda a, b: exact_calls.append(1) or exact(a, b))
+    exact_calls = spy_exact(monkeypatch)
     certified = fell = raised = 0
     for case in range(180):
         scale = [1.0, 1e150, 1e-150, 2.0 ** 600, 2.0 ** -600][case % 5]
@@ -201,8 +198,7 @@ def test_certified_threshold_matches_the_exact_threshold(monkeypatch):
             labels, theta = threshold_assign(rows, centers)
         fell += len(exact_calls)
         certified += devices - len(exact_calls)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want_labels, want_theta = oracles.exact_threshold(rows, centers)
+        want_labels, want_theta = oracles.exact_threshold(rows, centers)
         assert labels.tobytes() == want_labels.tobytes()
         assert theta.tobytes() == want_theta.tobytes()
     assert certified >= 1500 and fell >= 400 and raised >= 40
@@ -495,11 +491,8 @@ def test_multi_start_lloyd_matches_per_start_oracle(monkeypatch):
     rng = np.random.default_rng(42)
     iteration_spreads = emptied = raised = 0
     # Each step labels all active starts from one certified product; a start
-    # the bound cannot settle takes the exact _sq_distances alone.
-    exact_calls = []
-    exact = local._sq_distances
-    monkeypatch.setattr(local, "_sq_distances",
-                        lambda a, b: exact_calls.append(b.copy()) or exact(a, b))
+    # the bound cannot settle takes the exact kernel alone.
+    exact_calls = spy_exact(monkeypatch, lambda a, b: b.copy())
     certified = {"narrow": 0, "wide": 0}
     fallbacks = mixed = 0
     for case in range(220):
@@ -792,33 +785,34 @@ def test_planted_boundary_draws_take_the_exact_sampler(monkeypatch):
     assert planted >= 20
 
 
-def test_exact_sampler_adds_each_row_in_its_layout():
-    # A draw planted on a cdf entry of Fortran-order rows, where numpy's
-    # pairwise sum of the same squares in C order rounds the cdf apart:
-    # the exact sampler picks as the rows' own layout adds, as the scalar
-    # oracle does, not as a C-ordered copy would.
+def test_exact_sampler_picks_alike_in_either_layout():
+    # A draw planted on an entry of the cdf that column-order sums give,
+    # where numpy's pairwise sum of the same squares along C-ordered rows
+    # rounds the cdf apart: the exact sampler picks as the scalar oracle
+    # does, from C- and Fortran-ordered rows alike.
     rng = np.random.default_rng(82)
     planted = 0
     for case in range(60):
-        rows = np.asfortranarray(rng.normal(size=(12, 24)))
-        cdfs = {order: np.cumsum(np.square(np.asarray(rows, order=order)
-                                           - rows[0]).sum(axis=1))
-                for order in "FC"}
-        entry = cdfs["F"][int(rng.integers(1, 11))]
-        draw = entry / cdfs["F"][-1]
+        rows = rng.normal(size=(12, 24))
+        cdf = np.cumsum(sequential_sq(rows, rows[:1])[:, 0])
+        pairwise = np.cumsum(np.square(rows - rows[0]).sum(axis=1))
+        entry = cdf[int(rng.integers(1, 11))]
+        draw = entry / cdf[-1]
         for _ in range(4):          # the draw whose product is the entry
-            if draw * cdfs["F"][-1] == entry:
+            if draw * cdf[-1] == entry:
                 break
-            draw = np.nextafter(draw, 1.0 if draw * cdfs["F"][-1] < entry else 0.0)
-        pick = {order: np.count_nonzero(cdf <= draw * cdf[-1])
-                for order, cdf in cdfs.items()}
-        if draw * cdfs["F"][-1] != entry or pick["F"] == pick["C"]:
+            draw = np.nextafter(draw, 1.0 if draw * cdf[-1] < entry else 0.0)
+        pick = np.count_nonzero(cdf <= draw * cdf[-1])
+        if (draw * cdf[-1] != entry
+                or pick == np.count_nonzero(pairwise <= draw * pairwise[-1])):
             continue
         planted += 1
-        picks = local._exact_dsq(rows, np.array([0.0, draw]))
-        assert picks.tolist() == [0, pick["F"]]
         _Planted.values = [0.0, draw]
-        assert rows[picks].tobytes() == scalar_dsq_sample(rows, 2, _Planted()).tobytes()
+        oracle = scalar_dsq_sample(rows, 2, _Planted())
+        for layout in (rows, np.asfortranarray(rows)):
+            picks = local._exact_dsq(layout, np.array([0.0, draw]))
+            assert picks.tolist() == [0, pick]
+            assert layout[picks].tobytes() == oracle.tobytes()
     assert planted >= 10
 
 
@@ -860,7 +854,8 @@ def test_sampler_certifies_at_any_finite_scale_else_fails_as_the_exact_kernel(
             assert len(calls) == 1      # the first restart raised
             assert scale not in (1.0, 1e150, 1e-150)
             if scale > 1.0:
-                assert str(err) == "overflow encountered in square"
+                assert str(err) == ("squared distances between rows leave the "
+                                    "float range")
             return
         starts = local._dsq_sample(stack, 5, seeds)
     assert calls == []
@@ -885,6 +880,10 @@ def test_sampler_memory_linear_in_rows():
 
 
 def test_wide_sq_distances_match_block_einsum():
+    # Rows wider and narrower than the centers, integer grids with exact
+    # ties, either layout: the exact kernel adds each pair's squares in
+    # column order (a block einsum may pair them up, so the oracle is the
+    # column loop).
     rng = np.random.default_rng(47)
     for case in range(120):
         n, k = int(rng.integers(1, 90)), int(rng.integers(2, 12))
@@ -895,18 +894,18 @@ def test_wide_sq_distances_match_block_einsum():
         centers = data[rng.integers(0, n, size=k)]
         if case % 2:
             data = np.asfortranarray(data)
-        diff = data[:, None, :] - centers[None, :, :]
-        np.testing.assert_array_equal(local._sq_distances(data, centers),
-                                      np.einsum("nkd,nkd->nk", diff, diff))
+        assert (linalg._exact_sq(data, centers).tobytes()
+                == sequential_sq(data, centers).tobytes())
 
 
 def test_wide_sq_distances_memory_under_one_block():
     rng = np.random.default_rng(48)
     data, centers = rng.normal(size=(160, 300)), rng.normal(size=(8, 300))
     block = 160 * 8 * 300 * 8
+    linalg._exact_sq(data[:1], centers)     # scipy's import is not the kernel's
     tracemalloc.start()
     try:
-        local._sq_distances(data, centers)
+        linalg._exact_sq(data, centers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -915,18 +914,17 @@ def test_wide_sq_distances_memory_under_one_block():
 
 def test_wide_lloyd_at_extreme_scale_fails_as_the_exact_kernel(monkeypatch):
     # Squares near 1e400 overflow: the certified labels step aside for the
-    # exact kernel (its einsum overflows to inf without a warning), and the
+    # exact kernel (which overflows to inf without a warning), and the
     # first center shift raises the warning it always raised.
     rng = np.random.default_rng(73)
     data = rng.normal(size=(40, 12)) * 1e200
     centers = data[:3].copy()
-    exact_calls = []
-    exact = local._sq_distances
-    monkeypatch.setattr(local, "_sq_distances",
-                        lambda a, b: exact_calls.append(a.shape) or exact(a, b))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isinf(exact(data, centers)).any()
+        assert np.isinf(linalg._exact_sq(data, centers)).any()
+    exact_calls = spy_exact(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="^overflow encountered in square$"):
             lloyd_iterate(data, centers)
     assert exact_calls == [data.shape]
@@ -976,12 +974,12 @@ def test_stacked_local_cluster_matches_one_device_calls(monkeypatch):
         return seed(projected, *args, **kwargs)
     monkeypatch.setattr(local, "approx_seed", seed_spy)
     stacked_fallbacks = []
+    count = spy_exact(monkeypatch)
     nearest = local._nearest_each
 
-    def counting(a, centers, exact, a_sq, a_t=None):
-        count = []
-        labels = nearest(a, centers, lambda x, c: count.append(1) or exact(x, c),
-                         a_sq, a_t)
+    def counting(a, centers, a_sq, a_t=None):
+        count.clear()
+        labels = nearest(a, centers, a_sq, a_t)
         if a.shape[0] > 1:
             stacked_fallbacks.append((len(count), centers.shape[0] * centers.shape[1]))
         return labels
@@ -1045,9 +1043,8 @@ def test_stacked_local_cluster_matches_one_device_calls(monkeypatch):
 
 def test_stacked_failure_raises_the_first_failing_devices_error():
     # Device 1 has two distinct rows for k = 4, which the sampler finds at
-    # its second pick; device 3's squares overflow at the first. On one
-    # stack device 3 fails first, yet the call raises device 1's error, as
-    # solving the devices one by one does.
+    # its second pick; device 3's squares overflow at the first. The call
+    # raises device 1's error, as solving the devices one by one does.
     rng = np.random.default_rng(75)
     data = rng.normal(size=(120, 12)) + np.repeat(np.eye(4, 12) * 20.0, 30, axis=0)
     devices = np.split(np.arange(120), 4)
@@ -1056,7 +1053,8 @@ def test_stacked_failure_raises_the_first_failing_devices_error():
     partition = DevicePartition(device_rows=devices, k=4, k_per_device=[4] * 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RuntimeWarning, match="^overflow encountered in square$"):
+        with pytest.raises(ValueError, match="^squared distances between rows "
+                           "leave the float range$"):
             local_cluster(data[devices[3]], 4, (0, 3))
         with pytest.raises(ValueError) as err:
             run_kfed(partition, data, seed=0)
@@ -1066,18 +1064,23 @@ def test_stacked_failure_raises_the_first_failing_devices_error():
 
 def test_acceptance_shape_runs_no_exact_kernel(monkeypatch):
     # On an acceptance-02 instance (d = 300, k = 64, 40 devices of 160 rows)
-    # every label of the seeding and raw-row Lloyd, every threshold set and
-    # every k-means++ pick is certified: a lost certificate fails here
-    # instead of showing only as lost time.
-    exact_calls = []
-    for name in ("_sq_distances", "_exact_dsq"):
-        kernel = getattr(local, name)
-        monkeypatch.setattr(local, name, lambda *args, kernel=kernel, name=name:
-                            exact_calls.append(name) or kernel(*args))
+    # and a low-separation IID one (k = 16, d = 50, sigma means at c = 4,
+    # 150 rows per cluster, 20 devices), every label of the seeding and
+    # raw-row Lloyd, every threshold set, every k-means++ pick and every
+    # server decision is certified: a lost certificate fails here instead
+    # of showing only as lost time, and as scipy's import in a fresh process.
+    exact_calls = spy_exact(monkeypatch)
     _, data, _, partition = planted_instance(0, k=64, d=300, per_cluster=100,
                                              m0=5, group_size=8)
     run_kfed(partition, data, seed=0)
     assert len(partition.device_rows) == 40 and exact_calls == []
+    spec = MixtureSpec(k=16, d=50, n=16 * 150, sigma_max=1.0, seed=0,
+                       mean_mode="sigma", c=4.0, m0=5.0)
+    data, truth = generate_mixture(spec)
+    partition = iid_partition(spec.n, 20, 0)
+    partition.annotate_from_labels(truth.assignment, truth.k)
+    run_kfed(partition, data, seed=0)
+    assert exact_calls == []
 
 
 def test_stacked_stages_hold_no_per_center_block():
