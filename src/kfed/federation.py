@@ -7,19 +7,23 @@ resulting center groups induce a clustering of every row in the network.
 Late-arriving devices are labeled against the retained group means
 without contacting anyone else.
 
-Every distance the aggregator uses comes from a matrix product, kept
-only where the rounding bound of ``linalg._rounding_bound`` proves that
-the one exact kernel, ``linalg._exact_sq``, gives the same decision,
-tie-breaks included; otherwise that kernel runs, and a squared distance
-it finds beyond the float range raises ``ValueError``. Farthest-point
-seeding takes one product per step (``_certified_max_min``) and falls
-back to the exact seeding as a whole (``_exact_max_min``). Nearest-seed
-and nearest-group-mean labels (``one_round_lloyd``, ``assign_new_device``)
-come from one product per call (``linalg._nearest_each``). Both products
-are ``linalg._product_sq``'s. Either way the aggregator's working memory
-is O(uploads x (d + k)), not O(uploads x k x d). The distance count
-depends only on the shapes: open uploads times newest seeds per seeding
-step, and k per labeled upload, whichever path picked.
+Every distance decision is taken on the inputs scaled by one power of
+two, the one that brings their largest entry into [0.5, 1)
+(``linalg._finite_scaled``), which is exact bar entries 2^1022 below the
+largest: each decision is the one taken at scale 1, no squared distance
+overflows, and every output comes from the unscaled inputs. Each distance
+comes from a matrix product, kept only where the rounding bound of
+``linalg._rounding_bound`` proves that the one exact kernel,
+``linalg._exact_sq``, gives the same decision, tie-breaks included;
+otherwise that kernel runs. Farthest-point seeding takes one product per
+step (``_certified_max_min``) and falls back to the exact seeding as a
+whole (``_exact_max_min``). Nearest-seed and nearest-group-mean labels
+(``one_round_lloyd``, ``assign_new_device``) come from one product per
+call (``linalg._nearest_each``). Both products are
+``linalg._product_sq``'s. Either way the aggregator's working memory is
+O(uploads x (d + k)), not O(uploads x k x d). The distance count depends
+only on the shapes: open uploads times newest seeds per seeding step, and
+k per labeled upload, whichever path picked.
 
 The server starts its farthest-point pass from every center of the
 lowest uploaded device id. The upload checks run in ``_flatten``, which
@@ -172,40 +176,21 @@ def _flatten(all_centers: list[DeviceCenters]) -> tuple[np.ndarray, list[tuple[i
     return stacked, provenance
 
 
-def _checked_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``linalg._exact_sq(a, b)``; raise where a squared distance leaves the
-    float range, since no comparison of it would mean anything."""
-    dist = linalg._exact_sq(a, b)
-    if not np.isfinite(dist).all():
-        raise ValueError("squared distances between uploaded centers leave "
-                         "the float range")
-    return dist
-
-
 def _nearest_point(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Index of each row's nearest point, ties to the lowest index: bit for
-    bit ``linalg._exact_sq(rows, points).argmin(axis=1)``, from
-    ``linalg._nearest_each``'s certified product where it settles every row.
-
-    Where the rounding bound at the largest norms is finite no exact square
-    can overflow. Where it is not, the bound settles no row of the largest
-    norm, so the exact kernel runs on every row here, through
-    ``_checked_sq``.
+    bit ``linalg._exact_sq(rows, points).argmin(axis=1)`` on both scaled by
+    the one power of two that brings their largest entry into [0.5, 1)
+    (``linalg._finite_scaled``), from ``linalg._nearest_each``.
     """
-    rows, points = np.asarray(rows, dtype=float), np.asarray(points, dtype=float)
+    both, _ = linalg._finite_scaled(np.concatenate([rows, points]))
+    rows, points = both[:len(rows)], both[len(rows):]
     rows_sq = np.einsum("nd,nd->n", rows, rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = _rounding_bound(np.sqrt(rows_sq.max()),
-                                np.sqrt(np.einsum("kd,kd->k", points, points).max()),
-                                rows.shape[1])
-    if not np.isfinite(reach):
-        return _checked_sq(rows, points).argmin(axis=1)
     return _nearest_each(rows[None], points[None, None], rows_sq[None])[0, 0]
 
 
 def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int) -> list[int]:
     """Gonzalez's max-min picks after ``chosen`` until there are k, from
-    ``linalg._exact_sq`` through ``_checked_sq``.
+    ``linalg._exact_sq`` on the scaled uploads ``stacked``.
 
     Each open upload keeps its squared distance to the nearest chosen
     center, refreshed only against the newest choice, and the first maximum
@@ -215,7 +200,7 @@ def _exact_max_min(stacked: np.ndarray, chosen: list[int], k: int) -> list[int]:
     nearest = np.full(candidates.size, np.inf)
     picks, new = [], list(chosen)
     while len(chosen) + len(picks) < k:
-        dist = _checked_sq(stacked[candidates], stacked[new])
+        dist = linalg._exact_sq(stacked[candidates], stacked[new])
         nearest = np.minimum(nearest, dist.min(axis=1))
         pick = int(nearest.argmax())
         new = [int(candidates[pick])]
@@ -236,35 +221,31 @@ def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
     and E_i = max e over the chosen centers, so its exact squared distance
     to the chosen set lies in [m_i − E_i, m_i + E_i]. F's max-min pick t is
     then the exact one when m_t − E_t > m_i + E_i for every other open i.
-    A step where that fails (an exact tie always does), or where F is not
-    finite, gives None.
+    A step where that fails (an exact tie always does) gives None.
     Chosen uploads hold m = −inf, so they are never picked or compared.
-    The bound is float64's, so uploads of any other dtype give None.
+    ``stacked`` is float64 with every entry below 1, so F is finite.
     """
-    if stacked.dtype != np.float64:
-        return None
     sq = np.einsum("nd,nd->n", stacked, stacked)
     norm = np.sqrt(sq)
     nearest = np.full(stacked.shape[0], np.inf)
     nearest[chosen] = -np.inf
     slack = np.zeros(stacked.shape[0])
     picks, new = [], list(chosen)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        while len(chosen) + len(picks) < k:
-            f = _product_sq(stacked, stacked[new], sq, sq[new])
-            np.minimum(nearest, f.min(axis=1), out=nearest)
-            np.maximum(slack, _rounding_bound(norm[:, None], norm[new],
-                                              stacked.shape[1]).max(axis=1),
-                       out=slack)
-            pick = int(nearest.argmax())
+    while len(chosen) + len(picks) < k:
+        f = _product_sq(stacked, stacked[new], sq, sq[new])
+        np.minimum(nearest, f.min(axis=1), out=nearest)
+        np.maximum(slack, _rounding_bound(norm[:, None], norm[new],
+                                          stacked.shape[1]).max(axis=1),
+                   out=slack)
+        pick = int(nearest.argmax())
+        with np.errstate(invalid="ignore"):   # an infinite bound proves nothing
             upper = nearest + slack
-            upper[pick] = -np.inf
-            if not (np.isfinite(f).all()
-                    and nearest[pick] - slack[pick] > upper.max()):
-                return None
-            nearest[pick] = -np.inf
-            new = [pick]
-            picks += new
+        upper[pick] = -np.inf
+        if not nearest[pick] - slack[pick] > upper.max():
+            return None
+        nearest[pick] = -np.inf
+        new = [pick]
+        picks += new
     return picks
 
 
@@ -275,13 +256,13 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int, *,
     Starts from every center of the lowest uploaded device id, which
     ``_flatten`` ensures has some, and repeatedly adds the center farthest
     from the chosen set. Ties go to the lexicographically smallest
-    (device_id, local index). The picks come from one certified product
-    per step where its rounding bound settles every step of float64
-    uploads (``_certified_max_min``), and from exact squared distances
-    otherwise (``_exact_max_min``), where one beyond the float range raises
-    ``ValueError``. The distance count depends only on the shapes: each
-    step measures every open upload against the newest seeds, all start
-    centers at the first step and one seed after it.
+    (device_id, local index). The picks, taken on the scaled uploads (see
+    the module docstring), come from one certified product per step where
+    its rounding bound settles every step (``_certified_max_min``), and
+    from exact squared distances otherwise (``_exact_max_min``). The points
+    are the unscaled uploads, in their dtype. The distance count depends
+    only on the shapes: each step measures every open upload against the
+    newest seeds, all start centers at the first step and one seed after it.
     """
     _check_k(k)
     if not all_centers or sum(dc.k_z for dc in all_centers) < k:
@@ -290,9 +271,10 @@ def farthest_point_init(all_centers: list[DeviceCenters], k: int, *,
     chosen = [idx for idx, (z, _) in enumerate(provenance) if z == provenance[0][0]]
     if len(chosen) > k:
         raise ValueError("start device has more centers than requested groups")
-    picks = _certified_max_min(stacked, chosen, k)
+    scaled, _ = linalg._finite_scaled(stacked)
+    picks = _certified_max_min(scaled, chosen, k)
     if picks is None:   # [] is a proof: the start device holds k centers
-        picks = _exact_max_min(stacked, chosen, k)
+        picks = _exact_max_min(scaled, chosen, k)
     s, total = len(chosen), len(provenance)
     accounting.pairwise_distance_count += sum((total - s - step) * (1 if step else s)
                                               for step in range(k - s))
@@ -306,15 +288,18 @@ def one_round_lloyd(all_centers: list[DeviceCenters], init: FarthestInit,
                     accounting: OpsAccounting) -> InducedClustering:
     """Single nearest-center assignment of every upload to the seed set.
 
-    No re-centering loop follows; the seed groups are final. Given the
-    network's row count ``n_total``, the per-row induced clustering is
-    built from each upload's ``rows``: a row joins the group its local
-    cluster's center was assigned to.
+    No re-centering loop follows; the seed groups are final, and their
+    means are those of the unscaled uploads. Given the network's row count
+    ``n_total``, the per-row induced clustering is built from each upload's
+    ``rows``: a row joins the group its local cluster's center was assigned
+    to.
     """
     stacked, provenance = _flatten(all_centers)
     if np.shape(init.points)[1:] != stacked.shape[1:] or not len(init.points):
         raise ValueError(f"init points of shape {np.shape(init.points)} do not "
                          f"fit uploads of width {stacked.shape[1]}")
+    if not np.isfinite(init.points).all():
+        raise ValueError("init points contain non-finite values")
     k = init.points.shape[0]
     # ties resolve to the lowest group index
     nearest = _nearest_point(stacked, init.points)

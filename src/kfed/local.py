@@ -423,17 +423,13 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
         raise ValueError("insufficient distinct points")
     labels, refined, _ = _lloyd(stack, _dsq_sample(stack, k, seeds), tol,
                                 DEFAULT_MAX_ITER)
-    collapsed = _has_equal_rows(refined)
-    best = np.empty((stack.shape[0], k, stack.shape[2]))
-    for m, rows in enumerate(stack):
-        best_cost = np.inf
-        for restart in np.flatnonzero(~collapsed[m]):
-            cost = _assignment_cost(rows, labels[m, restart], refined[m, restart])
-            if cost < best_cost:
-                best_cost = cost
-                best[m] = refined[m, restart]
-        if best_cost == np.inf:
-            raise ValueError("seeding collapsed on every restart")
+    costs = np.full(labels.shape[:2], np.inf)    # collapsed restarts stay inf
+    for m, restart in zip(*np.nonzero(~_has_equal_rows(refined))):
+        costs[m, restart] = _assignment_cost(stack[m], labels[m, restart],
+                                             refined[m, restart])
+    if (costs.min(axis=1) == np.inf).any():
+        raise ValueError("seeding collapsed on every restart")
+    best = refined[np.arange(len(costs)), costs.argmin(axis=1)]   # first minimum
     return best if stacked else best[0]
 
 

@@ -265,9 +265,13 @@ def proximity_check(data: np.ndarray, clustering: Clustering) -> ProximityReport
                            margins=worst, skipped_pairs=skipped)
 
 
-def _exceeds(lhs: float, rhs: float) -> bool:
-    """Whether ``lhs`` exceeds ``rhs`` by more than rounding can explain."""
-    return lhs > rhs + min(_AUDIT_SLACK, _AUDIT_REL * rhs)
+def _exceeds(lhs: float, rhs: float, exponent: int) -> bool:
+    """Whether ``lhs`` exceeds ``rhs`` by more than rounding can explain: the
+    relative allowance is taken against the larger of ``rhs`` and the
+    centers' scale 2^``exponent``, since a zero bound still meets the
+    rounding of the means."""
+    return lhs > rhs + min(_AUDIT_SLACK, max(_AUDIT_REL * rhs,
+                                             math.ldexp(_AUDIT_REL, exponent)))
 
 
 def _vector_norms(m: np.ndarray) -> np.ndarray:
@@ -313,18 +317,19 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
     and each device's locally centered data has spectral norm at most
     2 sqrt(local cluster count) times the global op norm. Both hold for
     any labeling whatsoever, so a violation beyond the rounding allowance
-    (the smaller of ``_AUDIT_SLACK`` and ``_AUDIT_REL`` times the bound)
-    indicates an implementation bug. A device whose residual's Frobenius
-    norm, an upper bound on its spectral norm, is already within the
-    norm-change bound passes without an eigensolve; only the others take
-    the exact ``operator_norm``.
+    (the smaller of ``_AUDIT_SLACK`` and ``_AUDIT_REL`` times the larger of
+    the bound and the centers' power-of-two scale) indicates an
+    implementation bug. A device whose residual's Frobenius norm, an upper
+    bound on its spectral norm, is already within the norm-change bound
+    passes without an eigensolve; only the others take the exact
+    ``operator_norm``.
 
     The partition must cover the rows of ``data`` (see
     ``DevicePartition.check_cover``); a device that holds no rows is
     skipped. Each device's means come from its own ``cluster_means`` call,
     and its block is centered in place, so no n x d temporary is built.
     """
-    data, labels, centers, _, op, _, _ = _fit_target(data, clustering)
+    data, labels, centers, _, op, _, exponent = _fit_target(data, clustering)
     k = clustering.k
     partition.check_cover(labels.size)
 
@@ -339,7 +344,7 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
         bounds = (op / np.sqrt(local_sizes[present])).tolist()
         for r, lhs, rhs in zip(present.tolist(), shifts, bounds):
             audit.mean_shift_checks += 1
-            if _exceeds(lhs, rhs):
+            if _exceeds(lhs, rhs, exponent):
                 audit.violations.append({
                     "kind": "mean_shift", "device": z, "cluster": r,
                     "lhs": lhs, "rhs": rhs,
@@ -350,7 +355,7 @@ def lemma_audit(data: np.ndarray, clustering: Clustering,
         if _frobenius_within(block, rhs):
             continue
         lhs = operator_norm(block)
-        if _exceeds(lhs, rhs):
+        if _exceeds(lhs, rhs, exponent):
             audit.violations.append({
                 "kind": "norm_change", "device": z, "cluster": None,
                 "lhs": lhs, "rhs": rhs,

@@ -344,11 +344,13 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
     No Frobenius certificate: every device's residual norm is the
     eigensolve. Mean shifts take the audit's power-of-two scaled row norms.
     A bound counts as violated beyond the smaller of 1e-9 and 1e-12 times the
-    bound. ``separation.operator_norm`` is looked up at call time, so a
-    test that patches it patches this audit too.
+    larger of the bound and the centers' scale, the power of two that
+    ``_fit_target`` scales them by. ``separation.operator_norm`` is looked
+    up at call time, so a test that patches it patches this audit too.
     """
-    data, labels, centers, _, op, _, _ = separation._fit_target(data,
-                                                               clustering)
+    data, labels, centers, _, op, _, exponent = separation._fit_target(
+        data, clustering)
+    scale = 2.0 ** min(exponent, 64)   # capped: 1e-12 * 2^40 exceeds 1e-9
     k = clustering.k
 
     audit = separation.LemmaAudit(mean_shift_checks=0, norm_change_checks=0)
@@ -363,7 +365,7 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
         for r, lhs in zip(present, shifts.tolist()):
             rhs = op / math.sqrt(local_sizes[r])
             audit.mean_shift_checks += 1
-            if lhs > rhs + min(1e-9, 1e-12 * rhs):
+            if lhs > rhs + min(1e-9, 1e-12 * max(rhs, scale)):
                 audit.violations.append({
                     "kind": "mean_shift", "device": z, "cluster": int(r),
                     "lhs": lhs, "rhs": rhs,
@@ -371,7 +373,7 @@ def exact_lemma_audit(data: np.ndarray, clustering: Clustering,
         lhs = separation.operator_norm(local_data - local_means[local_labels])
         rhs = 2.0 * math.sqrt(present.size) * op
         audit.norm_change_checks += 1
-        if lhs > rhs + min(1e-9, 1e-12 * rhs):
+        if lhs > rhs + min(1e-9, 1e-12 * max(rhs, scale)):
             audit.violations.append({
                 "kind": "norm_change", "device": z, "cluster": None,
                 "lhs": lhs, "rhs": rhs,

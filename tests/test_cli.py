@@ -590,6 +590,23 @@ def test_replay_rejects_log_record_run_cannot_write(tmp_path, capsys, recorded_l
         assert err.startswith("pipeline error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["2m600", "2p600"])
+def test_replay_at_extreme_scale(tmp_path, capsys, recorded_log, scale):
+    # Every upload's centers times a power of two whose squares underflow
+    # or overflow: the server decides on the uploads scaled back into
+    # range, so the replay reproduces the recorded groups.
+    lines = list(recorded_log)
+    for index in range(1, len(lines) - 1):
+        _edit_upload(lines, index, lambda b: b.update(
+            centers=[[x * scale for x in row] for row in b["centers"]]))
+    log = tmp_path / "messages.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["replay", "--log", str(log)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["tau"] == json.loads(lines[-1])["tau"]
+
+
 def test_eval_command(tmp_path):
     pred = tmp_path / "pred.csv"
     truth = tmp_path / "truth.csv"

@@ -1,10 +1,14 @@
+import dataclasses
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from kfed import federation
-from kfed.datagen import DevicePartition
+from kfed import federation, linalg
+from kfed.datagen import (DevicePartition, MixtureSpec, generate_mixture,
+                          iid_partition)
 from kfed.evaluation import matched_accuracy
 from kfed.federation import (DeviceCenters, FarthestInit, OpsAccounting,
                              assign_new_device, farthest_point_init,
@@ -13,9 +17,6 @@ from kfed.local import local_cluster
 from kfed.separation import separation_quantities
 from helpers import init_planted_clusters, planted_instance, spy_exact
 from oracles import greedy_max_min, sequential_sq
-
-
-_OUT_OF_RANGE = "^squared distances between uploaded centers leave the float range$"
 
 
 def _dc(device_id, centers, assignment=None):
@@ -117,10 +118,12 @@ def test_init_matches_max_min_oracle():
 
 
 def _check_init(uploads, calls, expected=None):
-    """Every k's provenance and distance count against the exact path and,
-    where given, the oracle's full max-min order; returns the paths taken.
-    The lowest device id, the first of ``_flatten``'s order, starts."""
+    """Every k's provenance and distance count against the exact path on the
+    scaled uploads and, where given, the oracle's full max-min order;
+    returns the paths taken. The lowest device id, the first of
+    ``_flatten``'s order, starts."""
     stacked, provenance = federation._flatten(uploads)
+    scaled, _ = linalg._finite_scaled(stacked)
     chosen = [i for i, (z, _) in enumerate(provenance) if z == provenance[0][0]]
     total, s = len(provenance), len(chosen)
     taken = []
@@ -130,7 +133,7 @@ def _check_init(uploads, calls, expected=None):
         init = farthest_point_init(uploads, k, accounting=acc)
         if k > s:
             taken.append("exact" if calls else "certified")
-        picks = federation._exact_max_min(stacked, chosen, k)
+        picks = federation._exact_max_min(scaled, chosen, k)
         assert init.provenance == [provenance[i] for i in chosen + picks]
         if expected is not None:
             assert init.provenance == expected[:k]
@@ -142,8 +145,8 @@ def _check_init(uploads, calls, expected=None):
 
 def test_init_certified_and_exact_paths_match_max_min_oracle(monkeypatch):
     # One product per step settles the pick only where a rounding bound
-    # proves it; ties, duplicates and squares out of range take the exact
-    # path. Both agree with the oracle, whatever the width and scale.
+    # proves it; ties and duplicates take the exact path. Both agree with
+    # the oracle, whatever the width and scale.
     calls = spy_exact(monkeypatch)
     rng = np.random.default_rng(32)
     paths = {"certified": 0, "exact": 0}
@@ -183,48 +186,64 @@ def test_init_certified_and_exact_paths_match_max_min_oracle(monkeypatch):
         for path in _check_init(uploads, calls, expected):
             paths[path] += 1
     assert paths["certified"] >= 200 and paths["exact"] >= 300
-    # Squares that all underflow to zero (every step a tie) always take the
-    # exact path. Squares that overflow (F is not finite) take it too, and
-    # its first step raises: no max-min pick among them means anything.
-    for scale in (2.0 ** 600, 2.0 ** -600, 1e200):
-        uploads = [_dc(z, rng.normal(size=(3, 5)) * scale) for z in range(3)]
-        if scale < 1.0:
-            assert _check_init(uploads, calls) == ["exact"] * 6
-            continue
-        calls.clear()
-        with pytest.raises(ValueError, match=_OUT_OF_RANGE):
-            farthest_point_init(uploads, 4, accounting=OpsAccounting())
-        assert calls == [(6, 5)]
+    # The picks are taken on the uploads scaled by one power of two, so
+    # uploads whose squares would overflow or all underflow to zero take
+    # the scale-1 paths and picks.
+    base = [rng.normal(size=(3, 5)) for _ in range(3)]
+    expected = greedy_max_min(list(enumerate(base)), 9, 0)
+    for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 1e200, 1e-200):
+        uploads = [_dc(z, c * scale) for z, c in enumerate(base)]
+        assert _check_init(uploads, calls, expected) == ["certified"] * 6
 
 
-@pytest.mark.parametrize("scale", [2.0 ** 600, 1e200])
-def test_server_exact_steps_reject_squares_beyond_the_float_range(scale):
-    # The exact max-min and nearest-seed steps compare squared distances;
-    # where one overflows no comparison means anything, so each step
-    # raises instead of returning picks or labels. The same uploads at
-    # scale 1 aggregate as usual.
-    rng = np.random.default_rng(35)
-    centers = [rng.normal(size=(3, 5)) for _ in range(4)]
-    for factor in (1.0, scale):
-        uploads = [_dc(z, c * factor) for z, c in enumerate(centers)]
-        init = FarthestInit(points=uploads[1].centers, provenance=[])
-        steps = [lambda: farthest_point_init(uploads, 6, accounting=OpsAccounting()),
-                 lambda: one_round_lloyd(uploads, init, accounting=OpsAccounting()),
-                 lambda: assign_new_device(uploads[1].centers, uploads[2].centers,
-                                           accounting=OpsAccounting())]
-        for step in steps:
-            if factor == 1.0:
-                step()
-                continue
-            with pytest.raises(ValueError, match=_OUT_OF_RANGE):
-                step()
+# scale id -> a factor for every upload, whose squares leave the float range
+_SCALES = {"2p600": 2.0 ** 600, "1e200": 1e200, "2m600": 2.0 ** -600,
+           "2m664": 2.0 ** -664, "2m700": 2.0 ** -700, "1em200": 1e-200}
+
+
+@pytest.mark.parametrize("scale", sorted(_SCALES))
+def test_server_is_scale_free(tmp_path, scale):
+    # Every distance decision of the server is taken on inputs scaled by
+    # one power of two, so uploads at any scale give the scale-1 seeds,
+    # groups, row labels and late-join labels, and replay, without a
+    # warning. At a power of two the group means are the scale-1 means
+    # times the scale, bit for bit.
+    factor = _SCALES[scale]
+    _, data, _, partition = planted_instance(35)
+    run = run_kfed(partition, data, seed=35)
+    late = run.device_centers[1].centers
+    labels = assign_new_device(run.induced.cluster_means, late,
+                               accounting=OpsAccounting())
+    uploads = {z: dataclasses.replace(dc, centers=dc.centers * factor)
+               for z, dc in run.device_centers.items()}
+    log = tmp_path / "messages.jsonl"
+    record_run(log, dataclasses.replace(run, device_centers=uploads))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        init = farthest_point_init(list(uploads.values()), len(run.induced.tau),
+                                   accounting=OpsAccounting())
+        induced = one_round_lloyd(list(uploads.values()), init, n_total=len(data),
+                                  accounting=OpsAccounting())
+        scaled_labels = assign_new_device(induced.cluster_means, late * factor,
+                                          accounting=OpsAccounting())
+        replayed = replay_run(log)    # the scale-1 trailer, or it raises
+    assert init.provenance == run.init.provenance
+    assert induced.tau == run.induced.tau
+    assert np.array_equal(induced.assignment, run.induced.assignment)
+    assert np.array_equal(scaled_labels, labels)
+    assert replayed["tau"] == [[list(pair) for pair in group]
+                               for group in run.induced.tau]
+    mantissa, exponent = math.frexp(factor)
+    if mantissa == 0.5:
+        assert np.array_equal(induced.cluster_means,
+                              np.ldexp(run.induced.cluster_means, exponent - 1))
 
 
 def test_init_non_float64_uploads_take_the_exact_path(monkeypatch):
-    # The rounding bound is float64's: integer and float32 uploads are
-    # picked by the exact kernel, as they always were. In float32 the
-    # squares near 2^28 round to 32, so a product would rank the 2.875
-    # step above the 3.875 one.
+    # Integer and float32 uploads are scaled to float64, so their picks
+    # are the exact path's and the oracle's, and the seed points keep the
+    # uploads' dtype. In float32 the squares near 2^28 round to 32, so a
+    # float32 product would rank the 2.875 step above the 3.875 one.
     calls = spy_exact(monkeypatch)
     rng = np.random.default_rng(33)
     cases = [[np.array([[16384.0]]), np.array([[16387.875]]),
@@ -232,15 +251,16 @@ def test_init_non_float64_uploads_take_the_exact_path(monkeypatch):
     cases += [[rng.integers(-5, 6, size=(int(m), 3)) for m in sizes]
               for sizes in rng.integers(1, 4, size=(5, 3))]
     for centers in cases:
+        expected = greedy_max_min(list(enumerate(centers)),
+                                  sum(len(c) for c in centers), 0)
         for dtype in (np.int64, np.float32):
             uploads = [DeviceCenters(device_id=z, centers=c.astype(dtype),
                                      local_assignment=np.empty(0, dtype=int))
                        for z, c in enumerate(centers)]
-            taken = _check_init(uploads, calls)
-            assert set(taken) <= {"exact"}
-    init = farthest_point_init(uploads, sum(dc.k_z for dc in uploads),
-                               accounting=OpsAccounting())
-    assert init.points.dtype == np.float32
+            _check_init(uploads, calls, expected)
+            init = farthest_point_init(uploads, len(expected),
+                                       accounting=OpsAccounting())
+            assert init.points.dtype == dtype
 
 
 def test_init_too_few_centers():
@@ -269,6 +289,16 @@ def test_round_tie_goes_to_lower_group():
     init = farthest_point_init(uploads, 2, accounting=OpsAccounting())
     induced = one_round_lloyd(uploads, init, accounting=OpsAccounting())
     assert (1, 0) in induced.tau[0]
+
+
+def test_round_takes_seeds_whose_squares_overflow():
+    # Uploads and seeds are scaled together, so seeds at 1e300 label the
+    # uploads as at scale 1; the tie at 0 goes to the lower group.
+    uploads = [_dc(0, [[0.0], [9e299]]), _dc(1, [[-9e299]])]
+    init = FarthestInit(points=np.array([[1e300], [-1e300]]), provenance=[])
+    induced = one_round_lloyd(uploads, init, accounting=OpsAccounting())
+    assert induced.tau == [[(0, 0), (0, 1)], [(1, 0)]]
+    assert induced.cluster_means.tolist() == [[4.5e299], [-9e299]]
 
 
 def test_round_builds_induced_rows():
@@ -382,6 +412,30 @@ def test_single_device_reduces_to_local_solve():
     agree = matched_accuracy(run.induced.assignment, local.clusters.assignment)
     assert agree.accuracy == 1.0
     assert all(len(group) == 1 for group in run.induced.tau)
+
+
+def _lowsep_iid_instance(seed):
+    """c=4 sigma means, k=16, d=50, 150 rows per cluster, IID over 20 devices."""
+    spec = MixtureSpec(k=16, d=50, n=16 * 150, sigma_max=1.0, seed=seed,
+                       mean_mode="sigma", c=4.0, m0=5.0)
+    data, truth = generate_mixture(spec)
+    partition = iid_partition(spec.n, 20, seed)
+    partition.annotate_from_labels(truth.assignment, truth.k)
+    return data, partition
+
+
+@pytest.mark.parametrize("shape", ["table1_large", "lowsep_iid"])
+def test_benchmark_shapes_take_no_exact_fallback(monkeypatch, shape):
+    # Every certificate holds on the benchmark's pipeline shapes, device
+    # solves and server alike: a lost one fails here, not only in time.
+    if shape == "table1_large":
+        _, data, _, partition = planted_instance(0, k=64, d=300, per_cluster=100,
+                                                 m0=5, group_size=8)
+    else:
+        data, partition = _lowsep_iid_instance(0)
+    calls = spy_exact(monkeypatch)
+    run_kfed(partition, data, seed=0)
+    assert calls == []
 
 
 def test_one_shot_message_log():

@@ -255,6 +255,18 @@ def test_audit_adversarial_single_point_share():
     assert audit.passed
 
 
+def test_audit_point_mass_clusters_pass():
+    # Every bound is 0, yet the means of 0.1 round: the shifts and the
+    # residual norm are rounding at the centers' scale, not violations.
+    data = np.array([[0.1]] * 4 + [[5.0]] * 2)
+    clustering = Clustering.from_labels(data, np.array([0, 0, 0, 0, 1, 1]), 2)
+    part = _partition_from_lists([[0, 1, 2], [3, 4, 5]])
+    audit = lemma_audit(data, clustering, part)
+    assert audit.passed, audit.violations
+    assert audit == exact_lemma_audit(data, clustering, part)
+    assert (audit.mean_shift_checks, audit.norm_change_checks) == (3, 2)
+
+
 def test_audit_fuzz_unconditional():
     # 200-instance sweep lives in the acceptance suite.
     for seed in range(50):
