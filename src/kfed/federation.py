@@ -223,7 +223,8 @@ def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
     then the exact one when m_t − E_t > m_i + E_i for every other open i.
     A step where that fails (an exact tie always does) gives None.
     Chosen uploads hold m = −inf, so they are never picked or compared.
-    ``stacked`` is float64 with every entry below 1, so F is finite.
+    ``stacked`` is float64 with every entry below 1, so F and every bound
+    are finite.
     """
     sq = np.einsum("nd,nd->n", stacked, stacked)
     norm = np.sqrt(sq)
@@ -238,8 +239,7 @@ def _certified_max_min(stacked: np.ndarray, chosen: list[int], k: int
                                           stacked.shape[1]).max(axis=1),
                    out=slack)
         pick = int(nearest.argmax())
-        with np.errstate(invalid="ignore"):   # an infinite bound proves nothing
-            upper = nearest + slack
+        upper = nearest + slack
         upper[pick] = -np.inf
         if not nearest[pick] - slack[pick] > upper.max():
             return None

@@ -13,7 +13,12 @@ one BLAS/LAPACK build: equal inputs give bit-identical outputs there,
 while another build may differ in the last digits. Tests check both
 primitives against independent full-decomposition oracles.
 
-Every certified squared distance in the package is the product form
+The distance kernels run on inputs that their caller has scaled by the
+power of two that brings the largest entry into [0.5, 1): the server
+through ``_finite_scaled``, each device stage through ``local._stack``.
+So no squared distance between the rows overflows on the package's
+paths. Every certified
+squared distance in the package is the product form
 F = ‖a‖² − 2·a·bᵀ + ‖b‖² of ``_product_sq``, one matrix product per row
 matrix, trusted only as far as ``_rounding_bound`` proves that the one
 exact kernel, ``_exact_sq`` (scipy's ``cdist(a, b, "sqeuclidean")``),

@@ -14,6 +14,17 @@ Distances agree in exact arithmetic, so the result is the same while the
 cost no longer grows with d. The averaged centers are lifted back to
 d-space once, to start the final Lloyd.
 
+Every stage after the projection decides on its inputs scaled once per
+device by the power of two that brings that device's largest entry into
+[0.5, 1) (``_stack``): the seeding on the coordinates, the threshold and
+each Lloyd on the rows together with their centers, with ``tol`` scaled
+alike. The scaling is exact bar entries 2^1022 below the largest, so
+every decision is the one at scale 1, and no squared distance, sum of
+them or center shift leaves the float range; each stage scales its
+outputs back. The solve is scale-free: data at 2^±600 or 1e±200 gives
+the scale-1 labels, and at a power of two the scale-1 centers times the
+scale. The projection scales itself (``linalg.top_k_projection``).
+
 The seeding restarts draw their k-means++ starts in lockstep, over one
 table of distances that each step fills from one matrix product
 (``_dsq_sample``): a restart keeps those picks only where the rounding
@@ -51,9 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import (_TINY, _gamma, _nearest_each, _product_sq,
-                     _rounding_bound, _settle, top_k_projection,
-                     validate_matrix)
+from .linalg import (_TINY, _as_matrix, _gamma, _nearest_each, _product_sq,
+                     _rounding_bound, _settle, top_k_projection)
 from .rng import Stream
 
 DEFAULT_TOL = 1e-7
@@ -151,22 +161,25 @@ def _moved_means(rows: np.ndarray, labels: np.ndarray, current: np.ndarray
                     current)
 
 
-def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
+def _lloyd(data: np.ndarray, starts: np.ndarray, tol, max_iter: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iterations on each of D row matrices ``data`` (D, n, w) from
     each of its R (k, w) starts ``starts`` (D, R, k, w), all run together.
 
     Returns labels (D, R, n), centers (D, R, k, w) and iterations (D, R).
     Each start follows exactly the path it would follow alone and stops at
-    its own step, once its largest center shift drops below ``tol``.
-    Nearest-center ties go to the lowest cluster index. A cluster that
-    loses all members keeps its previous center. The returned centers are
-    exactly the means of the returned assignment (for nonempty clusters).
+    its own step, once its largest center shift drops below its matrix's
+    ``tol`` (D,), a scalar for one matrix. Nearest-center ties go to the
+    lowest cluster index. A cluster that loses all members keeps its
+    previous center. The returned centers are exactly the means of the
+    returned assignment (for nonempty clusters). The callers pass rows and
+    starts scaled by ``_stack``'s power of two, so every center is finite
+    and no squared distance or shift overflows.
 
     A start whose labels repeat the previous step's stops at that step
     without taking means: they would equal its centers bit for bit, so its
-    shift is exactly 0. That holds for finite centers and a positive
-    ``tol``; otherwise the start takes the step as usual. The means come
+    shift is exactly 0. That holds for a positive ``tol``; with ``tol`` 0
+    the start takes the step as usual. The means come
     from ``cluster_means`` with the j-th start of a call's clusters
     numbered from j*k: on one matrix, one call over as many copies of its
     rows (tiled once) as starts moved; on a stack, one call per restart
@@ -175,12 +188,10 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
     start from ``linalg._nearest_each``: one certified product per matrix
     against all its starts, with ``linalg._exact_sq`` for a start it
     cannot settle. Only the active starts' labels are kept.
-
-    A step whose shift is NaN (a cluster mean that overflowed to inf, so
-    that no shift could ever drop below ``tol``) raises ``ValueError``.
     """
     centers = np.array(starts, dtype=float)
     devices, runs, k, width = centers.shape
+    tol = np.repeat(tol, runs)          # one per start
     n = data.shape[1]
     data_sq = np.einsum("mnd,mnd->mn", data, data)
     data_t = np.ascontiguousarray(np.swapaxes(data, 1, 2))     # for the products
@@ -198,9 +209,8 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
         flat_iterations[active] = step
         nearest = _nearest_each(data, centers, data_sq, data_t).reshape(-1, n)[active]
         current = flat_centers[active]
-        if step > 1 and 0.0 < tol:
-            repeat = ((nearest == flat_labels[active]).all(axis=1)
-                      & np.isfinite(current).all(axis=(1, 2)))
+        if step > 1:
+            repeat = (nearest == flat_labels[active]).all(axis=1) & (0.0 < tol[active])
             active, nearest, current = (active[~repeat], nearest[~repeat],
                                         current[~repeat])
         if not active.size:
@@ -216,32 +226,40 @@ def _lloyd(data: np.ndarray, starts: np.ndarray, tol: float, max_iter: int
                 rows = data if at.size == devices else data[device[at]]
                 updated[at] = _moved_means(rows, nearest[at], current[at])
         shift = np.sqrt(((updated - current) ** 2).sum(axis=2)).max(axis=1)
-        if np.isnan(shift).any():
-            raise ValueError("Lloyd center shift is NaN: a center is not finite")
         flat_centers[active] = updated
-        active = active[~(shift < tol)]
+        active = active[~(shift < tol[active])]
     return labels, centers, iterations
 
 
 def lloyd_iterate(data: np.ndarray, centers: np.ndarray, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> Clustering:
     """Run Lloyd steps from ``centers`` until movement drops below ``tol``,
-    for at most ``max_iter`` >= 1 steps.
-
-    Raises ``ValueError`` once a center's shift is NaN (a non-finite center).
+    for at most ``max_iter`` >= 1 steps (``_scaled_lloyd``): the same
+    labels at any scale, the same centers times the scale at a power of
+    two. Non-finite rows or centers raise ``ValueError``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    data = validate_matrix(data, "data")
+    data = _as_matrix(data, "data")
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("need at least one initial center")
     if centers.shape[1] != data.shape[1]:
         raise ValueError(f"centers have width {centers.shape[1]}, "
                          f"data rows have width {data.shape[1]}")
-    labels, final, _ = _lloyd(data[None], centers[None, None], tol, max_iter)
-    return Clustering(assignment=labels[0, 0], centers=final[0, 0],
-                      k=centers.shape[0])
+    return _scaled_lloyd(data, centers, tol, max_iter)[0]
+
+
+def _scaled_lloyd(rows, start, tol: float, max_iter: int) -> tuple[Clustering, int]:
+    """Lloyd on one row matrix ``rows`` from one (k, w) ``start``, run on
+    both scaled together by ``_stack``'s power of two, with ``tol`` scaled
+    alike: the clustering, its centers scaled back, and its step count."""
+    rows, start, exponent = _stack(rows, start)
+    labels, centers, iterations = _lloyd(rows, start[:, None],
+                                         np.ldexp(tol, -exponent), max_iter)
+    return (Clustering(assignment=labels[0, 0], k=start.shape[1],
+                       centers=np.ldexp(centers[0, 0], exponent[0])),
+            int(iterations[0, 0]))
 
 
 def _has_equal_rows(centers: np.ndarray) -> np.ndarray:
@@ -264,10 +282,9 @@ def _exact_dsq(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
     nearest chosen row, refreshed against the newest pick only when a step
     needs them. A step picks the number of cumulative weights not
     above u times their total: that is ``searchsorted(cdf, u,
-    side="right")`` on the nondecreasing cdf, capped at n-1. A step whose
-    weights total beyond the float range has no pick to make and raises
-    ``ValueError``. ``_dsq_sample`` runs it on each restart whose picks it
-    cannot prove.
+    side="right")`` on the nondecreasing cdf, capped at n-1. ``rows`` come
+    scaled by ``_stack``, so no weight or total leaves the float range.
+    ``_dsq_sample`` runs it on each restart whose picks it cannot prove.
     """
     n = rows.shape[0]
     picks = np.empty(draws.shape, dtype=np.int64)
@@ -278,10 +295,7 @@ def _exact_dsq(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         # All weights are zero once every distinct row has been chosen.
         if not d2.any():
             raise ValueError("insufficient distinct points")
-        with np.errstate(over="ignore"):    # checked below
-            cdf = np.cumsum(d2)
-        if not np.isfinite(cdf[-1]):
-            raise ValueError("squared distances between rows leave the float range")
+        cdf = np.cumsum(d2)
         picks[j] = min(n - np.count_nonzero(cdf > draws[j] * cdf[-1]), n - 1)
     return picks
 
@@ -321,11 +335,10 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
     distinct points" check. By induction over the steps every pick, and so
     every later table, is the exact sampler's.
 
-    A restart fails where any step's margin or total does not clear B,
-    where E is not finite (e is inf wherever the exact squares could
-    overflow), and where 2·(T + B) is not (the exact cdf could overflow).
-    The check runs once, after the loop, and with floating-point warnings
-    off, so every error comes from ``_exact_dsq``.
+    A restart fails where any step's margin or total does not clear B.
+    ``approx_seed`` passes rows scaled by ``_stack``, so every F, e and C
+    is finite. The check runs once, after the loop, so every error comes
+    from ``_exact_dsq``.
     Memory stays O(D·R·n): no (D, R, n, w) difference block is held.
     """
     devices, n, width = data.shape
@@ -341,43 +354,70 @@ def _dsq_sample(data: np.ndarray, k: int, seeds: list[tuple]) -> np.ndarray:
     cdf = np.empty_like(near)
     flat = cdf.reshape(-1)
     total, u, lower, upper = np.empty((4, k - 1, devices, runs))
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for j in range(1, k):
-            new = picks[..., j - 1]
-            np.minimum(near, _product_sq(data[owner, new], data, sq[owner, new], sq),
-                       out=near)
-            np.maximum(near, 0.0, out=cdf)
-            np.cumsum(cdf, axis=2, out=cdf)
-            total[j - 1] = cdf[..., -1]
-            np.multiply(draws[..., j], total[j - 1], out=u[j - 1])
-            picks[..., j] = np.add.reduce(cdf[..., :-1] <= u[j - 1, ..., None],
-                                          axis=2)
-            at = base + picks[..., j]
-            lower[j - 1] = flat[at - 1]     # unused where the pick is 0
-            upper[j - 1] = flat[at]
-        reach = np.sqrt(sq[owner[..., None], picks].max(axis=2))
-        spread = _rounding_bound(np.sqrt(sq)[:, None, :], reach[..., None],
-                                 width).sum(axis=2)
-        bound = 2.5 * spread + 5.0 * _gamma(n + 2) * total + 2.0 * _TINY
-        chosen = picks[..., 1:].transpose(2, 0, 1)
-        below = np.where(chosen > 0, u - lower, np.inf)
-        above = np.where(chosen < n - 1, upper - u, np.inf)
-        proven = np.isfinite(spread) & (np.isfinite(2.0 * (total + bound))
-                                        & (total > bound) & (below > bound)
-                                        & (above > bound)).all(axis=0)
+    for j in range(1, k):
+        new = picks[..., j - 1]
+        np.minimum(near, _product_sq(data[owner, new], data, sq[owner, new], sq),
+                   out=near)
+        np.maximum(near, 0.0, out=cdf)
+        np.cumsum(cdf, axis=2, out=cdf)
+        total[j - 1] = cdf[..., -1]
+        np.multiply(draws[..., j], total[j - 1], out=u[j - 1])
+        picks[..., j] = np.add.reduce(cdf[..., :-1] <= u[j - 1, ..., None], axis=2)
+        at = base + picks[..., j]
+        lower[j - 1] = flat[at - 1]     # unused where the pick is 0
+        upper[j - 1] = flat[at]
+    reach = np.sqrt(sq[owner[..., None], picks].max(axis=2))
+    spread = _rounding_bound(np.sqrt(sq)[:, None, :], reach[..., None],
+                             width).sum(axis=2)
+    bound = 2.5 * spread + 5.0 * _gamma(n + 2) * total + 2.0 * _TINY
+    chosen = picks[..., 1:].transpose(2, 0, 1)
+    below = np.where(chosen > 0, u - lower, np.inf)
+    above = np.where(chosen < n - 1, upper - u, np.inf)
+    proven = ((total > bound) & (below > bound) & (above > bound)).all(axis=0)
     for m, r in zip(*np.nonzero(~proven)):
         picks[m, r] = _exact_dsq(data[m], draws[m, r])
     return data[owner[..., None], picks]
 
 
-def _stack(m) -> np.ndarray:
-    """``m`` as a finite float stack of row matrices, (D, n, w): a 2-D ``m``
-    is one matrix (a view of it), a 3-D one a stack; raise otherwise."""
+def _stack(m, centers=None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """``m`` as a float stack of row matrices (D, n, w), ``centers`` (D, k,
+    w) or None, both scaled per device by a power of two, and each power's
+    exponent (D,). A 2-D ``m`` is one matrix, with (k, w) ``centers``; a
+    3-D one a stack. Raise unless ``m`` is nonempty and finite and the
+    centers, where given, fit it and are finite.
+
+    Device i's power brings the largest entry of its rows and centers into
+    [0.5, 1), the rule of ``linalg._finite_scaled``, which is exact bar
+    entries 2^1022 below the largest: every decision on the scaled stack is
+    the one at scale 1, and no squared distance between its rows and
+    centers, nor any sum of n of them, leaves the float range. One max and
+    one min per device over a (D, n·w) view of the rows, and one max of
+    the centers' magnitudes, both give the powers and check that every
+    entry is finite.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim == 3:
-        validate_matrix(m.reshape(m.shape[0], m.shape[1] * m.shape[2]))
-        return m
-    return validate_matrix(m)[None]
+    stack = m if m.ndim == 3 else _as_matrix(m, "matrix")[None]
+    devices, n, width = stack.shape
+    flat = _as_matrix(stack.reshape(devices, n * width), "matrix")
+    largest = np.maximum(flat.max(axis=1), -flat.min(axis=1))  # NaN with a NaN
+    if not np.isfinite(largest).all():
+        raise ValueError("matrix contains non-finite values")
+    if centers is not None:
+        shape = np.shape(centers)
+        centers = np.asarray(centers, dtype=float)
+        centers = centers if m.ndim == 3 else centers[None]
+        if (centers.ndim != 3 or centers.shape[::2] != (devices, width)
+                or not centers.shape[1]):
+            raise ValueError(f"centers of shape {shape} do not fit rows of shape "
+                             f"{m.shape}")
+        largest = np.maximum(largest, np.abs(centers).reshape(devices, -1).max(axis=1))
+        if not np.isfinite(largest).all():
+            raise ValueError("centers contain non-finite values")
+    exponent = np.frexp(largest)[1]
+    scale = -exponent[:, None, None]
+    if centers is not None:
+        centers = np.ldexp(centers, scale)
+    return np.ldexp(stack, scale), centers, exponent
 
 
 def _check_k(k) -> None:
@@ -409,9 +449,13 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     ``seed`` is then a list of D per-device seeds: the result is (D, k, w),
     device by device bit for bit what the 2-D call on its rows gives, and
     one failing device fails the call.
+
+    Each device seeds on its rows scaled by ``_stack``'s power of two, with
+    ``tol`` scaled alike, and its centers are scaled back: the same picks
+    at any scale, the same centers times the scale at a power of two.
     """
     stacked = np.ndim(projected) == 3
-    stack = _stack(projected)
+    stack, _, exponent = _stack(projected)
     if stacked and not isinstance(seed, list):
         raise ValueError("a stack needs a list of per-device seeds")
     seeds = seed if stacked else [seed]
@@ -421,8 +465,8 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     _check_k(k)
     if stack.shape[1] < k:
         raise ValueError("insufficient distinct points")
-    labels, refined, _ = _lloyd(stack, _dsq_sample(stack, k, seeds), tol,
-                                DEFAULT_MAX_ITER)
+    labels, refined, _ = _lloyd(stack, _dsq_sample(stack, k, seeds),
+                                np.ldexp(tol, -exponent), DEFAULT_MAX_ITER)
     costs = np.full(labels.shape[:2], np.inf)    # collapsed restarts stay inf
     for m, restart in zip(*np.nonzero(~_has_equal_rows(refined))):
         costs[m, restart] = _assignment_cost(stack[m], labels[m, restart],
@@ -430,6 +474,7 @@ def approx_seed(projected, k: int, seed, tol: float = DEFAULT_TOL) -> np.ndarray
     if (costs.min(axis=1) == np.inf).any():
         raise ValueError("seeding collapsed on every restart")
     best = refined[np.arange(len(costs)), costs.argmin(axis=1)]   # first minimum
+    best = np.ldexp(best, exponent[:, None, None])
     return best if stacked else best[0]
 
 
@@ -446,6 +491,10 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     devices at once: it returns (D, n) labels and (D, k, w) centers, device
     by device bit for bit what the 2-D call gives.
 
+    Each device decides on its rows and centers scaled together by
+    ``_stack``'s power of two, and its means are scaled back: the same
+    labels at any scale, the same means times the scale at a power of two.
+
     Labels and means are the exact rule's bit for bit: a row is kept where
     fl(3·fl(√K₁)) <= fl(√K₂), K₁ and K₂ its ``linalg._exact_sq`` to the
     nearest center and to the nearest other one. Each device takes F
@@ -461,27 +510,16 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     them by under 4.5·2⁻⁵³·R (a sum that underflows is exact). Where fl(√)
     ties the nearest center with another, the exact rule drops the row
     under either. A device with a row not proven runs the exact rule
-    (``_exact_sets``) alone; squared distances that overflow or underflow
-    there, so that the rule has no answer, raise ``ValueError``. A proven
-    device has a finite τ and K₂ > 0, so it never hides one.
+    (``_exact_sets``) alone; where a distance to a distinct other center
+    underflows to 0 there, so that the rule has no answer, it raises
+    ``ValueError``. A proven device has K₂ > 0, so it never hides one.
     """
     stacked = np.ndim(projected) == 3
-    data = _stack(projected)
-    centers = np.asarray(centers, dtype=float)
-    devices, _, width = data.shape
-    shape = centers.shape
-    if not stacked:
-        centers = centers[None]
-    if (centers.ndim != 3 or centers.shape[::2] != (devices, width)
-            or not centers.shape[1]):
-        raise ValueError(f"centers of shape {shape} do not fit rows of shape "
-                         f"{np.shape(projected)}")
-    if not np.isfinite(centers).all():
-        raise ValueError("centers contain non-finite values")
-    k = centers.shape[1]
+    data, centers, exponent = _stack(projected, centers)
+    devices, k, width = centers.shape
     if _has_equal_rows(centers).any():
         raise ValueError("centers must be distinct")
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(invalid="ignore"):     # a negative bound's root is NaN
         c_sq = np.einsum("mkd,mkd->mk", centers, centers)
         a_sq = np.einsum("mnd,mnd->mn", data, data)
         f = _product_sq(centers, data, c_sq, a_sq)[:, None]
@@ -500,6 +538,7 @@ def threshold_assign(projected, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     means, sizes = cluster_means(data[kept], (labels + owner)[kept], devices * k)
     theta = np.where(sizes[:, None] > 0, means,
                      centers.reshape(-1, width)).reshape(centers.shape)
+    theta = np.ldexp(theta, exponent[:, None, None])
     return (labels, theta) if stacked else (labels[0], theta[0])
 
 
@@ -507,9 +546,11 @@ def _exact_sets(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``threshold_assign``'s set labels (n,) of one device by its exact
     rule on ``linalg._exact_sq``.
 
-    With two or more centers, a row whose distance to the nearest other
-    center overflows, or underflows to 0 (distinct centers cannot both be
-    at distance 0), has no exact rule to follow and raises ``ValueError``.
+    ``threshold_assign`` passes rows and centers scaled by ``_stack``, so
+    no distance overflows. With two or more centers, a row whose distance
+    to the nearest other center underflows to 0 (distinct centers cannot
+    both be at distance 0: they are closer than 2^-537) has no exact rule
+    to follow and raises ``ValueError``.
     """
     dist = linalg._exact_sq(rows, centers)
     np.sqrt(dist, out=dist)
@@ -519,7 +560,7 @@ def _exact_sets(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     dist[at] = np.inf
     others = dist.min(axis=1)
     k = centers.shape[0]
-    if k > 1 and not (np.isfinite(others) & (others > 0.0)).all():
+    if k > 1 and not (others > 0.0).all():
         raise ValueError("squared distances to the centers leave the float range")
     return np.where(3.0 * d_near <= others, nearest, k)
 
@@ -555,11 +596,15 @@ def local_cluster(data: np.ndarray, k, seed, tol: float = DEFAULT_TOL,
 
 
 def _solve(rows_of, ks, seeds, tol: float) -> list[LocalResult]:
-    """``local_cluster`` on every device i, whose rows ``rows_of(i)`` gathers."""
+    """``local_cluster`` on every device i, whose rows ``rows_of(i)`` gathers.
+
+    The projection checks that the rows are finite; the raw-row Lloyd is
+    ``_scaled_lloyd``'s.
+    """
     count = len(ks)
     coords, lifts, groups = [], [], {}
     for i in range(count):
-        data = validate_matrix(rows_of(i), "device data")
+        data = _as_matrix(rows_of(i), "device data")
         _check_k(ks[i])
         coord, lift = top_k_projection(data, min(ks[i], min(data.shape)))
         coords.append(coord)
@@ -577,13 +622,8 @@ def _solve(rows_of, ks, seeds, tol: float) -> list[LocalResult]:
             theta[i] = device_theta
     results = []
     for i in range(count):
-        data = np.asarray(rows_of(i), dtype=float)
-        start = theta[i] @ lifts[i]
-        labels, centers, iterations = _lloyd(data[None], start[None, None], tol,
+        clusters, iterations = _scaled_lloyd(rows_of(i), theta[i] @ lifts[i], tol,
                                              DEFAULT_MAX_ITER)
-        results.append(LocalResult(
-            clusters=Clustering(assignment=labels[0, 0], centers=centers[0, 0],
-                                k=ks[i]),
-            unassigned_after_threshold=unassigned[i],
-            lloyd_iterations=int(iterations[0, 0])))
+        results.append(LocalResult(clusters=clusters, lloyd_iterations=iterations,
+                                   unassigned_after_threshold=unassigned[i]))
     return results

@@ -930,6 +930,21 @@ def test_unallocatable_instance_exits_3_in_one_line(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("pipeline error: Unable to allocate")
 
 
+def test_device_solve_at_extreme_sigma_exits_0(tmp_path):
+    # At sigma_max = 1e200 the mixture is finite but its squared distances
+    # are not: every device stage decides on its rows scaled by a power of
+    # two, so the run recovers the clusters. The cost itself is beyond
+    # float64 and reads inf.
+    cfg_path, _ = write_config(tmp_path, partition={"mode": "iid", "Z": 4},
+                               mixture={"k": 4, "d": 12, "per_cluster": 50,
+                                        "sigma_max": 1e200, "mean_mode": "auto"})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header, row = (out / "results.csv").read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["accuracy"], fields["kmeans_cost"]) == ("1.0", "inf")
+
+
 def test_config_grid_builds_or_exits_2(tmp_path):
     # Every config load_config accepts builds for seed 0 at each of its c
     # values; a sample of the rejected ones exits 2 with nothing written.

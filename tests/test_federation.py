@@ -602,7 +602,8 @@ def test_record_replay_round_trip(tmp_path):
 
 def test_replay_round_trip_on_certified_and_exact_init(tmp_path, monkeypatch):
     # The log and the replayed distance count are the same whether the
-    # init is certified or, with its rounding bound made to fail, exact.
+    # init is certified or, with its rounding bound made too large to
+    # prove any pick, exact.
     _, data, truth, partition = planted_instance(15, k=6, d=20, per_cluster=24,
                                                  m0=2, group_size=3)
     calls = spy_exact(monkeypatch)
@@ -611,7 +612,7 @@ def test_replay_round_trip_on_certified_and_exact_init(tmp_path, monkeypatch):
         if path == "exact":
             monkeypatch.setattr(federation, "_rounding_bound",
                                 lambda a, b, width: np.full(np.broadcast(a, b).shape,
-                                                            np.inf))
+                                                            1e300))
         calls.clear()
         run = run_kfed(partition, data, seed=15)
         logs[path] = tmp_path / f"{path}.jsonl"

@@ -173,53 +173,50 @@ def _threshold_stack(rng, devices, k):
 def test_certified_threshold_matches_the_exact_threshold(monkeypatch):
     # Labels and set means are the exact rule's bit for bit: planted rows at
     # distance ratio 3 (exact, nudged), midpoints, stacks of 1 and 40, and
-    # scales whose squares over- or underflow, where the exact rule raises.
+    # scales whose squares over- or underflow at the input's scale. At 2^±600
+    # they are the scale-1 rule's labels, and its means times the scale.
     rng = np.random.default_rng(78)
     exact_calls = spy_exact(monkeypatch)
-    certified = fell = raised = 0
+    certified = fell = 0
     for case in range(180):
         scale = [1.0, 1e150, 1e-150, 2.0 ** 600, 2.0 ** -600][case % 5]
         devices, k = [1, 40][case // 5 % 2], [1, 2, 8][case // 10 % 3]
         rows, centers = _threshold_stack(rng, devices, k)
+        # the oracle's squares over- or underflow at 2^±600: it takes the
+        # scale-1 rows there, and its means are scaled exactly
+        base = 1.0 if scale in (2.0 ** 600, 2.0 ** -600) else scale
+        want_labels, want_theta = oracles.exact_threshold(rows * base, centers * base)
+        want_theta = want_theta * (scale / base)
         rows, centers = rows * scale, centers * scale
         if case % 4 == 3:
             rows = np.asfortranarray(rows)
         exact_calls.clear()
-        if k > 1 and scale in (2.0 ** 600, 2.0 ** -600):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="^squared distances to the "
-                                   "centers leave the float range$"):
-                    threshold_assign(rows, centers)
-            raised += 1
-            continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             labels, theta = threshold_assign(rows, centers)
         fell += len(exact_calls)
         certified += devices - len(exact_calls)
-        want_labels, want_theta = oracles.exact_threshold(rows, centers)
         assert labels.tobytes() == want_labels.tobytes()
         assert theta.tobytes() == want_theta.tobytes()
-    assert certified >= 1500 and fell >= 400 and raised >= 40
+    assert certified >= 1500 and fell >= 400
 
 
-def test_threshold_at_extreme_scale_raises():
+def test_threshold_at_extreme_scale_gives_the_scale_one_sets():
     # Rows near 0 sit about as far from both centers, so no row is in a
-    # set; where the squared distances overflow or underflow that cannot be
-    # told, and the threshold says so instead of putting every row in set 0.
+    # set, and each empty set keeps its center. The rows and centers are
+    # scaled together, so squares that would over- or underflow at the
+    # input's scale still tell that, instead of putting every row in set 0.
     rows = np.random.default_rng(79).normal(size=(6, 2)) * 1e-3
-    for scale in (1e200, 2.0 ** 600, 2.0 ** -600):
+    for scale in (1.0, 1e200, 1e-200, 2.0 ** 600, 2.0 ** -600):
         centers = np.array([[1.0, 0.0], [-1.0, 1.0]]) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for data, center_stack in [(rows * scale, centers),
                                        (np.stack([rows] * 3) * scale,
                                         np.stack([centers] * 3))]:
-                with pytest.raises(ValueError, match="^squared distances to the "
-                                   "centers leave the float range$"):
-                    threshold_assign(data, center_stack)
-    assert (threshold_assign(rows, np.array([[1.0, 0.0], [-1.0, 1.0]]))[0] == 2).all()
+                labels, theta = threshold_assign(data, center_stack)
+                assert (labels == 2).all()
+                assert theta.tobytes() == center_stack.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +562,24 @@ def test_multi_start_lloyd_matches_per_start_oracle(monkeypatch):
 def test_lloyd_repeated_labels_stop_only_where_the_shift_would(case):
     # Repeated labels give a zero shift, which stops a start only when
     # 0 < tol: with tol = 0 the start runs to max_iter, as the oracle does.
-    # A mean that overflows to inf gives a NaN shift, which could never
-    # stop it: that step raises instead.
+    # A mean whose sum overflows at the data's scale is taken on the rows
+    # scaled by _stack, where it is finite: the labels, the centers and the
+    # stopping step are the oracle's on the rows scaled by 2^-600 (whose
+    # sums and squares stay finite), the centers scaled back.
     if case == "overflowing_mean":
         data = np.array([[1.5e308], [1.6e308], [-1.0], [1.0]])
-        starts = np.array([[[1e308], [0.0]]])
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="shift is NaN"):
-            local._lloyd(data[None], starts[None], local.DEFAULT_TOL, 50)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="shift is NaN"):
-            local.lloyd_iterate(data, starts[0], max_iter=50)
+        starts, tol, scale = np.array([[1e308], [0.0]]), local.DEFAULT_TOL, 2.0 ** -600
+        ref_labels, ref_centers, ref_iter, _ = single_lloyd(
+            data * scale, starts * scale, tol * scale, max_iter=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = local.lloyd_iterate(data, starts, max_iter=50)
+            rows, scaled, exponent = local._stack(data, starts)
+            iterations = local._lloyd(rows, scaled[:, None],
+                                      np.ldexp(tol, -exponent), 50)[2]
+        assert got.assignment.tolist() == ref_labels.tolist()
+        assert got.centers.tobytes() == (ref_centers / scale).tobytes()
+        assert iterations.tolist() == [[ref_iter]] and ref_iter < 50
         return
     data, tol = np.array([[0.0], [1.0], [10.0], [11.0]]), 0.0
     starts = np.array([[[0.0], [10.0]]])
@@ -835,32 +839,23 @@ def test_certified_sampler_insufficient_distinct_points(monkeypatch):
                                    1e154, 1e200])
 def test_sampler_certifies_at_any_finite_scale_else_fails_as_the_exact_kernel(
         scale, monkeypatch):
-    # Where every square stays finite and normal the picks are proven; where
-    # the squares overflow (or all underflow to 0) every restart takes the
-    # exact sampler, which raises what it always raised, and the fast path,
-    # run with floating-point warnings off, adds nothing.
+    # approx_seed samples on rows scaled by _stack, where every square stays
+    # finite and normal at any finite scale: every restart's picks are
+    # proven, no restart takes the exact sampler, and the picks are the
+    # scale-1 ones. Squares that would overflow at the input's scale (from
+    # 1e154 on) or underflow to 0 (2^-600) no longer fail the sampler.
     rng = np.random.default_rng(80)
     calls, exact = _exact_spy(monkeypatch)
-    stack = np.stack([rng.normal(size=(60, 6)) for _ in range(3)]) * scale
+    stack = np.stack([rng.normal(size=(60, 6)) for _ in range(3)])
     seeds = [(4, z) for z in range(3)]
+    expected = exact(stack, _draws(5, seeds))
+    calls.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            expected = exact(stack, _draws(5, seeds))
-        except (ValueError, RuntimeWarning) as err:
-            with pytest.raises(type(err)) as got:
-                local._dsq_sample(stack, 5, seeds)
-            assert str(got.value) == str(err)
-            assert len(calls) == 1      # the first restart raised
-            assert scale not in (1.0, 1e150, 1e-150)
-            if scale > 1.0:
-                assert str(err) == ("squared distances between rows leave the "
-                                    "float range")
-            return
-        starts = local._dsq_sample(stack, 5, seeds)
+        rows, _, _ = local._stack(stack * scale)
+        starts = local._dsq_sample(rows, 5, seeds)
     assert calls == []
-    assert starts.tobytes() == stack[np.arange(3)[:, None, None], expected].tobytes()
-    assert scale in (1.0, 1e150, 1e-150)
+    assert starts.tobytes() == rows[np.arange(3)[:, None, None], expected].tobytes()
 
 
 def test_sampler_memory_linear_in_rows():
@@ -912,28 +907,29 @@ def test_wide_sq_distances_memory_under_one_block():
     assert peak < block / 4
 
 
-def test_wide_lloyd_at_extreme_scale_fails_as_the_exact_kernel(monkeypatch):
-    # Squares near 1e400 overflow: the certified labels step aside for the
-    # exact kernel (which overflows to inf without a warning), and the
-    # first center shift raises the warning it always raised.
+def test_wide_lloyd_at_extreme_scale_takes_the_scale_one_path(monkeypatch):
+    # Squares near 1e400 would overflow at the data's scale (the exact
+    # kernel gives inf), which once made every step take the exact kernel
+    # and its means collapse to sizes [38, 1, 1]. The steps run on the rows
+    # and centers scaled together, so every label is certified and is the
+    # scale-1 one, and at a power of two the centers are the scale-1
+    # centers times the scale, bit for bit.
     rng = np.random.default_rng(73)
-    data = rng.normal(size=(40, 12)) * 1e200
-    centers = data[:3].copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.isinf(linalg._exact_sq(data, centers)).any()
+    base = rng.normal(size=(40, 12))
+    ref_labels, ref_centers, _, _ = single_lloyd(base, base[:3])
     exact_calls = spy_exact(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(RuntimeWarning, match="^overflow encountered in square$"):
-            lloyd_iterate(data, centers)
-    assert exact_calls == [data.shape]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got = lloyd_iterate(data, centers)
-        ref_labels, ref_centers, _, _ = single_lloyd(data, centers)
-    assert got.assignment.tobytes() == ref_labels.tobytes()
-    assert got.centers.tobytes() == ref_centers.tobytes()
+    for scale in (1e200, 2.0 ** 664, 1e-200, 2.0 ** -664):
+        data = base * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if scale > 1.0:
+                assert np.isinf(linalg._exact_sq(data, data[:3])).any()
+            exact_calls.clear()
+            got = lloyd_iterate(data, data[:3], tol=local.DEFAULT_TOL * scale)
+        assert exact_calls == []
+        assert got.assignment.tobytes() == ref_labels.tobytes()
+        if scale in (2.0 ** 664, 2.0 ** -664):
+            assert got.centers.tobytes() == (ref_centers * scale).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1041,20 +1037,72 @@ def test_stacked_local_cluster_matches_one_device_calls(monkeypatch):
     assert compared >= 250 and raised >= 3 and mixed >= 20
 
 
+# scale id -> a factor for the data, whose squared distances leave the
+# float range
+_SCALES = {"2p600": 2.0 ** 600, "1e200": 1e200, "2m600": 2.0 ** -600,
+           "2m700": 2.0 ** -700, "1em200": 1e-200}
+
+
+@pytest.mark.parametrize("scale", sorted(_SCALES))
+def test_device_solve_is_scale_free(scale):
+    # Every device stage decides on its inputs scaled by one power of two
+    # per device, so data at any scale, with tol scaled alike, gives the
+    # scale-1 labels, step counts, provenance and tau without a warning.
+    # At a power of two every returned center is the scale-1 center times
+    # the scale, bit for bit.
+    factor = _SCALES[scale]
+    _, data, _, partition = planted_instance(36)
+    devices, ks = partition.device_rows, partition.k_per_device
+    seeds, tol = [(36, z) for z in range(len(devices))], local.DEFAULT_TOL
+
+    def solve(x, tol):
+        coords = np.stack([linalg.top_k_projection(x[rows], ks[0])[0]
+                           for rows in devices[:3]])
+        seeded = approx_seed(coords, ks[0], seeds[:3], tol=tol)
+        return (local_cluster(x[devices[0]], ks[0], seeds[0], tol=tol),
+                local_cluster(x, ks, seeds, tol=tol, devices=devices),
+                seeded, threshold_assign(coords[0], seeded[0]),
+                lloyd_iterate(x[devices[1]], x[devices[1][:ks[1]]], tol=tol),
+                run_kfed(partition, x, seed=36, tol=tol))
+
+    one, many, seeded, (kept, theta), lloyd, run = solve(data, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve(data * factor, tol * factor)
+    results = [one, *many, *run.local_results.values()]
+    got_results = [got[0], *got[1], *got[5].local_results.values()]
+    for a, b in zip(got_results, results, strict=True):
+        assert a.clusters.assignment.tobytes() == b.clusters.assignment.tobytes()
+        assert a.lloyd_iterations == b.lloyd_iterations
+        assert a.unassigned_after_threshold == b.unassigned_after_threshold
+    assert got[3][0].tobytes() == kept.tobytes()
+    assert got[4].assignment.tobytes() == lloyd.assignment.tobytes()
+    assert got[5].init.provenance == run.init.provenance
+    assert got[5].induced.tau == run.induced.tau
+    assert got[5].induced.assignment.tobytes() == run.induced.assignment.tobytes()
+    if scale.startswith("2"):
+        centers = [r.centers for r in results] + [seeded, theta, lloyd.centers]
+        got_centers = [r.centers for r in got_results] + [got[2], got[3][1],
+                                                         got[4].centers]
+        for a, b in zip(got_centers, centers, strict=True):
+            assert a.tobytes() == (b * factor).tobytes()
+
+
 def test_stacked_failure_raises_the_first_failing_devices_error():
     # Device 1 has two distinct rows for k = 4, which the sampler finds at
-    # its second pick; device 3's squares overflow at the first. The call
-    # raises device 1's error, as solving the devices one by one does.
+    # its second pick; device 3's projected coordinates overflow, which the
+    # stacked call meets first, in its projections. The call raises device
+    # 1's error, as solving the devices one by one does.
     rng = np.random.default_rng(75)
     data = rng.normal(size=(120, 12)) + np.repeat(np.eye(4, 12) * 20.0, 30, axis=0)
     devices = np.split(np.arange(120), 4)
     data[devices[1]] = np.tile(data[devices[1][:2]], (15, 1))
-    data[devices[3]] *= 1e200
+    data[devices[3]] = 1.7e308
     partition = DevicePartition(device_rows=devices, k=4, k_per_device=[4] * 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^squared distances between rows "
-                           "leave the float range$"):
+        with pytest.raises(ValueError, match="^projected coordinates exceed the "
+                           "float range$"):
             local_cluster(data[devices[3]], 4, (0, 3))
         with pytest.raises(ValueError) as err:
             run_kfed(partition, data, seed=0)

@@ -123,14 +123,18 @@ PUBLIC_ERRORS = {
     "threshold_assign_inf_center": (
         lambda: local.threshold_assign(_ROWS, np.array([[0.0, 0, 0], [np.inf, 1, 1]])),
         "centers contain non-finite values"),
-    "threshold_assign_distances_overflow": (
-        lambda: local.threshold_assign(np.zeros((3, 2)),
-                                       np.array([[1e200, 0.0], [-1e200, 1.0]])),
-        "squared distances to the centers leave the float range"),
+    # distinct centers 2^-600 apart: the squared distance between them, and
+    # so the row's to the other center, underflows to 0 even when scaled
     "threshold_assign_distances_underflow": (
-        lambda: local.threshold_assign(np.zeros((3, 2)),
-                                       np.array([[1e-200, 0.0], [-1e-200, 0.0]])),
+        lambda: local.threshold_assign(np.array([[0.5, 0.0]]),
+                                       np.array([[0.5, 0.0], [0.5, 2.0 ** -600]])),
         "squared distances to the centers leave the float range"),
+    "lloyd_iterate_nan_center": (
+        lambda: local.lloyd_iterate(_ROWS, np.array([[0.0, 0, 0], [np.nan, 1, 1]])),
+        "centers contain non-finite values"),
+    "lloyd_iterate_inf_center": (
+        lambda: local.lloyd_iterate(_ROWS, np.array([[0.0, 0, 0], [np.inf, 1, 1]])),
+        "centers contain non-finite values"),
     "from_labels_fewer_labels_than_rows": (
         lambda: Clustering.from_labels(_ROWS, np.array([0, 1, 1]), 2),
         "labels of shape (3,) do not fit rows of shape (4, 3)"),
